@@ -3,26 +3,9 @@
 #include <cstring>
 
 #include "common/hex.h"
+#include "crypto/sha256_compress.h"
 
 namespace freqywm {
-namespace {
-
-constexpr uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
-}  // namespace
 
 Sha256::Sha256() : bit_count_(0), buffer_len_(0) {
   state_[0] = 0x6a09e667;
@@ -35,50 +18,6 @@ Sha256::Sha256() : bit_count_(0), buffer_len_(0) {
   state_[7] = 0x5be0cd19;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t len) {
   bit_count_ += static_cast<uint64_t>(len) * 8;
   while (len > 0) {
@@ -89,7 +28,7 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
+      sha256_internal::Compress(state_, buffer_);
       buffer_len_ = 0;
     }
   }
@@ -109,14 +48,14 @@ Sha256::Digest Sha256::Finish() {
     // The length field does not fit this block: zero-fill, flush, start a
     // fresh padding-only block.
     std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
-    ProcessBlock(buffer_);
+    sha256_internal::Compress(state_, buffer_);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bits >> (56 - i * 8));
   }
-  ProcessBlock(buffer_);
+  sha256_internal::Compress(state_, buffer_);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -16,6 +16,10 @@ namespace freqywm {
 /// implementation is verified against the NIST CAVP short-message vectors
 /// in `tests/crypto/sha256_test.cc`.
 ///
+/// Blocks are compressed with the x86 SHA extensions when the CPU has
+/// them and in portable C++ otherwise (`crypto/sha256_compress.h`,
+/// DESIGN.md §16); both give the same digest.
+///
 /// Usage:
 /// \code
 ///   Sha256 h;
@@ -63,8 +67,6 @@ class Sha256 {
   static std::string HexDigest(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

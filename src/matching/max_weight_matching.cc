@@ -650,18 +650,59 @@ std::vector<int> MaxWeightMatching(int num_vertices,
                                    const std::vector<WeightedEdge>& edges,
                                    bool max_cardinality) {
   if (num_vertices <= 0) return {};
-  BlossomMatcher matcher(num_vertices, edges, max_cardinality);
-  return matcher.Run();
+  // Run the blossom over the active vertices only (those with a
+  // non-self-loop edge), renumbered in order. An isolated vertex is always
+  // single and never changes a dual update, so the compacted run returns
+  // the same mate as the full one (DESIGN.md §16), at O(active^3).
+  std::vector<int> compact_id(num_vertices, -1);
+  for (const auto& e : edges) {
+    assert(e.u >= 0 && e.u < num_vertices && e.v >= 0 && e.v < num_vertices);
+    if (e.u == e.v) continue;
+    compact_id[e.u] = 0;
+    compact_id[e.v] = 0;
+  }
+  std::vector<int> vertex_of;
+  for (int v = 0; v < num_vertices; ++v) {
+    if (compact_id[v] == -1) continue;
+    compact_id[v] = static_cast<int>(vertex_of.size());
+    vertex_of.push_back(v);
+  }
+  std::vector<int> mate(num_vertices, -1);
+  if (vertex_of.empty()) return mate;
+
+  std::vector<WeightedEdge> compact_edges;
+  compact_edges.reserve(edges.size());
+  for (const auto& e : edges) {
+    if (e.u == e.v) continue;
+    compact_edges.push_back(
+        WeightedEdge{compact_id[e.u], compact_id[e.v], e.weight});
+  }
+  BlossomMatcher matcher(static_cast<int>(vertex_of.size()), compact_edges,
+                         max_cardinality);
+  const std::vector<int> compact_mate = matcher.Run();
+  for (size_t c = 0; c < compact_mate.size(); ++c) {
+    if (compact_mate[c] >= 0) mate[vertex_of[c]] = vertex_of[compact_mate[c]];
+  }
+  return mate;
 }
 
 int64_t MatchingWeight(const std::vector<int>& mate,
                        const std::vector<WeightedEdge>& edges) {
-  int64_t total = 0;
+  // A matched pair counts once, whichever orientation its edges are given
+  // in; among parallel edges joining it, the heaviest counts.
+  const int n = static_cast<int>(mate.size());
+  std::vector<char> seen(mate.size(), 0);
+  std::vector<int64_t> pair_weight(mate.size(), 0);
   for (const auto& e : edges) {
-    if (e.u < static_cast<int>(mate.size()) && mate[e.u] == e.v &&
-        mate[e.v] == e.u && e.u < e.v) {
-      total += e.weight;
-    }
+    if (e.u == e.v || e.u < 0 || e.v < 0 || e.u >= n || e.v >= n) continue;
+    if (mate[e.u] != e.v || mate[e.v] != e.u) continue;
+    const int low = std::min(e.u, e.v);
+    if (!seen[low] || e.weight > pair_weight[low]) pair_weight[low] = e.weight;
+    seen[low] = 1;
+  }
+  int64_t total = 0;
+  for (int v = 0; v < n; ++v) {
+    if (seen[v]) total += pair_weight[v];
   }
   return total;
 }

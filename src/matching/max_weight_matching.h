@@ -23,7 +23,9 @@ struct WeightedEdge {
 ///
 /// Returns `mate` with `mate[v]` = matched partner of `v`, or -1 if `v` is
 /// single. Self-loops are ignored; negative-weight edges are never matched
-/// unless `max_cardinality` forces cardinality over weight.
+/// unless `max_cardinality` forces cardinality over weight. The blossom
+/// runs only over vertices that have an edge, so the cost is cubic in
+/// those, not in `num_vertices`.
 ///
 /// Correctness is established two ways in the test suite: against an
 /// exhaustive brute-force matcher on random graphs (property tests), and by
@@ -34,7 +36,8 @@ std::vector<int> MaxWeightMatching(int num_vertices,
                                    bool max_cardinality = false);
 
 /// Sum of weights of matched edges for a `mate` array produced by any
-/// matcher here.
+/// matcher here. Edges may be given as `u < v` or `u > v`; each matched
+/// pair counts once, with the heaviest edge joining it.
 int64_t MatchingWeight(const std::vector<int>& mate,
                        const std::vector<WeightedEdge>& edges);
 

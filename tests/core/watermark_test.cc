@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "api/freqywm_scheme.h"
+#include "common/hex.h"
 #include "core/detect.h"
 #include "crypto/pair_modulus.h"
+#include "crypto/sha256.h"
 #include "datagen/power_law.h"
+#include "datagen/real_world.h"
 #include "stats/rank.h"
 #include "stats/similarity.h"
 
@@ -170,6 +176,84 @@ TEST(WatermarkGeneratorTest, TotalChurnMatchesHistogramDiff) {
   }
   EXPECT_EQ(churn, r.value().report.total_churn);
 }
+
+// Embed identity goldens. The expected values were recorded from the
+// portable SHA-256 compression and the full-vertex blossom; every faster
+// path must reproduce them byte for byte. Each case embeds through the
+// public FreqyWM scheme at z=131 and pins |Lwm|, the SHA-256 and length of
+// the serialized key, and the SHA-256 of the watermarked histogram.
+std::string HistogramDigest(const Histogram& h) {
+  Sha256 sha;
+  for (const auto& e : h.entries()) {
+    sha.Update(e.token);
+    sha.Update("\t" + std::to_string(e.count) + "\n");
+  }
+  const Sha256::Digest d = sha.Finish();
+  return HexEncode(d.data(), d.size());
+}
+
+struct EmbedGolden {
+  const char* base;
+  SelectionStrategy strategy;
+  size_t chosen_pairs;
+  size_t key_bytes;
+  const char* key_sha256;
+  const char* histogram_sha256;
+};
+
+class EmbedGoldenTest : public ::testing::TestWithParam<EmbedGolden> {};
+
+TEST_P(EmbedGoldenTest, MatchesRecordedOutput) {
+  const EmbedGolden& g = GetParam();
+  Histogram base;
+  if (std::string(g.base) == "taxi") {
+    Rng rng(11);
+    base = MakeChicagoTaxiLikeHistogram(rng, 600, 600'000);
+  } else {
+    Rng rng(12);
+    base = MakeEyeWnderLikeHistogram(rng, 3000, 300'000);
+  }
+  GenerateOptions o;
+  o.strategy = g.strategy;
+  o.modulus_bound = 131;
+  o.seed = 20240513;
+  auto r = FreqyWmScheme(o).Embed(base);
+  ASSERT_TRUE(r.ok()) << r.status();
+  const std::string key = r.value().key.Serialize();
+  EXPECT_EQ(r.value().report.embedded_units, g.chosen_pairs);
+  EXPECT_EQ(key.size(), g.key_bytes);
+  EXPECT_EQ(Sha256::HexDigest(key), g.key_sha256);
+  EXPECT_EQ(HistogramDigest(r.value().watermarked), g.histogram_sha256);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ParentCommit, EmbedGoldenTest,
+    ::testing::Values(
+        EmbedGolden{"taxi", SelectionStrategy::kOptimal, 194, 5809,
+                    "ac7a38e8e7dc6fdeec23e7b67bf9fcb6a1f143eb2d016699c940b4dc"
+                    "51bcddba",
+                    "be2d46a0d27dfc14b14463c504a2787ed544587422c288b80f64d438"
+                    "76a35332"},
+        EmbedGolden{"taxi", SelectionStrategy::kGreedy, 156, 4687,
+                    "b2a4a2a7f7794ed62fa875dc0710eacc50a05463afff2752b5dea8ab"
+                    "00b8c422",
+                    "a12182387234b67ee27bfae8d0e88cb30448238022f7369dc5f50f53"
+                    "8b351c92"},
+        EmbedGolden{"eyewnder", SelectionStrategy::kOptimal, 52, 1326,
+                    "64554199f38121f51a7118262d90f24a191932dc6eb30b3408d20864"
+                    "f60159e1",
+                    "662caebefbd3503dcb762c9d1362f395d48070bc21279ade1ada914f"
+                    "aec20067"},
+        EmbedGolden{"eyewnder", SelectionStrategy::kGreedy, 43, 1110,
+                    "967f04881a4d5750ccb2e0b63155f1576645a3883e603c822a66aa0f"
+                    "0ef44a05",
+                    "fd54a6ac431a52d3d0e9940b5edd3a5f87e3b40a905ad85b245582c2"
+                    "73e43bd4"}),
+    [](const ::testing::TestParamInfo<EmbedGolden>& info) {
+      return std::string(info.param.base) +
+             (info.param.strategy == SelectionStrategy::kOptimal ? "_optimal"
+                                                                 : "_greedy");
+    });
 
 TEST(ApplyPairDeltasTest, AppliesDeltasAndReportsApplied) {
   auto h = Histogram::FromCounts(

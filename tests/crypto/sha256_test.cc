@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <vector>
+
+#include "common/hex.h"
+#include "common/random.h"
+#include "crypto/sha256_compress.h"
 
 namespace freqywm {
 namespace {
@@ -171,6 +177,95 @@ TEST(Sha256Test, AvalancheOneBitFlip) {
   // ~128 expected for an ideal hash; anything above 80 shows diffusion.
   EXPECT_GT(differing_bits, 80);
 }
+
+// ---------------------------------------------------------------------------
+// The two block compressions behind Sha256, driven directly: the portable
+// one stays tested on CPUs where Sha256 itself dispatches to SHA-NI.
+// ---------------------------------------------------------------------------
+
+using CompressFn = void (*)(uint32_t*, const uint8_t*);
+
+// Full FIPS 180-4 hash of `message` through one compression function.
+std::string HexDigestWith(CompressFn compress, const std::string& message) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::vector<uint8_t> padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = static_cast<uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  for (size_t off = 0; off < padded.size(); off += 64) {
+    compress(state, padded.data() + off);
+  }
+  uint8_t digest[32];
+  for (int i = 0; i < 8; ++i) {
+    for (int b = 0; b < 4; ++b) {
+      digest[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return HexEncode(digest, sizeof(digest));
+}
+
+struct NistVector {
+  std::string message;
+  const char* hex;
+};
+
+std::vector<NistVector> NistVectors() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(64, 'a'),
+       "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256CompressTest, PortableReproducesNistVectors) {
+  for (const NistVector& v : NistVectors()) {
+    EXPECT_EQ(HexDigestWith(sha256_internal::CompressPortable, v.message),
+              v.hex)
+        << "message length " << v.message.size();
+  }
+}
+
+#ifdef FREQYWM_SHA256_HAVE_SHA_NI
+TEST(Sha256CompressTest, ShaNiReproducesNistVectors) {
+  if (!sha256_internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  for (const NistVector& v : NistVectors()) {
+    EXPECT_EQ(HexDigestWith(sha256_internal::CompressShaNi, v.message), v.hex)
+        << "message length " << v.message.size();
+  }
+}
+
+TEST(Sha256CompressTest, ShaNiMatchesPortableOnRandomBlocks) {
+  if (!sha256_internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(180);
+  uint8_t block[64];
+  for (int trial = 0; trial < 100000; ++trial) {
+    uint32_t portable[8];
+    for (uint32_t& word : portable) {
+      word = static_cast<uint32_t>(rng.NextU64());
+    }
+    for (size_t i = 0; i < sizeof(block); i += 8) {
+      const uint64_t r = rng.NextU64();
+      std::memcpy(block + i, &r, 8);
+    }
+    uint32_t sha_ni[8];
+    std::memcpy(sha_ni, portable, sizeof(portable));
+    sha256_internal::CompressPortable(portable, block);
+    sha256_internal::CompressShaNi(sha_ni, block);
+    ASSERT_EQ(std::memcmp(portable, sha_ni, sizeof(portable)), 0)
+        << "trial " << trial;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace freqywm

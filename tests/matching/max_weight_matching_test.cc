@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 
 namespace freqywm {
@@ -188,6 +193,117 @@ TEST(MatchingPropertyTest, GreedyNeverBeatsBlossom) {
     EXPECT_GE(2 * MatchingWeight(greedy, edges),
               MatchingWeight(blossom, edges));
   }
+}
+
+// Regression: MatchingWeight used to skip edges given as u > v.
+TEST(MatchingWeightTest, CountsReversedEdges) {
+  std::vector<WeightedEdge> forward{{0, 1, 4}, {2, 3, 7}, {1, 2, 9}};
+  std::vector<WeightedEdge> reversed{{1, 0, 4}, {3, 2, 7}, {2, 1, 9}};
+  const std::vector<int> mate{1, 0, 3, 2};
+  EXPECT_EQ(MatchingWeight(mate, forward), 11);
+  EXPECT_EQ(MatchingWeight(mate, reversed), 11);
+  EXPECT_EQ(MatchingWeight(MaxWeightMatching(4, reversed), reversed), 11);
+}
+
+TEST(MatchingWeightTest, CountsAPairGivenInBothOrientationsOnce) {
+  std::vector<WeightedEdge> edges{{0, 1, 5}, {1, 0, 5}, {2, 3, 1}};
+  EXPECT_EQ(MatchingWeight({1, 0, 3, 2}, edges), 6);
+}
+
+TEST(MatchingWeightTest, ReversedRandomGraphsMatchBruteForce) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 8;
+    std::vector<WeightedEdge> edges;
+    std::set<std::pair<int, int>> seen;
+    for (int e = 0; e < 12; ++e) {
+      int u = static_cast<int>(rng.UniformU64(n));
+      int v = static_cast<int>(rng.UniformU64(n));
+      if (u == v || !seen.insert({std::min(u, v), std::max(u, v)}).second) {
+        continue;
+      }
+      edges.push_back({u, v, rng.UniformInt(1, 40)});
+    }
+    auto brute = BruteForceMaxWeightMatching(n, edges);
+    int64_t expected = 0;
+    for (const auto& e : edges) {
+      if (brute[e.u] == e.v) expected += e.weight;
+    }
+    EXPECT_EQ(MatchingWeight(brute, edges), expected) << "trial " << trial;
+    EXPECT_EQ(MatchingWeight(MaxWeightMatching(n, edges), edges), expected)
+        << "trial " << trial;
+  }
+}
+
+// The blossom runs over the active vertices only. Interleaving isolated
+// vertices among active ones must give exactly the mate of the graph
+// renumbered by hand, mapped back.
+TEST(ActiveVertexTest, IsolatedVerticesDoNotChangeMate) {
+  Rng rng(31);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int active = 12;
+    std::vector<WeightedEdge> compact;
+    for (int e = 0; e < 24; ++e) {
+      int u = static_cast<int>(rng.UniformU64(active));
+      int v = static_cast<int>(rng.UniformU64(active));
+      if (u != v) compact.push_back({u, v, rng.UniformInt(1, 30)});
+    }
+    // Spread the active vertices over a larger range, with 0-3 isolated
+    // vertices before each one.
+    std::vector<int> vertex_of(active);
+    int next = 0;
+    for (int c = 0; c < active; ++c) {
+      next += static_cast<int>(rng.UniformU64(4));
+      vertex_of[c] = next++;
+    }
+    const int n = next + static_cast<int>(rng.UniformU64(4));
+    std::vector<WeightedEdge> spread;
+    for (const auto& e : compact) {
+      spread.push_back({vertex_of[e.u], vertex_of[e.v], e.weight});
+    }
+    // Self-loops on isolated vertices must not make them active.
+    spread.push_back({n - 1, n - 1, 50});
+
+    const std::vector<int> compact_mate = MaxWeightMatching(active, compact);
+    std::vector<int> expected(n, -1);
+    for (int c = 0; c < active; ++c) {
+      if (compact_mate[c] >= 0) {
+        expected[vertex_of[c]] = vertex_of[compact_mate[c]];
+      }
+    }
+    EXPECT_EQ(MaxWeightMatching(n, spread), expected) << "trial " << trial;
+  }
+}
+
+TEST(ActiveVertexTest, SparseGraphsOnManyVerticesMatchBruteForce) {
+  Rng rng(57);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 2000;
+    std::vector<WeightedEdge> edges;
+    std::set<std::pair<int, int>> seen;
+    // ~8 active vertices drawn from 2,000.
+    std::vector<int> pool;
+    for (int k = 0; k < 8; ++k) {
+      pool.push_back(static_cast<int>(rng.UniformU64(n)));
+    }
+    for (int e = 0; e < 14; ++e) {
+      int u = pool[rng.UniformU64(pool.size())];
+      int v = pool[rng.UniformU64(pool.size())];
+      if (u == v || !seen.insert({std::min(u, v), std::max(u, v)}).second) {
+        continue;
+      }
+      edges.push_back({u, v, rng.UniformInt(1, 60)});
+    }
+    auto blossom = MaxWeightMatching(n, edges);
+    ExpectValidMatching(blossom);
+    EXPECT_EQ(MatchingWeight(blossom, edges),
+              MatchingWeight(BruteForceMaxWeightMatching(n, edges), edges))
+        << "trial " << trial;
+  }
+}
+
+TEST(ActiveVertexTest, NoActiveVertexLeavesAllSingle) {
+  EXPECT_EQ(MaxWeightMatching(3, {{1, 1, 9}}), std::vector<int>(3, -1));
 }
 
 TEST(MatchingScaleTest, LargeSparseGraphRuns) {
