@@ -322,6 +322,58 @@ void BM_HistogramFromDataset(benchmark::State& state) {
 BENCHMARK(BM_HistogramFromDataset)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
+// Row-level data transformation (DESIGN.md §17) on eyeWnder-like rows at
+// marketbench's vocabulary, against the target of a real optimal embed at
+// z=131. Both variants reuse the caller's histogram; `serial` runs the
+// body on one thread, `pooled` on three workers plus the caller. Inputs
+// are built once per size and shared across runs.
+struct TransformInput {
+  Dataset rows;
+  Histogram hist;
+  Histogram target;
+};
+
+const TransformInput& EyeWnderTransformInput(size_t rows) {
+  static std::map<size_t, TransformInput> cache;
+  auto it = cache.find(rows);
+  if (it == cache.end()) {
+    TransformInput input;
+    Rng rng(13);
+    input.rows = MakeEyeWnderLikeDataset(rng, 11479, rows);
+    input.hist = Histogram::FromDataset(input.rows);
+    GenerateOptions o;
+    o.strategy = SelectionStrategy::kOptimal;
+    o.modulus_bound = 131;
+    o.seed = 14;
+    auto embedded = WatermarkGenerator(o).GenerateFromHistogram(input.hist);
+    if (embedded.ok()) input.target = std::move(embedded.value().watermarked);
+    it = cache.emplace(rows, std::move(input)).first;
+  }
+  return it->second;
+}
+
+void BM_TransformDataset(benchmark::State& state, bool pooled) {
+  const TransformInput& input =
+      EyeWnderTransformInput(static_cast<size_t>(state.range(0)));
+  if (input.target.empty()) {
+    state.SkipWithError("embed found no eligible pair");
+    return;
+  }
+  static ThreadPool pool(3);
+  const ExecContext exec = pooled ? ExecContext{&pool} : ExecContext{};
+  for (auto _ : state) {
+    Rng rng(15);
+    benchmark::DoNotOptimize(
+        TransformDataset(input.rows, input.hist, input.target, rng, exec));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_TransformDataset, serial, false)
+    ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TransformDataset, pooled, true)
+    ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
+
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark
 // pass): before/after wall clock at 10k tokens + identity checks +

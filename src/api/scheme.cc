@@ -77,13 +77,15 @@ Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
 Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
   // The histogram build and the scheme's Embed both honor the context's
-  // cancellation/deadline; the final dataset transform is not worth a
-  // checkpoint (it is linear in the dataset and allocation-bound).
+  // cancellation/deadline. The transform reuses `hist` and runs its row
+  // passes on the pool (DESIGN.md §17); it does not poll, because once
+  // the embed succeeded its passes cost less than the histogram build.
   FREQYWM_ASSIGN_OR_RETURN(Histogram hist, exec.BuildHistogramChecked(original));
   FREQYWM_ASSIGN_OR_RETURN(EmbedOutcome outcome, Embed(hist, exec));
   Rng rng(dataset_transform_seed());
   DatasetEmbedOutcome out;
-  out.watermarked = TransformDataset(original, outcome.watermarked, rng);
+  out.watermarked =
+      TransformDataset(original, hist, outcome.watermarked, rng, exec);
   out.key = std::move(outcome.key);
   out.report = outcome.report;
   return out;

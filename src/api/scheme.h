@@ -170,10 +170,12 @@ class WatermarkScheme {
 
   /// Exec-aware variant of `EmbedDataset`: when `exec` carries a thread
   /// pool, the histogram build (the token→count aggregation) is sharded
-  /// across it and merged (DESIGN.md §7), and the histogram-level embed
+  /// across it and merged (DESIGN.md §7), the histogram-level embed
   /// runs through `Embed(original, exec)` so intra-embed hot loops
-  /// parallelize too. The outcome is bit-identical to the serial overload
-  /// for any thread count; overriding schemes must preserve that contract.
+  /// parallelize too, and the data transformation reuses that histogram
+  /// and runs its row passes on the pool (DESIGN.md §17). The outcome is
+  /// bit-identical to the serial overload for any thread count;
+  /// overriding schemes must preserve that contract.
   [[nodiscard]] virtual Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const;
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <unordered_map>
 
 #include "core/select.h"
 #include "crypto/pair_modulus.h"
+#include "exec/thread_pool.h"
 #include "stats/similarity.h"
 
 namespace freqywm {
@@ -114,7 +117,7 @@ Result<DatasetGenerateResult> WatermarkGenerator::Generate(
                     hist_result.report.secrets.r.ToHex()))
               : options_.seed + 0x517cc1b727220a95ULL);
   DatasetGenerateResult out{
-      TransformDataset(original, hist_result.watermarked, rng),
+      TransformDataset(original, hist, hist_result.watermarked, rng, exec),
       std::move(hist_result.report)};
   return out;
 }
@@ -153,79 +156,135 @@ Histogram ApplyPairDeltas(const Histogram& hist,
   return out;
 }
 
+namespace {
+
+/// Below this many rows per chunk a pool task costs more than it saves.
+constexpr size_t kMinRowsPerChunk = 1 << 14;
+
+/// Row marks of the transform: the id of the row's shrinking token, or
+/// one of these two values.
+constexpr uint32_t kUntouchedRow = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kDroppedRow = kUntouchedRow - 1;
+
+}  // namespace
+
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng) {
-  // Per-token count differences between the original data and the target
-  // histogram.
-  Histogram current = Histogram::FromDataset(original);
-  std::unordered_map<Token, int64_t> to_remove;  // positive = remove
+  return TransformDataset(original, Histogram::FromDataset(original), target,
+                          rng, ExecContext{});
+}
+
+Dataset TransformDataset(const Dataset& original,
+                         const Histogram& original_hist,
+                         const Histogram& target, Rng& rng,
+                         const ExecContext& exec) {
+  // Per-token count differences, in target rank order: each shrinking
+  // token gets a dense id with its occurrence and removal counts, each
+  // growing token its missing copies.
+  struct Shrink {
+    uint64_t remaining;
+    uint64_t drop;
+  };
+  std::unordered_map<Token, uint32_t> shrink_ids;
+  std::vector<Shrink> shrinking;
   std::vector<Token> additions;
   for (const auto& e : target.entries()) {
-    auto cur = current.CountOf(e.token);
-    int64_t have = cur ? static_cast<int64_t>(*cur) : 0;
-    int64_t want = static_cast<int64_t>(e.count);
-    if (want < have) {
-      to_remove[e.token] = have - want;
+    const uint64_t have = original_hist.CountOf(e.token).value_or(0);
+    if (e.count < have) {
+      shrink_ids.emplace(e.token, static_cast<uint32_t>(shrinking.size()));
+      shrinking.push_back(Shrink{have, have - e.count});
     } else {
-      for (int64_t k = 0; k < want - have; ++k) additions.push_back(e.token);
+      additions.insert(additions.end(), e.count - have, e.token);
     }
   }
+  assert(shrinking.size() < kDroppedRow);
 
-  // Single pass: drop a uniformly random subset of each shrinking token's
-  // occurrences. We pick which occurrences to drop via reservoir-free
-  // counting: occurrence r of a token with `have` occurrences and `drop`
-  // removals is dropped with probability drop/remaining.
-  std::unordered_map<Token, std::pair<int64_t, int64_t>> removal_state;
-  for (const auto& [token, drop] : to_remove) {
-    auto cur = current.CountOf(token);
-    removal_state[token] = {static_cast<int64_t>(*cur), drop};
+  // Contiguous row chunks, one pool task each in passes 1 and 3.
+  const size_t n = original.size();
+  size_t chunks = 1;
+  if (exec.parallel()) {
+    chunks = std::min((exec.pool->num_threads() + 1) * 4,
+                      std::max<size_t>(1, n / kMinRowsPerChunk));
   }
-
-  std::vector<Token> kept;
-  kept.reserve(original.size());
-  for (const Token& t : original.tokens()) {
-    auto it = removal_state.find(t);
-    if (it == removal_state.end()) {
-      kept.push_back(t);
-      continue;
-    }
-    auto& [remaining, drop] = it->second;
-    // Drop this occurrence with probability drop / remaining.
-    bool dropped =
-        drop > 0 && static_cast<int64_t>(rng.UniformU64(
-                        static_cast<uint64_t>(remaining))) < drop;
-    if (dropped) {
-      --drop;
+  auto chunk_begin = [&](size_t c) { return n * c / chunks; };
+  auto for_each_chunk = [&](const std::function<void(size_t)>& body) {
+    if (chunks > 1) {
+      exec.pool->ParallelFor(chunks, body);
     } else {
-      kept.push_back(t);
+      body(0);
     }
-    --remaining;
+  };
+
+  // Pass 1 (pooled): mark each row of a shrinking token with its id.
+  std::vector<uint32_t> marks;
+  if (!shrinking.empty()) {
+    marks.resize(n);
+    for_each_chunk([&](size_t c) {
+      for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+        auto it = shrink_ids.find(original[i]);
+        marks[i] = it == shrink_ids.end() ? kUntouchedRow : it->second;
+      }
+    });
   }
 
-  if (additions.empty()) return Dataset(std::move(kept));
+  // Pass 2 (serial, row order): drop a uniformly random subset of each
+  // shrinking token's occurrences. Occurrence r of a token with
+  // `remaining` occurrences left and `drop` removals left is dropped with
+  // probability drop/remaining. Also counts the kept rows before each
+  // chunk, which places that chunk's rows in pass 3.
+  std::vector<size_t> kept_before(chunks + 1, 0);
+  for (size_t c = 0; c < chunks; ++c) {
+    size_t kept = chunk_begin(c + 1) - chunk_begin(c);
+    if (!marks.empty()) {
+      for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+        if (marks[i] == kUntouchedRow) continue;
+        Shrink& s = shrinking[marks[i]];
+        assert(s.remaining > 0);  // original_hist counts match the rows
+        if (s.drop > 0 && rng.UniformU64(s.remaining) < s.drop) {
+          --s.drop;
+          marks[i] = kDroppedRow;
+          --kept;
+        }
+        --s.remaining;
+      }
+    }
+    kept_before[c + 1] = kept_before[c] + kept;
+  }
+  const size_t num_kept = kept_before[chunks];
 
   // Insert additions at uniformly random final positions: choose |adds|
-  // distinct slots among the final length, fill them with a shuffled copy
-  // of the additions, and stream the kept tokens into the other slots.
-  rng.Shuffle(additions);
-  const size_t final_size = kept.size() + additions.size();
-  std::vector<size_t> slots =
-      rng.SampleWithoutReplacement(final_size, additions.size());
-  std::sort(slots.begin(), slots.end());
-
-  std::vector<Token> out;
-  out.reserve(final_size);
-  size_t slot_idx = 0;
-  size_t kept_idx = 0;
-  for (size_t pos = 0; pos < final_size; ++pos) {
-    if (slot_idx < slots.size() && slots[slot_idx] == pos) {
-      out.push_back(std::move(additions[slot_idx]));
-      ++slot_idx;
-    } else {
-      out.push_back(std::move(kept[kept_idx]));
-      ++kept_idx;
-    }
+  // distinct slots among the final length and fill them with a shuffled
+  // copy of the additions. `gaps[j] = slots[j] - j` is the number of kept
+  // rows before addition j, so kept row k lands at k + #{j : gaps[j] <= k}.
+  const size_t num_adds = additions.size();
+  std::vector<size_t> gaps;
+  if (num_adds > 0) {
+    rng.Shuffle(additions);
+    gaps = rng.SampleWithoutReplacement(num_kept + num_adds, num_adds);
+    std::sort(gaps.begin(), gaps.end());
+    for (size_t j = 0; j < num_adds; ++j) gaps[j] -= j;
   }
+
+  // Pass 3 (pooled): each chunk writes its kept rows, and the additions
+  // placed before them, straight into their final positions. The last
+  // chunk also writes the additions after the last kept row.
+  std::vector<Token> out(num_kept + num_adds);
+  for_each_chunk([&](size_t c) {
+    size_t k = kept_before[c];
+    size_t j = static_cast<size_t>(
+        std::lower_bound(gaps.begin(), gaps.end(), k) - gaps.begin());
+    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
+      if (!marks.empty() && marks[i] == kDroppedRow) continue;
+      for (; j < num_adds && gaps[j] <= k; ++j) {
+        out[gaps[j] + j] = std::move(additions[j]);
+      }
+      out[k + j] = original[i];
+      ++k;
+    }
+    if (c + 1 == chunks) {
+      for (; j < num_adds; ++j) out[gaps[j] + j] = std::move(additions[j]);
+    }
+  });
   return Dataset(std::move(out));
 }
 

@@ -83,8 +83,9 @@ class WatermarkGenerator {
   /// Watermarks a dataset end-to-end (histogram + data transformation).
   Result<DatasetGenerateResult> Generate(const Dataset& original) const;
 
-  /// Exec-aware end-to-end variant: histogram build AND eligible-pair scan
-  /// run through `exec`. Byte-identical to the serial overload.
+  /// Exec-aware end-to-end variant: histogram build, eligible-pair scan
+  /// and the data transformation's row passes run through `exec`.
+  /// Byte-identical to the serial overload.
   Result<DatasetGenerateResult> Generate(const Dataset& original,
                                          const ExecContext& exec) const;
 
@@ -121,9 +122,20 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 
 /// Rewrites `original` so its histogram matches `target`: removes surplus
 /// token instances at random positions and inserts missing ones at random
-/// positions. Tokens absent from `target` are left untouched.
+/// positions. Tokens absent from `target` are left untouched. Builds the
+/// histogram of `original` itself and runs serially.
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng);
+
+/// Like the overload above, with the caller's histogram of `original` and
+/// the row passes run on `exec`'s pool (DESIGN.md §17). Precondition:
+/// `original_hist` has the counts of `Histogram::FromDataset(original)`.
+/// Draws the same values from `rng` and returns the same rows at any
+/// thread count. Does not poll `exec` for interruption.
+Dataset TransformDataset(const Dataset& original,
+                         const Histogram& original_hist,
+                         const Histogram& target, Rng& rng,
+                         const ExecContext& exec);
 
 }  // namespace freqywm
 

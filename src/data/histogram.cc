@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace freqywm {
 namespace {
@@ -44,6 +45,9 @@ Result<Histogram> Histogram::FromCounts(std::vector<HistogramEntry> entries) {
     if (i > 0 && h.entries_[i].token == h.entries_[i - 1].token) {
       return Status::InvalidArgument("duplicate token in histogram: " +
                                      h.entries_[i].token);
+    }
+    if (h.entries_[i].count > std::numeric_limits<uint64_t>::max() - total) {
+      return Status::InvalidArgument("histogram counts overflow the total");
     }
     total += h.entries_[i].count;
   }

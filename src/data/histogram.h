@@ -41,7 +41,8 @@ class Histogram {
   static Histogram FromDataset(const Dataset& dataset);
 
   /// Builds a histogram from explicit (token, count) pairs. Fails with
-  /// `InvalidArgument` on duplicate tokens or zero counts.
+  /// `InvalidArgument` on duplicate tokens, zero counts, or counts whose
+  /// sum overflows `total_count()`.
   static Result<Histogram> FromCounts(std::vector<HistogramEntry> entries);
 
   /// Number of distinct tokens.

@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "api/freqywm_scheme.h"
+#include "api/wm_obt_scheme.h"
+#include "api/wm_rvs_scheme.h"
 #include "common/hex.h"
 #include "core/detect.h"
 #include "crypto/pair_modulus.h"
 #include "crypto/sha256.h"
 #include "datagen/power_law.h"
 #include "datagen/real_world.h"
+#include "exec/thread_pool.h"
 #include "stats/rank.h"
 #include "stats/similarity.h"
 
@@ -255,6 +263,85 @@ INSTANTIATE_TEST_SUITE_P(
                                                                  : "_greedy");
     });
 
+// Row-level transform identity goldens. The expected values were recorded
+// from the serial transform that rebuilt the histogram and copied the kept
+// rows into an intermediate vector; the histogram-reusing, pooled transform
+// must reproduce them byte for byte at any pool size. Each case runs
+// `EmbedDataset` on one ~300k-row eyeWnder-like dataset and pins the row
+// count and the SHA-256 of the rows, one token per line.
+std::string RowsDigest(const Dataset& d) {
+  Sha256 sha;
+  for (const Token& t : d.tokens()) {
+    sha.Update(t);
+    sha.Update("\n");
+  }
+  const Sha256::Digest digest = sha.Finish();
+  return HexEncode(digest.data(), digest.size());
+}
+
+const Dataset& GoldenRows() {
+  static const Dataset* rows = [] {
+    Rng rng(13);
+    return new Dataset(MakeEyeWnderLikeDataset(rng, 11479, 300'000));
+  }();
+  return *rows;
+}
+
+struct RowsGolden {
+  const char* scheme;
+  size_t rows;
+  const char* rows_sha256;
+};
+
+std::unique_ptr<WatermarkScheme> MakeGoldenScheme(const std::string& name) {
+  if (name == "wm-obt") return std::make_unique<WmObtScheme>();
+  if (name == "wm-rvs") return std::make_unique<WmRvsScheme>();
+  GenerateOptions o;
+  o.strategy = name == "freqywm_greedy" ? SelectionStrategy::kGreedy
+                                        : SelectionStrategy::kOptimal;
+  o.modulus_bound = 131;
+  o.seed = 20240513;
+  return std::make_unique<FreqyWmScheme>(o);
+}
+
+class EmbedDatasetGoldenTest : public ::testing::TestWithParam<RowsGolden> {};
+
+TEST_P(EmbedDatasetGoldenTest, MatchesRecordedRowsAtAnyPoolSize) {
+  const RowsGolden& g = GetParam();
+  const std::unique_ptr<WatermarkScheme> scheme = MakeGoldenScheme(g.scheme);
+  for (size_t workers : {0, 1, 3}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    auto r = scheme->EmbedDataset(GoldenRows(), ExecContext{pool.get()});
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r.value().watermarked.size(), g.rows) << workers;
+    EXPECT_EQ(RowsDigest(r.value().watermarked), g.rows_sha256) << workers;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ParentCommit, EmbedDatasetGoldenTest,
+    ::testing::Values(
+        RowsGolden{"freqywm_optimal", 299963,
+                   "05747d86952f62d0d686b7bd756b614856eab421c6d892c3cfd4d100"
+                   "054c3be8"},
+        RowsGolden{"freqywm_greedy", 299961,
+                   "681e57f48255391c2b7983731da89dadc66a5a376c27dd432bda76cf"
+                   "79028182"},
+        RowsGolden{"wm-obt", 1228833,
+                   "b52bb28dfba1769d37dd3611b21b0d97b43d1a4f5323afd06cdec87f"
+                   "ba8254a3"},
+        RowsGolden{"wm-rvs", 340621,
+                   "26b018fcc33bae1edec292f79b3f2807c5b5d6d7544aad9d7b77a364"
+                   "fb31568d"}),
+    [](const ::testing::TestParamInfo<RowsGolden>& info) {
+      std::string name = info.param.scheme;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 TEST(ApplyPairDeltasTest, AppliesDeltasAndReportsApplied) {
   auto h = Histogram::FromCounts(
       {{"a", 1000}, {"b", 800}, {"c", 500}, {"d", 200}});
@@ -330,6 +417,243 @@ TEST(TransformDatasetTest, InsertionsLandAtVariedPositions) {
   Rng rng(14);
   Dataset out = TransformDataset(original, target, rng);
   EXPECT_EQ(out.size(), 2050u);
+}
+
+// The transform as it stood before it took the caller's histogram and ran
+// its row passes on the pool: a serial histogram rebuild, a `kept` copy,
+// then the merge with the additions. Oracle for the tests below.
+Dataset ParentTransformDataset(const Dataset& original,
+                               const Histogram& target, Rng& rng) {
+  Histogram current = Histogram::FromDataset(original);
+  std::unordered_map<Token, int64_t> to_remove;
+  std::vector<Token> additions;
+  for (const auto& e : target.entries()) {
+    auto cur = current.CountOf(e.token);
+    int64_t have = cur ? static_cast<int64_t>(*cur) : 0;
+    int64_t want = static_cast<int64_t>(e.count);
+    if (want < have) {
+      to_remove[e.token] = have - want;
+    } else {
+      for (int64_t k = 0; k < want - have; ++k) additions.push_back(e.token);
+    }
+  }
+  std::unordered_map<Token, std::pair<int64_t, int64_t>> removal_state;
+  for (const auto& [token, drop] : to_remove) {
+    removal_state[token] = {static_cast<int64_t>(*current.CountOf(token)),
+                            drop};
+  }
+  std::vector<Token> kept;
+  kept.reserve(original.size());
+  for (const Token& t : original.tokens()) {
+    auto it = removal_state.find(t);
+    if (it == removal_state.end()) {
+      kept.push_back(t);
+      continue;
+    }
+    auto& [remaining, drop] = it->second;
+    bool dropped =
+        drop > 0 && static_cast<int64_t>(rng.UniformU64(
+                        static_cast<uint64_t>(remaining))) < drop;
+    if (dropped) {
+      --drop;
+    } else {
+      kept.push_back(t);
+    }
+    --remaining;
+  }
+  if (additions.empty()) return Dataset(std::move(kept));
+  rng.Shuffle(additions);
+  const size_t final_size = kept.size() + additions.size();
+  std::vector<size_t> slots =
+      rng.SampleWithoutReplacement(final_size, additions.size());
+  std::sort(slots.begin(), slots.end());
+  std::vector<Token> out;
+  out.reserve(final_size);
+  size_t slot_idx = 0;
+  size_t kept_idx = 0;
+  for (size_t pos = 0; pos < final_size; ++pos) {
+    if (slot_idx < slots.size() && slots[slot_idx] == pos) {
+      out.push_back(std::move(additions[slot_idx]));
+      ++slot_idx;
+    } else {
+      out.push_back(std::move(kept[kept_idx]));
+      ++kept_idx;
+    }
+  }
+  return Dataset(std::move(out));
+}
+
+/// `hist` with `deltas` applied. A token absent from `hist` joins with its
+/// delta as count; a delta may bring a count to zero (remove every row).
+Histogram ShiftedTarget(const Histogram& hist,
+                        const std::vector<std::pair<Token, int64_t>>& deltas) {
+  std::vector<HistogramEntry> entries = hist.entries();
+  std::vector<Token> zeroed;
+  for (const auto& [token, delta] : deltas) {
+    auto it = std::find_if(entries.begin(), entries.end(),
+                           [&](const HistogramEntry& e) {
+                             return e.token == token;
+                           });
+    if (it == entries.end()) {
+      entries.push_back(HistogramEntry{token, static_cast<uint64_t>(delta)});
+    } else if (static_cast<int64_t>(it->count) + delta == 0) {
+      zeroed.push_back(token);
+    } else {
+      it->count = static_cast<uint64_t>(static_cast<int64_t>(it->count) +
+                                        delta);
+    }
+  }
+  auto target = Histogram::FromCounts(std::move(entries));
+  EXPECT_TRUE(target.ok()) << target.status();
+  Histogram out = std::move(target).value();
+  for (const Token& token : zeroed) {
+    EXPECT_TRUE(out.SetCount(token, 0).ok());
+  }
+  return out;
+}
+
+/// Runs the parent body, the serial front and the pooled body at 0, 1
+/// and 3 workers; every run must return the same rows and leave `rng` in
+/// the same state. Returns the parent's rows for case-specific checks.
+Dataset ExpectSameAsParent(const Dataset& original, const Histogram& target,
+                           uint64_t seed) {
+  Rng parent_rng(seed);
+  Dataset expected = ParentTransformDataset(original, target, parent_rng);
+  const uint64_t parent_next = parent_rng.NextU64();
+
+  Rng front_rng(seed);
+  EXPECT_EQ(TransformDataset(original, target, front_rng).tokens(),
+            expected.tokens());
+  EXPECT_EQ(front_rng.NextU64(), parent_next);
+
+  const Histogram hist = Histogram::FromDataset(original);
+  for (size_t workers : {0, 1, 3}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    Rng rng(seed);
+    Dataset got =
+        TransformDataset(original, hist, target, rng, ExecContext{pool.get()});
+    EXPECT_EQ(got.tokens(), expected.tokens()) << "workers=" << workers;
+    EXPECT_EQ(rng.NextU64(), parent_next) << "workers=" << workers;
+  }
+  return expected;
+}
+
+/// A dataset of `n` rows over `tokens` power-law tokens.
+Dataset PowerLawRows(uint64_t seed, size_t tokens, size_t n) {
+  Rng rng(seed);
+  PowerLawSpec spec;
+  spec.num_tokens = tokens;
+  spec.sample_size = n;
+  spec.alpha = 0.8;
+  return GeneratePowerLawDataset(spec, rng);
+}
+
+TEST(TransformDatasetParentTest, RandomTargetsMatchParent) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const Dataset original = PowerLawRows(seed, 60, 100'000);
+    const Histogram hist = Histogram::FromDataset(original);
+    Rng rng(seed * 101);
+    std::vector<std::pair<Token, int64_t>> deltas;
+    for (const auto& e : hist.entries()) {
+      const int64_t count = static_cast<int64_t>(e.count);
+      switch (rng.UniformU64(3)) {
+        case 0:  // shrink, possibly to zero
+          deltas.push_back({e.token, -rng.UniformInt(1, count)});
+          break;
+        case 1:  // grow
+          deltas.push_back({e.token, rng.UniformInt(1, count / 2 + 1)});
+          break;
+        default:  // unchanged
+          break;
+      }
+    }
+    deltas.push_back({"absent-" + std::to_string(seed), 777});
+    ExpectSameAsParent(original, ShiftedTarget(hist, deltas), seed);
+  }
+}
+
+TEST(TransformDatasetParentTest, AdditionsStraddleChunkBoundaries) {
+  // Far more additions than rows, so additions sit on both sides of every
+  // chunk boundary, next to rows that are dropped and rows that are kept.
+  const Dataset original = PowerLawRows(21, 20, 80'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  ExpectSameAsParent(original,
+                     ShiftedTarget(hist, {{hist.entry(0).token, -5'000},
+                                          {hist.entry(1).token, 150'000},
+                                          {hist.entry(2).token, 90'000}}),
+                     22);
+}
+
+TEST(TransformDatasetParentTest, ChunkWithEveryRowDropped) {
+  // Rows [40k, 80k) are all "gone", which the target removes entirely, so
+  // at least one whole chunk keeps no row; additions still land around it.
+  std::vector<Token> rows;
+  for (size_t i = 0; i < 120'000; ++i) {
+    rows.push_back(i >= 40'000 && i < 80'000 ? "gone"
+                                             : "t" + std::to_string(i % 7));
+  }
+  const Dataset original(std::move(rows));
+  const Histogram hist = Histogram::FromDataset(original);
+  const Dataset expected = ExpectSameAsParent(
+      original,
+      ShiftedTarget(hist, {{"gone", -40'000}, {"t3", 3'000}, {"t5", -900}}),
+      23);
+  EXPECT_EQ(expected.CountOf("gone"), 0u);
+}
+
+TEST(TransformDatasetParentTest, AdditionInTheLastSlot) {
+  const Dataset original = PowerLawRows(24, 15, 70'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  const Histogram target =
+      ShiftedTarget(hist, {{hist.entry(0).token, -2'000}, {"fresh", 120'000}});
+  size_t last_slot_additions = 0;
+  for (uint64_t seed = 25; seed < 28; ++seed) {
+    const Dataset expected = ExpectSameAsParent(original, target, seed);
+    if (expected.tokens().back() == "fresh") ++last_slot_additions;
+  }
+  EXPECT_GT(last_slot_additions, 0u);
+}
+
+TEST(TransformDatasetParentTest, TargetTokenAbsentFromOriginal) {
+  const Dataset original = PowerLawRows(31, 25, 60'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  const Dataset expected = ExpectSameAsParent(
+      original,
+      ShiftedTarget(hist, {{"new-a", 1'234},
+                           {"new-b", 1},
+                           {hist.entry(3).token, -50}}),
+      32);
+  EXPECT_EQ(expected.CountOf("new-a"), 1'234u);
+  EXPECT_EQ(expected.CountOf("new-b"), 1u);
+}
+
+TEST(TransformDatasetParentTest, NoRemovals) {
+  const Dataset original = PowerLawRows(41, 30, 90'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  ExpectSameAsParent(original,
+                     ShiftedTarget(hist, {{hist.entry(0).token, 500},
+                                          {hist.entry(9).token, 3}}),
+                     42);
+}
+
+TEST(TransformDatasetParentTest, NoAdditions) {
+  const Dataset original = PowerLawRows(43, 30, 90'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  ExpectSameAsParent(original,
+                     ShiftedTarget(hist, {{hist.entry(0).token, -700},
+                                          {hist.entry(4).token, -80}}),
+                     44);
+}
+
+TEST(TransformDatasetParentTest, BelowChunkThreshold) {
+  const Dataset original = PowerLawRows(51, 12, 3'000);
+  const Histogram hist = Histogram::FromDataset(original);
+  ExpectSameAsParent(original,
+                     ShiftedTarget(hist, {{hist.entry(0).token, -40},
+                                          {hist.entry(2).token, 25},
+                                          {"tiny-new", 6}}),
+                     52);
 }
 
 TEST(EndToEndDatasetTest, GenerateTransformsAndStaysDetectable) {

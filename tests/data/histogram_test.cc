@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace freqywm {
 namespace {
 
@@ -45,6 +47,16 @@ TEST(HistogramTest, FromCountsRejectsDuplicates) {
 
 TEST(HistogramTest, FromCountsRejectsZeroCounts) {
   EXPECT_FALSE(Histogram::FromCounts({{"a", 0}}).ok());
+}
+
+TEST(HistogramTest, FromCountsRejectsTotalOverflow) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  auto over = Histogram::FromCounts({{"a", max}, {"b", 1}});
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  auto exact = Histogram::FromCounts({{"a", max - 1}, {"b", 1}});
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact.value().total_count(), max);
 }
 
 TEST(HistogramTest, CountOfAndRankOf) {

@@ -247,7 +247,10 @@ TEST(ParallelWmRvsTest, ByteIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSchemeEmbedTest, ExecAwareEmbedIdenticalToSerialPerScheme) {
   Histogram hist = MakeHist(51, 300, 200000);
-  for (const std::string& name : SchemeFactory::RegisteredNames()) {
+  // The in-tree schemes only: other tests in this binary register
+  // entropy-seeded schemes whose serial and pooled embeds draw different
+  // secrets by design.
+  for (const std::string name : {"freqywm", "wm-obt", "wm-rvs"}) {
     OptionBag bag;
     bag.Set("seed", "97");
     auto scheme = SchemeFactory::Create(name, bag);

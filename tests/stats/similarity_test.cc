@@ -143,7 +143,9 @@ TEST(IncrementalCosineTest, SequenceOfPairsMatchesBatch) {
 // squared norm at this magnitude is signed-overflow UB the CI UBSan job
 // catches. Results only need to stay finite and in range.
 TEST(IncrementalCosineTest, ExtremeCountsDoNotOverflow) {
-  const uint64_t huge = 0xfff0000000000000ULL;
+  // Counts past 2^63 whose sum still fits in the histogram's uint64 total
+  // (FromCounts rejects a total that overflows).
+  const uint64_t huge = 0xa000000000000000ULL;
   Histogram h = MakeHist({{"a", huge}, {"b", huge / 2}, {"c", 1}});
   IncrementalCosine inc(h);
   EXPECT_NEAR(inc.Similarity(), 1.0, 1e-12);
