@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -209,6 +210,13 @@ struct EmbedGolden {
   const char* histogram_sha256;
 };
 
+// Test names print the case, not the struct's bytes: those hold string
+// addresses and padding, which change from one build to the next.
+void PrintTo(const EmbedGolden& g, std::ostream* os) {
+  *os << g.base << '/'
+      << (g.strategy == SelectionStrategy::kOptimal ? "optimal" : "greedy");
+}
+
 class EmbedGoldenTest : public ::testing::TestWithParam<EmbedGolden> {};
 
 TEST_P(EmbedGoldenTest, MatchesRecordedOutput) {
@@ -303,6 +311,8 @@ std::unique_ptr<WatermarkScheme> MakeGoldenScheme(const std::string& name) {
   o.seed = 20240513;
   return std::make_unique<FreqyWmScheme>(o);
 }
+
+void PrintTo(const RowsGolden& g, std::ostream* os) { *os << g.scheme; }
 
 class EmbedDatasetGoldenTest : public ::testing::TestWithParam<RowsGolden> {};
 
