@@ -3,7 +3,8 @@
 // modulus derivation (full re-hash vs midstate reduce), eligible-pair
 // construction (unpruned reference vs the pruned midstate scan), the three
 // selection strategies, end-to-end generation, and detection (uncached
-// reference vs the per-key modulus table).
+// reference vs the per-key modulus table, one trace-like dense cell, and a
+// 4 x 1,000 session drain).
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -21,10 +22,12 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/freqywm_scheme.h"
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "core/detect.h"
@@ -36,6 +39,7 @@
 #include "crypto/sha256_compress.h"
 #include "datagen/power_law.h"
 #include "datagen/real_world.h"
+#include "exec/batch_detector.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
 
@@ -305,6 +309,90 @@ void BM_WmDetect_TableReuse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WmDetect_TableReuse);
+
+// Trace-shaped detection (DESIGN.md §18): greedy z=131 FreqyWM keys
+// embedded off marketbench's 300-token, 1M-sample power-law base, and
+// suspects that are other buyers' copies — the foreign-key cell that
+// dominates a leak trace, where each pair passes by chance at ~1/s.
+struct TraceMarket {
+  std::vector<SchemeKey> keys;
+  std::vector<Histogram> suspects;
+};
+
+const TraceMarket& MakeTraceMarket() {
+  static const TraceMarket* market = [] {
+    constexpr size_t kKeys = 1000;
+    constexpr size_t kSuspects = 4;
+    auto* m = new TraceMarket;
+    const Histogram base = MakeHist(300, 1'000'000, 0.7, 3);
+    m->keys.resize(kKeys);
+    std::vector<Histogram> copies(kKeys);
+    ThreadPool pool(3);
+    pool.ParallelFor(kKeys, [&](size_t i) {
+      GenerateOptions o;
+      o.strategy = SelectionStrategy::kGreedy;
+      o.modulus_bound = 131;
+      o.seed = 3 * 1'000'003ULL + i + 1;
+      auto outcome = FreqyWmScheme(o).Embed(base);
+      if (!outcome.ok()) return;
+      m->keys[i] = std::move(outcome.value().key);
+      copies[i] = std::move(outcome.value().watermarked);
+    });
+    for (size_t i = 0; i < kSuspects; ++i) {
+      m->suspects.push_back(copies[kKeys - 1 - i]);
+    }
+    return m;
+  }();
+  return *market;
+}
+
+// One prepared dense cell: key 0 against a foreign copy, counts gathered
+// once outside the loop — the per-cell cost of a session drain.
+void BM_DetectDense(benchmark::State& state) {
+  const TraceMarket& market = MakeTraceMarket();
+  const FreqyWmScheme scheme;
+  const std::unique_ptr<PreparedKey> prepared =
+      scheme.Prepare(market.keys[0]);
+  const std::vector<Token>* vocab = prepared->TokenVocabulary();
+  if (vocab == nullptr) {
+    state.SkipWithError("key has no vocabulary");
+    return;
+  }
+  std::vector<uint32_t> ids(vocab->size());
+  std::vector<uint64_t> counts(vocab->size(), 0);
+  std::vector<uint8_t> present(vocab->size(), 0);
+  for (size_t t = 0; t < vocab->size(); ++t) {
+    ids[t] = static_cast<uint32_t>(t);
+    const auto count = market.suspects[0].CountOf((*vocab)[t]);
+    counts[t] = count.value_or(0);
+    present[t] = count.has_value();
+  }
+  const DetectOptions options =
+      scheme.RecommendedDetectOptions(market.keys[0]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        scheme.Detect(DenseSuspectCounts{counts.data(), present.data()},
+                      ids.data(), *prepared, options));
+  }
+}
+BENCHMARK(BM_DetectDense);
+
+// One checked session drain of 4 suspects x 1,000 keys on 1 or 4
+// threads (the caller plus workers); the session is opened once.
+void BM_SessionDrain(benchmark::State& state) {
+  const TraceMarket& market = MakeTraceMarket();
+  BatchDetectOptions options;
+  options.num_threads = static_cast<size_t>(state.range(0));
+  BatchDetector::Session session(options, market.keys);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        session.DetectChecked(market.suspects, InterruptContext{}));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(market.suspects.size() *
+                                               market.keys.size()));
+}
+BENCHMARK(BM_SessionDrain)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_HistogramFromDataset(benchmark::State& state) {
   Rng rng(11);

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <optional>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 
 #include "crypto/pair_modulus.h"
@@ -14,33 +16,57 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
   PairModulusTable table;
   if (secrets.z < 2 || secrets.pairs.empty()) return table;
 
-  PairModulus modulus(secrets.r, secrets.z);
-
-  // Intern tokens so every distinct token derives its crypto state once:
-  // an inner digest when it appears as token_j, an outer-hash midstate
-  // when it appears as token_i. Honest pair lists are token-disjoint, but
-  // forged/refreshed/multi-watermark keys repeat tokens freely.
-  std::unordered_map<Token, uint32_t> index;
-  auto intern = [&](const Token& token) -> uint32_t {
-    auto [it, inserted] =
-        index.emplace(token, static_cast<uint32_t>(table.tokens_.size()));
-    if (inserted) table.tokens_.push_back(token);
-    return it->second;
+  // Intern every token first, through an open-addressed table of views
+  // into `secrets`: one allocation instead of one map node per token.
+  // Honest pair lists are token-disjoint, but forged/refreshed/
+  // multi-watermark keys repeat tokens freely, and a repeated token must
+  // derive its crypto state once.
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  size_t capacity = 4;
+  while (capacity < 4 * secrets.pairs.size()) capacity <<= 1;
+  std::vector<uint32_t> slots(capacity, kEmpty);
+  std::vector<std::string_view> views;
+  views.reserve(2 * secrets.pairs.size());
+  auto intern = [&](std::string_view token) -> uint32_t {
+    size_t slot = std::hash<std::string_view>{}(token) & (capacity - 1);
+    while (slots[slot] != kEmpty) {
+      if (views[slots[slot]] == token) return slots[slot];
+      slot = (slot + 1) & (capacity - 1);
+    }
+    slots[slot] = static_cast<uint32_t>(views.size());
+    views.push_back(token);
+    return slots[slot];
   };
-
-  std::vector<std::optional<Sha256::Digest>> inner;
-  std::vector<std::optional<PairModulus::OuterState>> outer;
   table.pairs_.reserve(secrets.pairs.size());
   for (const SecretPair& pair : secrets.pairs) {
     const uint32_t i = intern(pair.token_i);
     const uint32_t j = intern(pair.token_j);
-    if (table.tokens_.size() > inner.size()) {
-      inner.resize(table.tokens_.size());
-      outer.resize(table.tokens_.size());
+    table.pairs_.push_back(PairEntry{i, j, 0, 0});
+  }
+  table.tokens_.assign(views.begin(), views.end());
+
+  // One inner digest per distinct token_j and one outer-hash midstate per
+  // distinct token_i; a token-disjoint list derives each exactly once
+  // without touching the caches.
+  PairModulus modulus(secrets.r, secrets.z);
+  const bool disjoint = views.size() == 2 * secrets.pairs.size();
+  std::vector<std::optional<Sha256::Digest>> inner(disjoint ? 0 : views.size());
+  std::vector<std::optional<PairModulus::OuterState>> outer(
+      disjoint ? 0 : views.size());
+  for (PairEntry& entry : table.pairs_) {
+    if (disjoint) {
+      entry.s = modulus.OuterFor(views[entry.token_i])
+                    .Reduce(modulus.InnerDigest(views[entry.token_j]));
+    } else {
+      if (!outer[entry.token_i]) {
+        outer[entry.token_i] = modulus.OuterFor(views[entry.token_i]);
+      }
+      if (!inner[entry.token_j]) {
+        inner[entry.token_j] = modulus.InnerDigest(views[entry.token_j]);
+      }
+      entry.s = outer[entry.token_i]->Reduce(*inner[entry.token_j]);
     }
-    if (!outer[i]) outer[i] = modulus.OuterFor(table.tokens_[i]);
-    if (!inner[j]) inner[j] = modulus.InnerDigest(table.tokens_[j]);
-    table.pairs_.push_back(PairEntry{i, j, outer[i]->Reduce(*inner[j])});
+    entry.magic = FastModMultiplier(entry.s);
   }
   table.valid_ = true;
   return table;
@@ -48,11 +74,37 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
 
 namespace {
 
+/// The residue of the rescale path (`rescale_factor > 0`, the sampling
+/// attack's detector): the paper-era `double`/`llround` arithmetic, kept
+/// as it was so rescaled verdicts never move.
+uint64_t RescaledResidue(uint64_t ci, uint64_t cj, uint64_t s,
+                         double rescale_factor) {
+  const double fi = std::llround(static_cast<double>(ci) * rescale_factor);
+  const double fj = std::llround(static_cast<double>(cj) * rescale_factor);
+  const int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
+  const int64_t modulus = static_cast<int64_t>(s);
+  return static_cast<uint64_t>(((diff % modulus) + modulus) % modulus);
+}
+
+/// 1 when a pair with residue `residue` modulo `s` verifies under
+/// threshold `t` (one-sided, or within `t` of `s` too when `symmetric`),
+/// else 0 — a mask to add, not a branch: foreign keys pass at ~1/s, so a
+/// `pass` branch would mispredict.
+inline size_t PairVerifies(uint64_t residue, uint64_t s, uint64_t t,
+                           bool symmetric) {
+  return static_cast<size_t>((residue <= t) |
+                             (symmetric & (s - residue <= t)));
+}
+
 /// The shared pair loop of every table-backed detection path. `has(t)` /
 /// `count(t)` read the suspect-side presence and count of table token `t`;
 /// the histogram and dense-count overloads below differ only in how those
 /// lookups resolve, so their arithmetic — and therefore their output — is
 /// identical by construction.
+///
+/// The integer path (DESIGN.md §18) is branch-free past the presence
+/// test: each pair's residue comes from `PairResidue` (division-free for
+/// 32-bit moduli and differences) and its verdict is a 0/1 mask.
 template <typename HasCount, typename CountAt>
 DetectResult DetectOverTable(const PairModulusTable& table,
                              const HasCount& has, const CountAt& count,
@@ -60,40 +112,38 @@ DetectResult DetectOverTable(const PairModulusTable& table,
   DetectResult out;
   if (!table.valid()) return out;
 
-  for (const PairModulusTable::PairEntry& pair : table.pairs()) {
-    if (!has(pair.token_i) || !has(pair.token_j)) continue;
-    ++out.pairs_found;
-
-    double fi = static_cast<double>(count(pair.token_i));
-    double fj = static_cast<double>(count(pair.token_j));
-    if (options.rescale_factor > 0.0) {
-      fi = std::llround(fi * options.rescale_factor);
-      fj = std::llround(fj * options.rescale_factor);
+  const uint64_t t = options.pair_threshold;
+  const bool symmetric = options.symmetric_residue;
+  size_t found = 0;
+  size_t verified = 0;
+  // One loop per residue kind, so the integer loop carries no rescale
+  // test. An attack may flip a pair's order; the residue is still taken
+  // of the signed difference, reflected into [0, s).
+  auto count_pairs = [&](const auto& residue_of) {
+    for (const PairModulusTable::PairEntry& pair : table.pairs()) {
+      if (!has(pair.token_i) || !has(pair.token_j)) continue;
+      ++found;
+      if (pair.s < 2) continue;  // cannot happen for honestly generated pairs
+      verified += PairVerifies(residue_of(pair), pair.s, t, symmetric);
     }
-
-    const uint64_t s = pair.s;
-    if (s < 2) continue;  // cannot happen for honestly generated pairs
-
-    // The difference may be negative if an attack flipped the pair's
-    // order; modular arithmetic on the absolute difference is equivalent
-    // under the symmetric option and the honest convention otherwise.
-    int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
-    uint64_t residue =
-        static_cast<uint64_t>(((diff % static_cast<int64_t>(s)) +
-                               static_cast<int64_t>(s)) %
-                              static_cast<int64_t>(s));
-
-    bool pass = residue <= options.pair_threshold;
-    if (!pass && options.symmetric_residue) {
-      pass = (s - residue) <= options.pair_threshold;
-    }
-    if (pass) ++out.pairs_verified;
+  };
+  if (options.rescale_factor > 0.0) {
+    count_pairs([&](const PairModulusTable::PairEntry& pair) {
+      return RescaledResidue(count(pair.token_i), count(pair.token_j),
+                             pair.s, options.rescale_factor);
+    });
+  } else {
+    count_pairs([&](const PairModulusTable::PairEntry& pair) {
+      return PairResidue(count(pair.token_i), count(pair.token_j), pair.s,
+                         pair.magic);
+    });
   }
 
+  out.pairs_found = found;
+  out.pairs_verified = verified;
   out.verified_fraction =
-      static_cast<double>(out.pairs_verified) /
-      static_cast<double>(table.num_pairs());
-  out.accepted = out.pairs_verified >= options.min_pairs;
+      static_cast<double>(verified) / static_cast<double>(table.num_pairs());
+  out.accepted = verified >= options.min_pairs;
   return out;
 }
 
@@ -108,14 +158,17 @@ DetectResult DetectWatermark(const Histogram& suspect,
   // pair loop is then pure arithmetic over the cached counts and the
   // table's precomputed moduli.
   const std::vector<Token>& tokens = table.tokens();
-  std::vector<std::optional<uint64_t>> counts(tokens.size());
+  std::vector<uint64_t> counts(tokens.size(), 0);
+  std::vector<uint8_t> present(tokens.size(), 0);
   for (size_t t = 0; t < tokens.size(); ++t) {
-    counts[t] = suspect.CountOf(tokens[t]);
+    const std::optional<uint64_t> count = suspect.CountOf(tokens[t]);
+    counts[t] = count.value_or(0);
+    present[t] = count.has_value();
   }
 
   return DetectOverTable(
-      table, [&](uint32_t t) { return counts[t].has_value(); },
-      [&](uint32_t t) { return *counts[t]; }, options);
+      table, [&](uint32_t t) { return present[t] != 0; },
+      [&](uint32_t t) { return counts[t]; }, options);
 }
 
 DetectResult DetectWatermark(const PairModulusTable& table,
@@ -130,7 +183,48 @@ DetectResult DetectWatermark(const PairModulusTable& table,
 DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options) {
-  return DetectWatermark(suspect, PairModulusTable::Build(secrets), options);
+  DetectResult out;
+  if (secrets.z < 2 || secrets.pairs.empty()) return out;
+
+  // One suspect, so no table to amortize: each pair costs the reference's
+  // two count lookups and at most two hashes, and the suspect's own ranks
+  // dedupe inner digests of tokens that repeat across pairs. Pairs with an
+  // absent token are never hashed.
+  PairModulus modulus(secrets.r, secrets.z);
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> inner_at(suspect.num_tokens(), kNone);
+  std::vector<Sha256::Digest> inner;
+  inner.reserve(secrets.pairs.size());
+  size_t found = 0;
+  size_t verified = 0;
+  for (const SecretPair& pair : secrets.pairs) {
+    const std::optional<size_t> rank_i = suspect.RankOf(pair.token_i);
+    const std::optional<size_t> rank_j = suspect.RankOf(pair.token_j);
+    if (!rank_i || !rank_j) continue;
+    ++found;
+    uint32_t& slot = inner_at[*rank_j];
+    if (slot == kNone) {
+      slot = static_cast<uint32_t>(inner.size());
+      inner.push_back(modulus.InnerDigest(pair.token_j));
+    }
+    const uint64_t s = modulus.ComputeWithInner(pair.token_i, inner[slot]);
+    if (s < 2) continue;  // cannot happen for honestly generated pairs
+    const uint64_t ci = suspect.entry(*rank_i).count;
+    const uint64_t cj = suspect.entry(*rank_j).count;
+    const uint64_t residue =
+        options.rescale_factor > 0.0
+            ? RescaledResidue(ci, cj, s, options.rescale_factor)
+            : PairResidue(ci, cj, s, FastModMultiplier(0));
+    verified += PairVerifies(residue, s, options.pair_threshold,
+                             options.symmetric_residue);
+  }
+
+  out.pairs_found = found;
+  out.pairs_verified = verified;
+  out.verified_fraction = static_cast<double>(verified) /
+                          static_cast<double>(secrets.pairs.size());
+  out.accepted = verified >= options.min_pairs;
+  return out;
 }
 
 DetectResult DetectWatermark(const Dataset& suspect,
@@ -153,21 +247,20 @@ DetectResult DetectWatermarkReference(const Histogram& suspect,
     if (!ci || !cj) continue;
     ++out.pairs_found;
 
-    double fi = static_cast<double>(*ci);
-    double fj = static_cast<double>(*cj);
-    if (options.rescale_factor > 0.0) {
-      fi = std::llround(fi * options.rescale_factor);
-      fj = std::llround(fj * options.rescale_factor);
-    }
-
     uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
     if (s < 2) continue;  // cannot happen for honestly generated pairs
 
-    int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
-    uint64_t residue =
-        static_cast<uint64_t>(((diff % static_cast<int64_t>(s)) +
-                               static_cast<int64_t>(s)) %
-                              static_cast<int64_t>(s));
+    // Exact integer residue of the signed difference (the hardware `%`,
+    // independent of the table path's fastmod); the rescale path keeps
+    // its paper-era floating-point arithmetic.
+    uint64_t residue = 0;
+    if (options.rescale_factor > 0.0) {
+      residue = RescaledResidue(*ci, *cj, s, options.rescale_factor);
+    } else {
+      const uint64_t mag = *ci >= *cj ? *ci - *cj : *cj - *ci;
+      const uint64_t r = mag % s;
+      residue = *ci >= *cj || r == 0 ? r : s - r;
+    }
 
     bool pass = residue <= options.pair_threshold;
     if (!pass && options.symmetric_residue) {

@@ -41,19 +41,24 @@ struct DetectResult {
 /// list so detection gathers each token's suspect-side count exactly once
 /// even when a token appears in many stored pairs.
 ///
-/// The derivation reuses crypto midstates: one inner digest per distinct
-/// `token_j`, one outer-hash midstate per distinct `token_i`, one cloned
-/// finish per pair. The table depends only on the key (never on a
-/// suspect), is immutable after `Build`, and is safe to share across
+/// A token-disjoint pair list (every honestly generated key) derives each
+/// pair directly; when tokens repeat, the derivation reuses crypto
+/// midstates — one inner digest per distinct `token_j`, one outer-hash
+/// midstate per distinct `token_i`, one cloned finish per pair. Each
+/// modulus also stores its fastmod multiplier, so the per-cell residue
+/// needs no division (DESIGN.md §18). The table depends only on the key
+/// (never on a suspect), is immutable after `Build`, and is safe to share across
 /// threads — `BatchDetector` builds one per key so the |suspects| × |keys|
 /// matrix derives each modulus exactly once instead of once per cell.
 class PairModulusTable {
  public:
-  /// One stored pair: indices into `tokens()` plus the derived modulus.
+  /// One stored pair: indices into `tokens()`, the derived modulus, and
+  /// its division-free reduction multiplier `FastModMultiplier(s)`.
   struct PairEntry {
     uint32_t token_i = 0;
     uint32_t token_j = 0;
     uint64_t s = 0;
+    uint64_t magic = 0;
   };
 
   /// Empty, invalid table (detection against it rejects, matching
@@ -77,6 +82,42 @@ class PairModulusTable {
   bool valid_ = false;
 };
 
+/// Lemire's fastmod multiplier for the divisor `s` (Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation", 2019): `~0 / s + 1`
+/// when `2 <= s < 2^32`, else 0 — the marker that sends
+/// `PairResidue` to the hardware `%` (DESIGN.md §18).
+constexpr uint64_t FastModMultiplier(uint64_t s) {
+  return s >= 2 && s < (uint64_t{1} << 32) ? ~uint64_t{0} / s + 1 : 0;
+}
+
+/// `mag % s`, exact for every `mag` and every `s >= 1`: one 64-bit and
+/// one 64x64→128-bit multiply when `magic = FastModMultiplier(s)` is
+/// non-zero and `mag < 2^32` (the fastmod identity holds for any 32-bit
+/// dividend and divisor), the hardware `%` otherwise.
+inline uint64_t FastMod(uint64_t mag, uint64_t s, uint64_t magic) {
+  if (magic != 0 && (mag >> 32) == 0) {
+    const uint64_t lowbits = magic * mag;
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(lowbits) * s) >> 64);
+  }
+  return mag % s;
+}
+
+/// The residue `(ci - cj) mod s` in `[0, s)`, computed exactly in
+/// `uint64` for every pair of counts (no `double`, no signed overflow):
+/// the reduction `r` of `|ci - cj|`, reflected to `s - r` when the pair's
+/// order flipped and `r != 0`. The reflection is a mask, not a branch —
+/// on a foreign key the order is a coin flip. `s >= 2`; `magic` is
+/// `FastModMultiplier(s)`.
+inline uint64_t PairResidue(uint64_t ci, uint64_t cj, uint64_t s,
+                            uint64_t magic) {
+  const uint64_t mag = ci >= cj ? ci - cj : cj - ci;
+  const uint64_t r = FastMod(mag, s, magic);
+  const uint64_t reflect =
+      uint64_t{0} - (static_cast<uint64_t>(ci < cj) & (r != 0));
+  return r + ((s - r - r) & reflect);
+}
+
 /// Runs watermark detection on a suspect histogram.
 ///
 /// For each stored pair present in the histogram it derives
@@ -86,9 +127,12 @@ class PairModulusTable {
 /// is declared watermarked when at least `k` pairs verify.
 ///
 /// The suspect histogram does NOT need to be sorted — only counts are read.
-/// Runs in O(|Lwm|) hash evaluations (linear, §I "verify very fast");
-/// internally builds a `PairModulusTable`, so repeated tokens cost one
-/// inner digest instead of one per stored pair.
+/// Runs in O(|Lwm|) hash evaluations (linear, §I "verify very fast") with
+/// no table to build: pairs with an absent token are never hashed, and a
+/// token repeated across pairs costs one inner digest, deduplicated by
+/// the suspect's own ranks. The residue is the exact integer
+/// `PairResidue` (or the rescale path's arithmetic), as on the table
+/// path, so both give the same result.
 DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options);

@@ -90,13 +90,28 @@ Status Histogram::AddDelta(const Token& token, int64_t delta) {
   if (it == index_.end()) {
     return Status::NotFound("token not in histogram: " + token);
   }
+  // All arithmetic in uint64: |delta| is well defined even for INT64_MIN,
+  // and counts at or above 2^63 never pass through int64.
   uint64_t& count = entries_[it->second].count;
-  if (delta < 0 && count < static_cast<uint64_t>(-delta)) {
-    return Status::InvalidArgument("delta would make count negative");
+  const uint64_t magnitude = delta < 0
+                                 ? uint64_t{0} - static_cast<uint64_t>(delta)
+                                 : static_cast<uint64_t>(delta);
+  if (delta < 0) {
+    if (count < magnitude) {
+      return Status::InvalidArgument("delta would make count negative");
+    }
+    count -= magnitude;
+    total_ -= magnitude;  // total_ >= the old count >= magnitude
+    return Status::OK();
   }
-  total_ = total_ - count;
-  count = static_cast<uint64_t>(static_cast<int64_t>(count) + delta);
-  total_ += count;
+  if (magnitude > std::numeric_limits<uint64_t>::max() - count) {
+    return Status::InvalidArgument("delta would overflow the count");
+  }
+  if (magnitude > std::numeric_limits<uint64_t>::max() - total_) {
+    return Status::InvalidArgument("delta would overflow the total count");
+  }
+  count += magnitude;
+  total_ += magnitude;
   return Status::OK();
 }
 

@@ -66,7 +66,9 @@ class Histogram {
   Status SetCount(const Token& token, uint64_t count);
 
   /// Adds a signed delta to an existing token's count (does not re-sort).
-  /// Fails with `InvalidArgument` if the count would go negative.
+  /// Fails with `InvalidArgument`, leaving the histogram unchanged, if
+  /// the count would go negative or the count or total would overflow
+  /// `uint64`.
   Status AddDelta(const Token& token, int64_t delta);
 
   /// True iff counts are non-increasing in rank order — the paper's

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -232,7 +233,7 @@ size_t BatchDetector::Session::pending_suspects() const {
   return pending_.size();
 }
 
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
+std::vector<Histogram> BatchDetector::Session::ClaimPending() {
   // Claim the queue atomically, then detect outside the lock: producers
   // that enqueue while the matrix evaluates land in the next drain instead
   // of blocking on it.
@@ -244,85 +245,57 @@ std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
   // The claim freed the whole pending budget: wake any producer blocked
   // in AddSuspectsBounded.
   pending_cv_.NotifyAll();
-  return Detect(batch);
+  return batch;
+}
+
+std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
+  return Detect(ClaimPending());
 }
 
 std::vector<std::vector<DetectResult>> BatchDetector::Session::Detect(
     const std::vector<Histogram>& suspects) const {
-  std::vector<std::vector<DetectResult>> results(
-      suspects.size(), std::vector<DetectResult>(keys_.size()));
-  if (suspects.empty() || keys_.empty()) return results;
-
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
-
-  // Phase 1 — scatter: each suspect's counts land in one flat array,
-  // indexed by dense id, built once for *all* keys (suspects are
-  // independent, so the phase shards by suspect). Skipped entirely when no
-  // key exposes a vocabulary.
-  std::vector<std::vector<uint64_t>> flat_counts(suspects.size());
-  std::vector<std::vector<uint8_t>> flat_present(suspects.size());
-  if (!vocab_.empty()) {
-    auto scatter = [&](size_t i) {
-      flat_counts[i].assign(vocab_.size(), 0);
-      flat_present[i].assign(vocab_.size(), 0);
-      ScatterSuspect(suspects[i], flat_counts[i].data(),
-                     flat_present[i].data());
-    };
-    if (parallel) {
-      pool_->ParallelFor(suspects.size(), scatter);
-    } else {
-      for (size_t i = 0; i < suspects.size(); ++i) scatter(i);
-    }
-  }
-
-  // Phase 2 — the matrix: vocabulary keys read counts by index (zero hash
-  // probes per cell), whole-histogram schemes keep the prepared
-  // histogram path. Each cell depends only on (suspect, key, options), so
-  // any schedule yields identical results.
-  auto detect_cell = [&](size_t i, size_t j) {
-    const WatermarkScheme* scheme = key_scheme_[j];
-    // Unregistered tag or failed preparation → rejected (the checked
-    // path reports the reason via key_statuses()).
-    if (scheme == nullptr || prepared_[j] == nullptr) return;
-    if (!dense_ids_[j].empty()) {
-      DenseSuspectCounts dense{flat_counts[i].data(),
-                               flat_present[i].data()};
-      results[i][j] = scheme->Detect(dense, dense_ids_[j].data(),
-                                     *prepared_[j], key_options_[j]);
-    } else {
-      results[i][j] =
-          scheme->Detect(suspects[i], *prepared_[j], key_options_[j]);
-    }
-  };
-
-  if (!parallel) {
-    for (size_t i = 0; i < suspects.size(); ++i) {
-      for (size_t j = 0; j < keys_.size(); ++j) detect_cell(i, j);
-    }
-    return results;
-  }
-
-  const size_t cells = suspects.size() * keys_.size();
-  pool_->ParallelFor(cells, [&](size_t c) {
-    detect_cell(c / keys_.size(), c % keys_.size());
-  });
-  return results;
+  return DetectMatrix(suspects, InterruptContext{}).verdicts;
 }
 
 SessionDrainResult BatchDetector::Session::DrainChecked(
     const InterruptContext& interrupt) {
-  std::vector<Histogram> batch;
-  {
-    MutexLock lock(pending_mutex_);
-    batch.swap(pending_);
-  }
-  // The claim freed the whole pending budget: wake any producer blocked
-  // in AddSuspectsBounded.
-  pending_cv_.NotifyAll();
-  return DetectChecked(batch, interrupt);
+  return DetectChecked(ClaimPending(), interrupt);
 }
 
 SessionDrainResult BatchDetector::Session::DetectChecked(
+    const std::vector<Histogram>& suspects,
+    const InterruptContext& interrupt) const {
+  SessionDrainResult out = DetectMatrix(suspects, interrupt);
+  RecordColumnOutcomes(out);
+  return out;
+}
+
+namespace {
+
+/// The matrix phase's unit of scheduling (DESIGN.md §18): a tile of up to
+/// `kBlockKeys` keys × `kBlockSuspects` suspects, evaluated key-major so
+/// one key's prepared table stays hot across the tile's suspects. A
+/// trace-sized tile (16 keys × 4 suspects) is ~30 µs of work — the
+/// interrupt quantum of a drain.
+constexpr size_t kBlockKeys = 16;
+constexpr size_t kBlockSuspects = 16;
+
+/// `ParallelForChecked` on `pool`, or the same loop inline (interrupt
+/// polled before every index) when there is no pool.
+Status ForEachChecked(ThreadPool* pool, size_t n,
+                      const InterruptContext& interrupt,
+                      const std::function<Status(size_t)>& body) {
+  if (pool != nullptr) return pool->ParallelForChecked(n, interrupt, body);
+  for (size_t index = 0; index < n; ++index) {
+    FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    FREQYWM_RETURN_NOT_OK(body(index));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+SessionDrainResult BatchDetector::Session::DetectMatrix(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
   SessionDrainResult out;
@@ -334,77 +307,74 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
   out.status = interrupt.Check();
   if (!out.status.ok()) return out;
 
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 0;
+  ThreadPool* pool =
+      pool_ != nullptr && pool_->num_threads() > 0 ? pool_ : nullptr;
 
-  // Phase 1 — scatter (see Detect). An interruption here yields no
-  // evaluated cells: the flat arrays are an all-or-nothing precondition
-  // of the matrix phase.
-  std::vector<std::vector<uint64_t>> flat_counts(suspects.size());
-  std::vector<std::vector<uint8_t>> flat_present(suspects.size());
-  if (!vocab_.empty()) {
-    auto scatter = [&](size_t i) {
-      flat_counts[i].assign(vocab_.size(), 0);
-      flat_present[i].assign(vocab_.size(), 0);
-      ScatterSuspect(suspects[i], flat_counts[i].data(),
-                     flat_present[i].data());
-      return Status::OK();
-    };
-    if (parallel) {
-      out.status = pool_->ParallelForChecked(suspects.size(), interrupt,
-                                             scatter);
-    } else {
-      for (size_t i = 0; i < suspects.size() && out.status.ok(); ++i) {
-        out.status = interrupt.Check();
-        if (out.status.ok()) out.status = scatter(i);
-      }
-    }
+  // Phase 1 — scatter: each suspect's counts land in its row of one flat
+  // |suspects| × |vocabulary| buffer, built once for *all* keys (suspects
+  // are independent, so the phase shards by suspect). Skipped entirely
+  // when no key exposes a vocabulary. An interruption here yields no
+  // evaluated cells: the rows are an all-or-nothing precondition of the
+  // matrix phase.
+  const size_t width = vocab_.size();
+  std::vector<uint64_t> counts(suspects.size() * width, 0);
+  std::vector<uint8_t> present(suspects.size() * width, 0);
+  if (width > 0) {
+    out.status = ForEachChecked(
+        pool, suspects.size(), interrupt, [&](size_t i) {
+          ScatterSuspect(suspects[i], counts.data() + i * width,
+                         present.data() + i * width);
+          return Status::OK();
+        });
     if (!out.status.ok()) return out;
   }
 
-  // Phase 2 — the matrix, with per-cell isolation (DESIGN.md §13): a
-  // failing cell records a typed error under `errors_mutex` and the body
-  // returns OK, so one bad cell never aborts the drain; only a
-  // cancellation/deadline stops the loop (within one cell's work — the
-  // shard quantum of this phase).
+  // Phase 2 — the matrix, one block per claim, with per-cell isolation
+  // (DESIGN.md §13): a failing cell records a typed error under
+  // `errors_mutex` and the block goes on, so one bad cell never aborts
+  // the drain; only a cancellation/deadline (polled per block) stops it.
+  // Vocabulary keys read counts by index (zero hash probes per cell);
+  // whole-histogram schemes keep the prepared histogram path. Each cell
+  // depends only on (suspect, key, options), so any schedule yields
+  // identical results.
   Mutex errors_mutex;
-  std::vector<SessionCellError>& cell_errors = out.cell_errors;
-  auto detect_cell_checked = [&](size_t c) {
-    const size_t i = c / keys_.size();
-    const size_t j = c % keys_.size();
-    if (!key_status_[j].ok()) return Status::OK();  // poisoned column
-    Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
-                                             static_cast<uint64_t>(c));
-    if (!cell.ok()) {
-      MutexLock lock(errors_mutex);
-      cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
-      return Status::OK();
+  const size_t num_keys = keys_.size();
+  const size_t suspect_blocks =
+      (suspects.size() + kBlockSuspects - 1) / kBlockSuspects;
+  const size_t key_blocks = (num_keys + kBlockKeys - 1) / kBlockKeys;
+  auto detect_block = [&](size_t block) {
+    const size_t j_begin = (block / suspect_blocks) * kBlockKeys;
+    const size_t j_end = std::min(j_begin + kBlockKeys, num_keys);
+    const size_t i_begin = (block % suspect_blocks) * kBlockSuspects;
+    const size_t i_end = std::min(i_begin + kBlockSuspects, suspects.size());
+    for (size_t j = j_begin; j < j_end; ++j) {
+      if (!key_status_[j].ok()) continue;  // poisoned column
+      const WatermarkScheme& scheme = *key_scheme_[j];
+      for (size_t i = i_begin; i < i_end; ++i) {
+        const size_t c = i * num_keys + j;
+        Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
+                                                 static_cast<uint64_t>(c));
+        if (!cell.ok()) {
+          MutexLock lock(errors_mutex);
+          out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
+          continue;
+        }
+        if (!dense_ids_[j].empty()) {
+          DenseSuspectCounts dense{counts.data() + i * width,
+                                   present.data() + i * width};
+          out.verdicts[i][j] = scheme.Detect(dense, dense_ids_[j].data(),
+                                             *prepared_[j], key_options_[j]);
+        } else {
+          out.verdicts[i][j] =
+              scheme.Detect(suspects[i], *prepared_[j], key_options_[j]);
+        }
+        out.evaluated[c] = 1;
+      }
     }
-    const WatermarkScheme* scheme = key_scheme_[j];
-    if (!dense_ids_[j].empty()) {
-      DenseSuspectCounts dense{flat_counts[i].data(),
-                               flat_present[i].data()};
-      out.verdicts[i][j] = scheme->Detect(dense, dense_ids_[j].data(),
-                                          *prepared_[j], key_options_[j]);
-    } else {
-      out.verdicts[i][j] =
-          scheme->Detect(suspects[i], *prepared_[j], key_options_[j]);
-    }
-    out.evaluated[c] = 1;
     return Status::OK();
   };
-
-  const size_t cells = suspects.size() * keys_.size();
-  if (parallel) {
-    out.status = pool_->ParallelForChecked(cells, interrupt,
-                                           detect_cell_checked);
-  } else {
-    for (size_t c = 0; c < cells; ++c) {
-      out.status = interrupt.Check();
-      if (!out.status.ok()) break;
-      out.status = detect_cell_checked(c);
-      if (!out.status.ok()) break;
-    }
-  }
+  out.status = ForEachChecked(pool, key_blocks * suspect_blocks, interrupt,
+                              detect_block);
 
   // Deterministic error report order regardless of which thread recorded
   // which cell first.
@@ -413,7 +383,6 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
               return a.suspect != b.suspect ? a.suspect < b.suspect
                                             : a.key < b.key;
             });
-  RecordColumnOutcomes(out);
   return out;
 }
 

@@ -193,16 +193,18 @@ class BatchDetector {
     std::vector<std::vector<DetectResult>> Drain();
 
     /// One-shot detection of `suspects` against the key column, without
-    /// touching the pending queue. `Run` is implemented on top of this.
+    /// touching the pending queue: the verdicts of the checked matrix
+    /// body run under a never-interrupted context. `Run` is implemented
+    /// on top of this.
     std::vector<std::vector<DetectResult>> Detect(
         const std::vector<Histogram>& suspects) const;
 
     /// The failure-aware drain (DESIGN.md §13): claims the pending queue
-    /// like `Drain`, but honors `interrupt` at every cell boundary and
-    /// isolates per-key / per-cell failures instead of assuming them
-    /// away. Claimed suspects are consumed even when the drain is
-    /// interrupted — the caller inspects `evaluated` to see which cells
-    /// completed. For a clean, uninterrupted run over all-OK keys, the
+    /// like `Drain`, but honors `interrupt` at every block boundary (a
+    /// tile of up to 16 keys × 16 suspects, DESIGN.md §18) and isolates
+    /// per-key / per-cell failures instead of assuming them away.
+    /// Claimed suspects are consumed even when the drain is interrupted —
+    /// the caller inspects `evaluated` to see which cells completed. For a clean, uninterrupted run over all-OK keys, the
     /// verdicts are element-wise identical to `Drain()`.
     SessionDrainResult DrainChecked(const InterruptContext& interrupt);
 
@@ -236,6 +238,13 @@ class BatchDetector {
 
    private:
     void PrepareKeys();
+    /// Takes the whole pending queue and wakes producers blocked on the
+    /// budget.
+    std::vector<Histogram> ClaimPending();
+    /// The one matrix body behind `Detect` and `DetectChecked`: scatter,
+    /// then key-major blocks of cells on the pool (DESIGN.md §18).
+    SessionDrainResult DetectMatrix(const std::vector<Histogram>& suspects,
+                                    const InterruptContext& interrupt) const;
     /// Feeds one drained column's outcome back to the shared circuit
     /// breaker (no-op without one): a column that evaluated at least one
     /// cell cleanly records a success, a column with cell errors records

@@ -95,6 +95,56 @@ TEST(HistogramTest, AddDeltaUnderflowRejected) {
   EXPECT_EQ(h.CountOf("cnn"), 53u);  // unchanged
 }
 
+TEST(HistogramTest, AddDeltaInt64MinIsExact) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const uint64_t two63 = uint64_t{1} << 63;
+  // |INT64_MIN| exceeds any count below 2^63: rejected, not negated.
+  Histogram small = MakeUrlHistogram();
+  EXPECT_EQ(small.AddDelta("youtube", min).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(small.CountOf("youtube"), 1098u);
+  // A count of 2^63 + 5 can give up exactly 2^63.
+  auto huge = Histogram::FromCounts({{"a", two63 + 5}, {"b", 1}});
+  ASSERT_TRUE(huge.ok());
+  ASSERT_TRUE(huge.value().AddDelta("a", min).ok());
+  EXPECT_EQ(huge.value().CountOf("a"), 5u);
+  EXPECT_EQ(huge.value().total_count(), 6u);
+}
+
+TEST(HistogramTest, AddDeltaOnCountsAtOrAbove2To63) {
+  const uint64_t max63 =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+  auto h = Histogram::FromCounts({{"a", max63}, {"b", 1}});
+  ASSERT_TRUE(h.ok());
+  // INT64_MAX + 1 used to overflow the signed sum.
+  ASSERT_TRUE(h.value().AddDelta("a", 1).ok());
+  EXPECT_EQ(h.value().CountOf("a"), max63 + 1);
+  ASSERT_TRUE(h.value().AddDelta("a", 10).ok());
+  ASSERT_TRUE(h.value().AddDelta("a", -4).ok());
+  EXPECT_EQ(h.value().CountOf("a"), max63 + 7);
+  EXPECT_EQ(h.value().total_count(), max63 + 8);
+}
+
+TEST(HistogramTest, AddDeltaCountOverflowRejected) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  auto h = Histogram::FromCounts({{"a", max - 1}});
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h.value().AddDelta("a", 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.value().CountOf("a"), max - 1);  // unchanged
+  ASSERT_TRUE(h.value().AddDelta("a", 1).ok());
+  EXPECT_EQ(h.value().total_count(), max);
+}
+
+TEST(HistogramTest, AddDeltaTotalOverflowRejected) {
+  const uint64_t two63 = uint64_t{1} << 63;
+  auto h = Histogram::FromCounts({{"a", two63}, {"b", two63 - 1}});
+  ASSERT_TRUE(h.ok());
+  // Neither count overflows, but the total would wrap past 2^64 - 1.
+  EXPECT_EQ(h.value().AddDelta("b", 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.value().CountOf("b"), two63 - 1);
+  EXPECT_EQ(h.value().total_count(), two63 + two63 - 1);
+}
+
 TEST(HistogramTest, MutationDoesNotResort) {
   Histogram h = MakeUrlHistogram();
   ASSERT_TRUE(h.SetCount("elpais", 5000).ok());
