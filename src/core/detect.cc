@@ -46,26 +46,18 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
   table.tokens_.assign(views.begin(), views.end());
 
   // One inner digest per distinct token_j and one outer-hash midstate per
-  // distinct token_i; a token-disjoint list derives each exactly once
-  // without touching the caches.
+  // distinct token_i, then one cloned finish per pair.
   PairModulus modulus(secrets.r, secrets.z);
-  const bool disjoint = views.size() == 2 * secrets.pairs.size();
-  std::vector<std::optional<Sha256::Digest>> inner(disjoint ? 0 : views.size());
-  std::vector<std::optional<PairModulus::OuterState>> outer(
-      disjoint ? 0 : views.size());
+  std::vector<std::optional<Sha256::Digest>> inner(views.size());
+  std::vector<std::optional<PairModulus::OuterState>> outer(views.size());
   for (PairEntry& entry : table.pairs_) {
-    if (disjoint) {
-      entry.s = modulus.OuterFor(views[entry.token_i])
-                    .Reduce(modulus.InnerDigest(views[entry.token_j]));
-    } else {
-      if (!outer[entry.token_i]) {
-        outer[entry.token_i] = modulus.OuterFor(views[entry.token_i]);
-      }
-      if (!inner[entry.token_j]) {
-        inner[entry.token_j] = modulus.InnerDigest(views[entry.token_j]);
-      }
-      entry.s = outer[entry.token_i]->Reduce(*inner[entry.token_j]);
+    if (!outer[entry.token_i]) {
+      outer[entry.token_i] = modulus.OuterFor(views[entry.token_i]);
     }
+    if (!inner[entry.token_j]) {
+      inner[entry.token_j] = modulus.InnerDigest(views[entry.token_j]);
+    }
+    entry.s = outer[entry.token_i]->Reduce(*inner[entry.token_j]);
     entry.magic = FastModMultiplier(entry.s);
   }
   table.valid_ = true;
@@ -214,7 +206,7 @@ DetectResult DetectWatermark(const Histogram& suspect,
     const uint64_t residue =
         options.rescale_factor > 0.0
             ? RescaledResidue(ci, cj, s, options.rescale_factor)
-            : PairResidue(ci, cj, s, FastModMultiplier(0));
+            : PairResidue(ci, cj, s, /*magic=*/0);  // one use: plain `%`
     verified += PairVerifies(residue, s, options.pair_threshold,
                              options.symmetric_residue);
   }

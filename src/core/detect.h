@@ -41,15 +41,14 @@ struct DetectResult {
 /// list so detection gathers each token's suspect-side count exactly once
 /// even when a token appears in many stored pairs.
 ///
-/// A token-disjoint pair list (every honestly generated key) derives each
-/// pair directly; when tokens repeat, the derivation reuses crypto
-/// midstates — one inner digest per distinct `token_j`, one outer-hash
-/// midstate per distinct `token_i`, one cloned finish per pair. Each
-/// modulus also stores its fastmod multiplier, so the per-cell residue
-/// needs no division (DESIGN.md §18). The table depends only on the key
-/// (never on a suspect), is immutable after `Build`, and is safe to share across
-/// threads — `BatchDetector` builds one per key so the |suspects| × |keys|
-/// matrix derives each modulus exactly once instead of once per cell.
+/// The derivation reuses crypto midstates: one inner digest per distinct
+/// `token_j`, one outer-hash midstate per distinct `token_i`, one cloned
+/// finish per pair. Each modulus also stores its fastmod multiplier, so
+/// the per-cell residue needs no division (DESIGN.md §18). The table
+/// depends only on the key (never on a suspect), is immutable after
+/// `Build`, and is safe to share across threads — `BatchDetector` builds
+/// one per key so the |suspects| × |keys| matrix derives each modulus
+/// exactly once instead of once per cell.
 class PairModulusTable {
  public:
   /// One stored pair: indices into `tokens()`, the derived modulus, and

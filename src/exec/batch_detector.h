@@ -204,8 +204,9 @@ class BatchDetector {
     /// tile of up to 16 keys × 16 suspects, DESIGN.md §18) and isolates
     /// per-key / per-cell failures instead of assuming them away.
     /// Claimed suspects are consumed even when the drain is interrupted —
-    /// the caller inspects `evaluated` to see which cells completed. For a clean, uninterrupted run over all-OK keys, the
-    /// verdicts are element-wise identical to `Drain()`.
+    /// the caller inspects `evaluated` to see which cells completed. For
+    /// a clean, uninterrupted run over all-OK keys, the verdicts are
+    /// element-wise identical to `Drain()`.
     SessionDrainResult DrainChecked(const InterruptContext& interrupt);
 
     /// Failure-aware one-shot detection; `DrainChecked` is implemented on
