@@ -279,8 +279,8 @@ void BM_WmDetect_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_WmDetect_Reference);
 
-// "After", serial shape: the table is rebuilt per call (inner digests and
-// outer midstates still dedupe across pairs).
+// "After", serial shape: the single shot, which walks the pairs like the
+// oracle and builds no table (DESIGN.md §18).
 void BM_WmDetect(benchmark::State& state) {
   DetectFixture f = MakeDetectFixture();
   if (!f.ok) {

@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <functional>
-#include <limits>
 #include <optional>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "crypto/pair_modulus.h"
@@ -16,26 +15,18 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
   PairModulusTable table;
   if (secrets.z < 2 || secrets.pairs.empty()) return table;
 
-  // Intern every token first, through an open-addressed table of views
-  // into `secrets`: one allocation instead of one map node per token.
-  // Honest pair lists are token-disjoint, but forged/refreshed/
-  // multi-watermark keys repeat tokens freely, and a repeated token must
-  // derive its crypto state once.
-  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  size_t capacity = 4;
-  while (capacity < 4 * secrets.pairs.size()) capacity <<= 1;
-  std::vector<uint32_t> slots(capacity, kEmpty);
+  // Intern every token first, so every distinct token derives its crypto
+  // state once: honest pair lists are token-disjoint, but forged/
+  // refreshed/multi-watermark keys repeat tokens freely.
+  std::unordered_map<std::string_view, uint32_t> index;
+  index.reserve(2 * secrets.pairs.size());
   std::vector<std::string_view> views;
   views.reserve(2 * secrets.pairs.size());
   auto intern = [&](std::string_view token) -> uint32_t {
-    size_t slot = std::hash<std::string_view>{}(token) & (capacity - 1);
-    while (slots[slot] != kEmpty) {
-      if (views[slots[slot]] == token) return slots[slot];
-      slot = (slot + 1) & (capacity - 1);
-    }
-    slots[slot] = static_cast<uint32_t>(views.size());
-    views.push_back(token);
-    return slots[slot];
+    auto [it, inserted] =
+        index.emplace(token, static_cast<uint32_t>(views.size()));
+    if (inserted) views.push_back(token);
+    return it->second;
   };
   table.pairs_.reserve(secrets.pairs.size());
   for (const SecretPair& pair : secrets.pairs) {
@@ -178,35 +169,23 @@ DetectResult DetectWatermark(const Histogram& suspect,
   DetectResult out;
   if (secrets.z < 2 || secrets.pairs.empty()) return out;
 
-  // One suspect, so no table to amortize: each pair costs the reference's
-  // two count lookups and at most two hashes, and the suspect's own ranks
-  // dedupe inner digests of tokens that repeat across pairs. Pairs with an
-  // absent token are never hashed.
+  // One suspect, so no table to amortize (building one costs more than
+  // it saves, DESIGN.md §18): each pair costs two count lookups, and a
+  // pair with both tokens present costs two hashes.
   PairModulus modulus(secrets.r, secrets.z);
-  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> inner_at(suspect.num_tokens(), kNone);
-  std::vector<Sha256::Digest> inner;
-  inner.reserve(secrets.pairs.size());
   size_t found = 0;
   size_t verified = 0;
   for (const SecretPair& pair : secrets.pairs) {
-    const std::optional<size_t> rank_i = suspect.RankOf(pair.token_i);
-    const std::optional<size_t> rank_j = suspect.RankOf(pair.token_j);
-    if (!rank_i || !rank_j) continue;
+    const std::optional<uint64_t> ci = suspect.CountOf(pair.token_i);
+    const std::optional<uint64_t> cj = suspect.CountOf(pair.token_j);
+    if (!ci || !cj) continue;
     ++found;
-    uint32_t& slot = inner_at[*rank_j];
-    if (slot == kNone) {
-      slot = static_cast<uint32_t>(inner.size());
-      inner.push_back(modulus.InnerDigest(pair.token_j));
-    }
-    const uint64_t s = modulus.ComputeWithInner(pair.token_i, inner[slot]);
+    const uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
     if (s < 2) continue;  // cannot happen for honestly generated pairs
-    const uint64_t ci = suspect.entry(*rank_i).count;
-    const uint64_t cj = suspect.entry(*rank_j).count;
     const uint64_t residue =
         options.rescale_factor > 0.0
-            ? RescaledResidue(ci, cj, s, options.rescale_factor)
-            : PairResidue(ci, cj, s, /*magic=*/0);  // one use: plain `%`
+            ? RescaledResidue(*ci, *cj, s, options.rescale_factor)
+            : PairResidue(*ci, *cj, s, /*magic=*/0);  // one use: plain `%`
     verified += PairVerifies(residue, s, options.pair_threshold,
                              options.symmetric_residue);
   }

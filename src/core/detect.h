@@ -127,11 +127,9 @@ inline uint64_t PairResidue(uint64_t ci, uint64_t cj, uint64_t s,
 ///
 /// The suspect histogram does NOT need to be sorted — only counts are read.
 /// Runs in O(|Lwm|) hash evaluations (linear, §I "verify very fast") with
-/// no table to build: pairs with an absent token are never hashed, and a
-/// token repeated across pairs costs one inner digest, deduplicated by
-/// the suspect's own ranks. The residue is the exact integer
-/// `PairResidue` (or the rescale path's arithmetic), as on the table
-/// path, so both give the same result.
+/// no table to build: pairs with an absent token are never hashed. The
+/// residue is the exact integer `PairResidue` (or the rescale path's
+/// arithmetic), as on the table path, so both give the same result.
 DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options);

@@ -1,6 +1,7 @@
 #include "exec/batch_detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -254,7 +255,8 @@ std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
 
 std::vector<std::vector<DetectResult>> BatchDetector::Session::Detect(
     const std::vector<Histogram>& suspects) const {
-  return DetectMatrix(suspects, InterruptContext{}).verdicts;
+  return DetectMatrix</*kChecked=*/false>(suspects, InterruptContext{})
+      .verdicts;
 }
 
 SessionDrainResult BatchDetector::Session::DrainChecked(
@@ -265,36 +267,119 @@ SessionDrainResult BatchDetector::Session::DrainChecked(
 SessionDrainResult BatchDetector::Session::DetectChecked(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
-  SessionDrainResult out = DetectMatrix(suspects, interrupt);
+  SessionDrainResult out =
+      DetectMatrix</*kChecked=*/true>(suspects, interrupt);
   RecordColumnOutcomes(out);
   return out;
 }
 
 namespace {
 
-/// The matrix phase's unit of scheduling (DESIGN.md §18): a tile of up to
-/// `kBlockKeys` keys × `kBlockSuspects` suspects, evaluated key-major so
-/// one key's prepared table stays hot across the tile's suspects. A
-/// trace-sized tile (16 keys × 4 suspects) is ~30 µs of work — the
-/// interrupt quantum of a drain.
-constexpr size_t kBlockKeys = 16;
-constexpr size_t kBlockSuspects = 16;
+/// Largest dense block (DESIGN.md §18): up to 16 vocabulary keys × 16
+/// suspects, evaluated key-major so one key's prepared table stays hot
+/// across the block's suspects.
+constexpr size_t kMaxBlockKeys = 16;
+constexpr size_t kMaxBlockSuspects = 16;
+/// Blocks per pool participant the plan aims for, so the claims can still
+/// balance the load on a small matrix.
+constexpr size_t kBlocksPerParticipant = 4;
 
-/// `ParallelForChecked` on `pool`, or the same loop inline (interrupt
-/// polled before every index) when there is no pool.
-Status ForEachChecked(ThreadPool* pool, size_t n,
-                      const InterruptContext& interrupt,
-                      const std::function<Status(size_t)>& body) {
-  if (pool != nullptr) return pool->ParallelForChecked(n, interrupt, body);
-  for (size_t index = 0; index < n; ++index) {
-    FREQYWM_RETURN_NOT_OK(interrupt.Check());
-    FREQYWM_RETURN_NOT_OK(body(index));
+/// Consecutive keys that share blocks: each block covers the whole run
+/// for `tile` suspects. Blocks are numbered run by run, so the run's
+/// blocks are `first_block` up to the next run's `first_block`.
+struct KeyRun {
+  size_t key_begin = 0;
+  size_t key_end = 0;
+  size_t tile = 1;
+  size_t first_block = 0;
+};
+
+size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
+
+/// Cuts the |suspects| × |keys| matrix into blocks (DESIGN.md §18) and
+/// returns the runs; `*num_blocks` gets the block count. A key that
+/// scans the whole suspect histogram (`histogram_key[j]`, up to about a
+/// millisecond a cell) gets one cell per block, so a block never holds
+/// more than one such cell. Vocabulary keys (about a microsecond a cell)
+/// share blocks of up to 16 keys × 16 suspects, halved, larger side
+/// first, until there are `kBlocksPerParticipant` blocks per participant
+/// or a block is one cell.
+std::vector<KeyRun> PlanBlocks(const std::vector<uint8_t>& histogram_key,
+                               size_t num_suspects, size_t participants,
+                               size_t* num_blocks) {
+  const size_t num_keys = histogram_key.size();
+  const size_t histogram_keys =
+      static_cast<size_t>(std::count(histogram_key.begin(),
+                                     histogram_key.end(), uint8_t{1}));
+  const size_t vocabulary_keys = num_keys - histogram_keys;
+  size_t keys_per_block =
+      std::clamp<size_t>(vocabulary_keys, 1, kMaxBlockKeys);
+  size_t tile = std::min(num_suspects, kMaxBlockSuspects);
+  const size_t wanted =
+      participants > 1 ? kBlocksPerParticipant * participants : 0;
+  while (CeilDiv(vocabulary_keys, keys_per_block) *
+                     CeilDiv(num_suspects, tile) +
+                 histogram_keys * num_suspects <
+             wanted &&
+         (keys_per_block > 1 || tile > 1)) {
+    if (tile >= keys_per_block) {
+      tile = CeilDiv(tile, 2);
+    } else {
+      keys_per_block = CeilDiv(keys_per_block, 2);
+    }
+  }
+
+  std::vector<KeyRun> runs;
+  size_t blocks = 0;
+  for (size_t j = 0; j < num_keys;) {
+    KeyRun run{j, j + 1, 1, blocks};
+    if (!histogram_key[j]) {
+      while (run.key_end < num_keys && run.key_end - j < keys_per_block &&
+             !histogram_key[run.key_end]) {
+        ++run.key_end;
+      }
+      run.tile = tile;
+    }
+    blocks += CeilDiv(num_suspects, run.tile);
+    j = run.key_end;
+    runs.push_back(run);
+  }
+  *num_blocks = blocks;
+  return runs;
+}
+
+/// Runs `body` for every index below `n` on `pool`, or inline without
+/// one. Checked: through `ParallelForChecked` (the interrupt polled and
+/// the `thread_pool/shard` fault site run before every index), returning
+/// the first error. Unchecked: through `ParallelFor`, which has neither,
+/// and `body` must not fail.
+template <bool kChecked>
+Status ForEach(ThreadPool* pool, size_t n, const InterruptContext& interrupt,
+               const std::function<Status(size_t)>& body) {
+  if constexpr (kChecked) {
+    if (pool != nullptr) return pool->ParallelForChecked(n, interrupt, body);
+    for (size_t index = 0; index < n; ++index) {
+      FREQYWM_RETURN_NOT_OK(interrupt.Check());
+      FREQYWM_RETURN_NOT_OK(body(index));
+    }
+  } else {
+    auto run = [&](size_t index) {
+      const Status status = body(index);
+      assert(status.ok());
+      (void)status;
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(n, run);
+    } else {
+      for (size_t index = 0; index < n; ++index) run(index);
+    }
   }
   return Status::OK();
 }
 
 }  // namespace
 
+template <bool kChecked>
 SessionDrainResult BatchDetector::Session::DetectMatrix(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
@@ -304,8 +389,10 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
                       std::vector<DetectResult>(keys_.size()));
   out.evaluated.assign(suspects.size() * keys_.size(), 0);
   if (suspects.empty() || keys_.empty()) return out;
-  out.status = interrupt.Check();
-  if (!out.status.ok()) return out;
+  if constexpr (kChecked) {
+    out.status = interrupt.Check();
+    if (!out.status.ok()) return out;
+  }
 
   ThreadPool* pool =
       pool_ != nullptr && pool_->num_threads() > 0 ? pool_ : nullptr;
@@ -320,7 +407,7 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
   std::vector<uint64_t> counts(suspects.size() * width, 0);
   std::vector<uint8_t> present(suspects.size() * width, 0);
   if (width > 0) {
-    out.status = ForEachChecked(
+    out.status = ForEach<kChecked>(
         pool, suspects.size(), interrupt, [&](size_t i) {
           ScatterSuspect(suspects[i], counts.data() + i * width,
                          present.data() + i * width);
@@ -329,35 +416,49 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
     if (!out.status.ok()) return out;
   }
 
-  // Phase 2 — the matrix, one block per claim, with per-cell isolation
-  // (DESIGN.md §13): a failing cell records a typed error under
-  // `errors_mutex` and the block goes on, so one bad cell never aborts
-  // the drain; only a cancellation/deadline (polled per block) stops it.
-  // Vocabulary keys read counts by index (zero hash probes per cell);
-  // whole-histogram schemes keep the prepared histogram path. Each cell
-  // depends only on (suspect, key, options), so any schedule yields
-  // identical results.
-  Mutex errors_mutex;
+  // Phase 2 — the matrix, one block per claim (PlanBlocks), with per-cell
+  // isolation when checked (DESIGN.md §13): a failing cell records a
+  // typed error under `errors_mutex` and the block goes on, so one bad
+  // cell never aborts the drain; only a cancellation/deadline (polled per
+  // block) stops it. Vocabulary keys read counts by index (zero hash
+  // probes per cell); whole-histogram schemes keep the prepared histogram
+  // path. Poisoned columns cost nothing, so they ride in vocabulary
+  // blocks. Each cell depends only on (suspect, key, options), so any
+  // schedule yields identical results.
   const size_t num_keys = keys_.size();
-  const size_t suspect_blocks =
-      (suspects.size() + kBlockSuspects - 1) / kBlockSuspects;
-  const size_t key_blocks = (num_keys + kBlockKeys - 1) / kBlockKeys;
+  std::vector<uint8_t> histogram_key(num_keys, 0);
+  for (size_t j = 0; j < num_keys; ++j) {
+    histogram_key[j] = key_status_[j].ok() && dense_ids_[j].empty();
+  }
+  size_t num_blocks = 0;
+  const std::vector<KeyRun> runs =
+      PlanBlocks(histogram_key, suspects.size(),
+                 pool != nullptr ? pool->num_threads() + 1 : 1, &num_blocks);
+
+  Mutex errors_mutex;
   auto detect_block = [&](size_t block) {
-    const size_t j_begin = (block / suspect_blocks) * kBlockKeys;
-    const size_t j_end = std::min(j_begin + kBlockKeys, num_keys);
-    const size_t i_begin = (block % suspect_blocks) * kBlockSuspects;
-    const size_t i_end = std::min(i_begin + kBlockSuspects, suspects.size());
-    for (size_t j = j_begin; j < j_end; ++j) {
+    const KeyRun& run =
+        *(std::upper_bound(runs.begin(), runs.end(), block,
+                           [](size_t b, const KeyRun& r) {
+                             return b < r.first_block;
+                           }) -
+          1);
+    const size_t i_begin = (block - run.first_block) * run.tile;
+    const size_t i_end = std::min(i_begin + run.tile, suspects.size());
+    for (size_t j = run.key_begin; j < run.key_end; ++j) {
       if (!key_status_[j].ok()) continue;  // poisoned column
       const WatermarkScheme& scheme = *key_scheme_[j];
       for (size_t i = i_begin; i < i_end; ++i) {
         const size_t c = i * num_keys + j;
-        Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
-                                                 static_cast<uint64_t>(c));
-        if (!cell.ok()) {
-          MutexLock lock(errors_mutex);
-          out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
-          continue;
+        if constexpr (kChecked) {
+          Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
+                                                   static_cast<uint64_t>(c));
+          if (!cell.ok()) {
+            MutexLock lock(errors_mutex);
+            out.cell_errors.push_back(
+                SessionCellError{i, j, std::move(cell)});
+            continue;
+          }
         }
         if (!dense_ids_[j].empty()) {
           DenseSuspectCounts dense{counts.data() + i * width,
@@ -373,8 +474,7 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
     }
     return Status::OK();
   };
-  out.status = ForEachChecked(pool, key_blocks * suspect_blocks, interrupt,
-                              detect_block);
+  out.status = ForEach<kChecked>(pool, num_blocks, interrupt, detect_block);
 
   // Deterministic error report order regardless of which thread recorded
   // which cell first.

@@ -193,16 +193,17 @@ class BatchDetector {
     std::vector<std::vector<DetectResult>> Drain();
 
     /// One-shot detection of `suspects` against the key column, without
-    /// touching the pending queue: the verdicts of the checked matrix
-    /// body run under a never-interrupted context. `Run` is implemented
-    /// on top of this.
+    /// touching the pending queue: the matrix body of `DetectChecked`
+    /// without its interrupt polls and fault sites, keeping only the
+    /// verdicts. `Run` is implemented on top of this.
     std::vector<std::vector<DetectResult>> Detect(
         const std::vector<Histogram>& suspects) const;
 
     /// The failure-aware drain (DESIGN.md §13): claims the pending queue
-    /// like `Drain`, but honors `interrupt` at every block boundary (a
-    /// tile of up to 16 keys × 16 suspects, DESIGN.md §18) and isolates
-    /// per-key / per-cell failures instead of assuming them away.
+    /// like `Drain`, but honors `interrupt` at every block boundary (one
+    /// whole-histogram cell, or at most 16 vocabulary keys × 16
+    /// suspects, DESIGN.md §18) and isolates per-key / per-cell failures
+    /// instead of assuming them away.
     /// Claimed suspects are consumed even when the drain is interrupted —
     /// the caller inspects `evaluated` to see which cells completed. For
     /// a clean, uninterrupted run over all-OK keys, the verdicts are
@@ -243,7 +244,10 @@ class BatchDetector {
     /// budget.
     std::vector<Histogram> ClaimPending();
     /// The one matrix body behind `Detect` and `DetectChecked`: scatter,
-    /// then key-major blocks of cells on the pool (DESIGN.md §18).
+    /// then blocks of cells on the pool (DESIGN.md §18). `kChecked` false
+    /// (`Detect`) compiles out the interrupt polls and the fault sites,
+    /// so the unchecked verdicts never depend on an armed injector.
+    template <bool kChecked>
     SessionDrainResult DetectMatrix(const std::vector<Histogram>& suspects,
                                     const InterruptContext& interrupt) const;
     /// Feeds one drained column's outcome back to the shared circuit

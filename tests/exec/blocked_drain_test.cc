@@ -1,16 +1,22 @@
-// The blocked session matrix (DESIGN.md §18): cells are scheduled in
-// key-major tiles of up to 16 keys × 16 suspects, so key counts on both
-// sides of a tile edge (1, 15, 17) and a trace-sized column (1,000) must
-// give the verdicts of a hand-written serial loop at every thread count,
-// through `Detect`, `Drain` and `DrainChecked` alike.
+// The blocked session matrix (DESIGN.md §18): vocabulary keys are
+// scheduled in key-major tiles of up to 16 keys × 16 suspects, shrunk to
+// the matrix shape, and whole-histogram keys one cell per block. Key
+// counts on both sides of a tile edge (1, 15, 17), a trace-sized column
+// (1,000) and mixed-scheme columns must give the verdicts of a
+// hand-written serial loop at every thread count, through `Detect`,
+// `Drain` and `DrainChecked` alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "api/factory.h"
 #include "api/freqywm_scheme.h"
+#include "common/stopwatch.h"
 #include "common/random.h"
 #include "datagen/power_law.h"
 #include "exec/batch_detector.h"
@@ -181,6 +187,115 @@ TEST(BlockedDrainTest, AlreadyCancelledContextEvaluatesNoCell) {
     for (uint8_t e : result.evaluated) EXPECT_EQ(e, 0);
     for (const std::vector<DetectResult>& row : result.verdicts) {
       for (const DetectResult& cell : row) EXPECT_EQ(cell, DetectResult{});
+    }
+  }
+}
+
+/// A mixed column: whole-histogram WM-RVS keys interleaved with FreqyWM
+/// vocabulary keys and one unregistered tag, so vocabulary runs are cut
+/// by single-cell blocks, against suspects large enough that a WM-RVS
+/// cell is far from free.
+struct MixedMarket {
+  std::vector<SchemeKey> keys;
+  std::vector<Histogram> suspects;
+  std::vector<std::vector<DetectResult>> reference;
+
+  MixedMarket() {
+    const Histogram base = MakeHistogram(11, 3000);
+    for (size_t b = 0; b < 15; ++b) {
+      const std::string name = b % 3 == 1 ? "freqywm" : "wm-rvs";
+      OptionBag bag;
+      bag.Set("seed", std::to_string(900 + b));
+      if (name == "freqywm") bag.Set("strategy", "greedy");
+      auto scheme = SchemeFactory::Create(name, bag);
+      EXPECT_TRUE(scheme.ok()) << scheme.status();
+      auto outcome = scheme.value()->Embed(base);
+      EXPECT_TRUE(outcome.ok()) << outcome.status();
+      keys.push_back(outcome.value().key);
+      if (suspects.size() < 4) suspects.push_back(outcome.value().watermarked);
+    }
+    keys.insert(keys.begin() + 5, SchemeKey{"no-such-scheme", "payload"});
+    suspects.push_back(base);
+
+    reference.assign(suspects.size(), std::vector<DetectResult>(keys.size()));
+    for (size_t j = 0; j < keys.size(); ++j) {
+      auto scheme = SchemeFactory::Create(keys[j].scheme);
+      if (!scheme.ok()) continue;
+      for (size_t i = 0; i < suspects.size(); ++i) {
+        reference[i][j] = scheme.value()->Detect(
+            suspects[i], keys[j],
+            scheme.value()->RecommendedDetectOptions(keys[j]));
+      }
+    }
+  }
+};
+
+const MixedMarket& GetMixedMarket() {
+  static const MixedMarket* market = new MixedMarket();
+  return *market;
+}
+
+TEST(BlockedDrainTest, MixedSchemeColumnsMatchTheSerialLoop) {
+  const MixedMarket& market = GetMixedMarket();
+  for (size_t threads : {1, 2, 4, 8}) {
+    BatchDetectOptions options;
+    options.num_threads = threads;
+    BatchDetector::Session session(options, market.keys);
+    session.AddSuspects(market.suspects);
+    const SessionDrainResult checked = session.DrainChecked(InterruptContext{});
+    ASSERT_TRUE(checked.status.ok()) << checked.status;
+    const std::vector<std::vector<DetectResult>> detected =
+        session.Detect(market.suspects);
+    for (size_t i = 0; i < market.suspects.size(); ++i) {
+      for (size_t j = 0; j < market.keys.size(); ++j) {
+        const bool registered = session.key_statuses()[j].ok();
+        EXPECT_EQ(checked.evaluated[i * market.keys.size() + j],
+                  registered ? 1 : 0);
+        ASSERT_EQ(checked.verdicts[i][j], market.reference[i][j])
+            << threads << " threads, cell (" << i << "," << j << ")";
+        ASSERT_EQ(detected[i][j], market.reference[i][j])
+            << threads << " threads, cell (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(BlockedDrainTest, DeadlineStopsAMixedSessionBetweenHistogramCells) {
+  // 16 keys × 5 suspects would be a single 16 × 16 tile if whole-histogram
+  // keys shared blocks, and a deadline met inside it would go unseen until
+  // the whole matrix was done. With one such cell per block, a deadline a
+  // quarter of the way through stops the drain part-way.
+  const MixedMarket& market = GetMixedMarket();
+  const size_t cells = market.suspects.size() * market.keys.size();
+  for (size_t threads : {1, 2}) {
+    BatchDetectOptions options;
+    options.num_threads = threads;
+    BatchDetector::Session session(options, market.keys);
+    double full_s = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      Stopwatch watch;
+      const SessionDrainResult full =
+          session.DetectChecked(market.suspects, InterruptContext{});
+      const double elapsed = watch.ElapsedSeconds();
+      ASSERT_TRUE(full.status.ok()) << full.status;
+      full_s = rep == 0 ? elapsed : std::min(full_s, elapsed);
+    }
+    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::duration<double>(full_s / 4));
+    const SessionDrainResult cut = session.DetectChecked(
+        market.suspects,
+        InterruptContext{CancellationToken(), Deadline::After(budget)});
+    EXPECT_EQ(cut.status.code(), StatusCode::kDeadlineExceeded)
+        << threads << " threads, full drain " << full_s << " s";
+    const size_t evaluated = static_cast<size_t>(
+        std::count(cut.evaluated.begin(), cut.evaluated.end(), uint8_t{1}));
+    EXPECT_LT(evaluated, cells) << threads << " threads";
+    // Whatever was evaluated before the deadline is exact.
+    for (size_t i = 0; i < market.suspects.size(); ++i) {
+      for (size_t j = 0; j < market.keys.size(); ++j) {
+        if (cut.evaluated[i * market.keys.size() + j] == 0) continue;
+        EXPECT_EQ(cut.verdicts[i][j], market.reference[i][j]);
+      }
     }
   }
 }

@@ -135,6 +135,44 @@ TEST_F(FaultSweepTest, SessionDrainUnderSweptFaults) {
   }
 }
 
+TEST_F(FaultSweepTest, UncheckedDrainAndRunUnderSweptFaults) {
+  // `Drain`, `Detect` and `BatchDetector::Run` return bare verdicts with
+  // no status to carry an injected fault, so no fault may reach a cell:
+  // only a key's preparation can fail, and that rejects its whole column
+  // (recorded in `key_statuses()` for a session). Any other column must
+  // equal the clean run.
+  const SweepFixture& fx = Fixture();
+  for (uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
+    FaultInjector::Global().ArmSeeded(seed, kFailOneIn);
+    BatchDetectOptions options;
+    options.num_threads = 2;
+    BatchDetector::Session session(options, fx.keys);
+    session.AddSuspects(fx.suspects);
+    const std::vector<std::vector<DetectResult>> drained = session.Drain();
+    const std::vector<std::vector<DetectResult>> run =
+        BatchDetector(options).Run(fx.suspects, fx.keys);
+    FaultInjector::Global().Disarm();
+
+    ASSERT_EQ(drained.size(), fx.suspects.size()) << "seed " << seed;
+    ASSERT_EQ(run.size(), fx.suspects.size()) << "seed " << seed;
+    for (size_t j = 0; j < fx.keys.size(); ++j) {
+      const bool prepared = session.key_statuses()[j].ok();
+      bool run_clean = true;
+      bool run_rejected = true;
+      for (size_t i = 0; i < fx.suspects.size(); ++i) {
+        EXPECT_TRUE(drained[i][j] == (prepared ? fx.clean_verdicts[i][j]
+                                               : DetectResult{}))
+            << "seed " << seed << " cell (" << i << "," << j << ")";
+        run_clean = run_clean && run[i][j] == fx.clean_verdicts[i][j];
+        run_rejected = run_rejected && run[i][j] == DetectResult{};
+      }
+      EXPECT_TRUE(run_clean || run_rejected)
+          << "seed " << seed << " key " << j
+          << ": a fault changed part of a Run column";
+    }
+  }
+}
+
 TEST_F(FaultSweepTest, PreparedKeyCacheUnderSweptFaults) {
   const SweepFixture& fx = Fixture();
   auto scheme_result = SchemeFactory::Create("freqywm");
