@@ -83,15 +83,6 @@ void TenantSession::ReleaseUnits(size_t rows) {
 
 namespace {
 
-std::shared_ptr<KeyCircuitBreaker> MakeBreaker(const TenantQuotas& quotas) {
-  if (quotas.breaker_failure_threshold == 0) return nullptr;
-  CircuitBreakerOptions options;
-  options.failure_threshold = quotas.breaker_failure_threshold;
-  options.cooldown = quotas.breaker_cooldown;
-  options.clock_nanos = quotas.clock_nanos;
-  return std::make_shared<KeyCircuitBreaker>(std::move(options));
-}
-
 std::unique_ptr<AdmissionController> MakeAdmission(
     const TenantQuotas& quotas) {
   AdmissionOptions options;
@@ -111,7 +102,6 @@ TenantContext::TenantContext(std::string tenant_id, TenantQuotas quotas)
       key_cache_(std::make_shared<PreparedKeyCache>(
           quotas_.max_cache_entries > 0 ? quotas_.max_cache_entries
                                         : PreparedKeyCache::kDefaultCapacity)),
-      breaker_(MakeBreaker(quotas_)),
       admission_(MakeAdmission(quotas_)) {
   if (!quotas_.durable_dir.empty()) {
     DurableRegistryOptions options;
@@ -187,7 +177,6 @@ Result<std::unique_ptr<TenantSession>> TenantContext::OpenSession(
   options.num_threads = num_threads;
   options.key_cache = key_cache_;
   options.max_pending_suspects = quotas_.max_pending_suspects;
-  options.circuit_breaker = breaker_;
   // Key preparation (the expensive part) runs outside the tenant lock.
   auto session = std::unique_ptr<TenantSession>(new TenantSession(
       this,
@@ -217,7 +206,6 @@ EngineHealthSnapshot TenantContext::Health() const {
   EngineHealthSnapshot snapshot;
   snapshot.admission = admission_->stats();
   snapshot.key_cache = key_cache_->stats();
-  if (breaker_ != nullptr) snapshot.breaker = breaker_->stats();
   if (durable_) snapshot.durability = durable_->gauges();
   MutexLock lock(mu_);
   snapshot.open_sessions = open_sessions_;

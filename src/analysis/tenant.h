@@ -19,7 +19,6 @@
 #include "exec/admission.h"
 #include "exec/batch_detector.h"
 #include "exec/cancellation.h"
-#include "exec/circuit_breaker.h"
 #include "exec/health.h"
 #include "exec/prepared_key_cache.h"
 
@@ -56,16 +55,9 @@ struct TenantQuotas {
   double rate_per_unit_time = 0;
   double burst = 0;
 
-  /// Cooldown circuit breaker over the tenant's keys: consecutive
-  /// Prepare/Detect failures before a key is quarantined, and for how
-  /// long. `failure_threshold == 0` disables the breaker for this
-  /// tenant.
-  uint32_t breaker_failure_threshold = 3;
-  std::chrono::nanoseconds breaker_cooldown = std::chrono::seconds(1);
-
-  /// Injectable clock shared by the tenant's admission controller and
-  /// circuit breaker — the testing seam (see `AdmissionOptions::
-  /// clock_nanos`). Null → the real monotonic clock.
+  /// Injectable clock of the tenant's admission controller — the
+  /// testing seam (see `AdmissionOptions::clock_nanos`). Null → the real
+  /// monotonic clock.
   std::function<int64_t()> clock_nanos;
 
   /// Opt-in durability (DESIGN.md §15): when non-empty, the tenant's
@@ -132,7 +124,7 @@ class TenantSession {
   size_t pending_suspects() const;
 
   /// Per-key preparation outcome of the underlying session (poisoned
-  /// columns: prepare failures and circuit-breaker quarantines).
+  /// columns: unregistered scheme tags and prepare failures).
   const std::vector<Status>& key_statuses() const {
     return session_->key_statuses();
   }
@@ -159,13 +151,12 @@ class TenantSession {
 };
 
 /// One tenant of the detection engine (DESIGN.md §14): owns the tenant's
-/// `FingerprintRegistry`, a private `PreparedKeyCache` slice, an
-/// `AdmissionController` and a `KeyCircuitBreaker`, all sized by
-/// `TenantQuotas`. The isolation contract: a tenant saturating its own
-/// quotas — or holding keys whose circuits are open — cannot change
-/// another tenant's verdicts, cache contents or latency class, because
-/// nothing here is shared across `TenantContext` instances (enforced by
-/// tests/analysis/tenant_test.cc).
+/// `FingerprintRegistry`, a private `PreparedKeyCache` slice and an
+/// `AdmissionController`, all sized by `TenantQuotas`. The isolation
+/// contract: a tenant saturating its own quotas — or holding poisoned
+/// keys — cannot change another tenant's verdicts, cache contents or
+/// latency class, because nothing here is shared across `TenantContext`
+/// instances (enforced by tests/analysis/tenant_test.cc).
 ///
 /// Thread-safe throughout; `Escrow` and `OpenSession` may race with
 /// running sessions (a session binds the key set at open time — keys
@@ -197,7 +188,7 @@ class TenantContext {
   [[nodiscard]] Status Escrow(const std::string& buyer_id, SchemeKey key);
 
   /// Opens a detection session over every key escrowed so far, fronted
-  /// by this tenant's admission controller, cache and breaker.
+  /// by this tenant's admission controller and cache.
   /// `kResourceExhausted` when `max_concurrent_sessions` sessions are
   /// already open. `num_threads` follows `BatchDetectOptions`.
   Result<std::unique_ptr<TenantSession>> OpenSession(size_t num_threads = 1);
@@ -209,8 +200,8 @@ class TenantContext {
       const std::vector<Histogram>& suspects, size_t num_threads = 1) const;
 
   /// Point-in-time health of this tenant's slice of the engine:
-  /// admission counters, cache counters, breaker gauges, queue depth
-  /// summed over open sessions, open-session gauge.
+  /// admission counters, cache counters, queue depth summed over open
+  /// sessions, open-session gauge.
   EngineHealthSnapshot Health() const;
 
   const std::string& tenant_id() const { return tenant_id_; }
@@ -220,9 +211,6 @@ class TenantContext {
 
   const std::shared_ptr<PreparedKeyCache>& key_cache() const {
     return key_cache_;
-  }
-  const std::shared_ptr<KeyCircuitBreaker>& circuit_breaker() const {
-    return breaker_;
   }
   AdmissionController& admission() { return *admission_; }
 
@@ -241,7 +229,6 @@ class TenantContext {
   const std::string tenant_id_;
   const TenantQuotas quotas_;
   const std::shared_ptr<PreparedKeyCache> key_cache_;
-  const std::shared_ptr<KeyCircuitBreaker> breaker_;
   const std::unique_ptr<AdmissionController> admission_;
   /// Set in the constructor body, immutable after; internally
   /// synchronized, so calls on it never need `mu_` (lock order stays

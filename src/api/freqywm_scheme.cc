@@ -68,10 +68,6 @@ FreqyWmScheme::FreqyWmScheme(GenerateOptions options,
 
 std::string FreqyWmScheme::name() const { return "freqywm"; }
 
-Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original) const {
-  return Embed(original, ExecContext{});
-}
-
 Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original,
                                           const ExecContext& exec) const {
   FREQYWM_RETURN_NOT_OK(exec.CheckInterrupted());
@@ -86,14 +82,10 @@ Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original,
 }
 
 Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
-    const Dataset& original) const {
-  return EmbedDataset(original, ExecContext{});
-}
-
-Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
   // Exec-aware end to end: sharded histogram build AND sharded
-  // eligible-pair scan (byte-identical to serial at any thread count).
+  // eligible-pair scan (byte-identical to serial at any thread count);
+  // the histogram build honors the context's cancellation/deadline.
   FREQYWM_ASSIGN_OR_RETURN(DatasetGenerateResult generated,
                            WatermarkGenerator(options_).Generate(original,
                                                                  exec));

@@ -21,13 +21,12 @@ class FreqyWmScheme : public WatermarkScheme {
                          RefreshOptions refresh_options = {});
 
   std::string name() const override;
-  Result<EmbedOutcome> Embed(const Histogram& original) const override;
+  using WatermarkScheme::Embed;
+  using WatermarkScheme::EmbedDataset;
   /// Exec-aware embed: the eligible-pair scan shards across the pool
   /// (DESIGN.md §8); byte-identical output at any thread count.
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
-  Result<DatasetEmbedOutcome> EmbedDataset(
-      const Dataset& original) const override;
   Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const override;
   DetectResult Detect(const Histogram& suspect, const SchemeKey& key,

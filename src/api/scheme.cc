@@ -64,9 +64,8 @@ Result<SchemeKey> SchemeKey::LoadFromFile(const std::string& path) {
   return Deserialize(buf.str());
 }
 
-Result<EmbedOutcome> WatermarkScheme::Embed(const Histogram& original,
-                                            const ExecContext& /*exec*/) const {
-  return Embed(original);
+Result<EmbedOutcome> WatermarkScheme::Embed(const Histogram& original) const {
+  return Embed(original, ExecContext{});
 }
 
 Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(

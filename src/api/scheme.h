@@ -148,36 +148,35 @@ class WatermarkScheme {
   /// Factory id; equals the name the scheme is registered under.
   virtual std::string name() const = 0;
 
-  /// Watermarks a frequency histogram.
-  [[nodiscard]] virtual Result<EmbedOutcome> Embed(
-      const Histogram& original) const = 0;
-
-  /// Exec-aware variant of `Embed`: when `exec` carries a thread pool, the
-  /// scheme's intra-embed hot loops run sharded across it — FreqyWM's
+  /// Watermarks a frequency histogram: the one embed every scheme
+  /// implements. When `exec` carries a thread pool, the scheme's
+  /// intra-embed hot loops run sharded across it — FreqyWM's
   /// eligible-pair scan (DESIGN.md §8), WM-OBT's per-partition genetic
   /// optimization and WM-RVS's per-token keyed-hash pass (DESIGN.md §9).
-  /// The default delegates to the serial `Embed`. Overrides must keep the
-  /// determinism contract: byte-identical output at any thread count.
+  /// Implementations honor the context's cancellation/deadline and keep
+  /// the determinism contract: byte-identical output at any thread count.
   [[nodiscard]] virtual Result<EmbedOutcome> Embed(
-      const Histogram& original, const ExecContext& exec) const;
+      const Histogram& original, const ExecContext& exec) const = 0;
 
-  /// Watermarks a dataset end-to-end. The default implementation embeds at
-  /// histogram level and applies the generic data transformation (insert or
-  /// remove token instances at random positions until the histogram
-  /// matches); schemes with a native row-level path override it.
-  [[nodiscard]] virtual Result<DatasetEmbedOutcome> EmbedDataset(
-      const Dataset& original) const;
+  /// Serial `Embed`: forwards with a default `ExecContext`.
+  [[nodiscard]] Result<EmbedOutcome> Embed(const Histogram& original) const;
 
-  /// Exec-aware variant of `EmbedDataset`: when `exec` carries a thread
-  /// pool, the histogram build (the token→count aggregation) is sharded
-  /// across it and merged (DESIGN.md §7), the histogram-level embed
-  /// runs through `Embed(original, exec)` so intra-embed hot loops
-  /// parallelize too, and the data transformation reuses that histogram
-  /// and runs its row passes on the pool (DESIGN.md §17). The outcome is
-  /// bit-identical to the serial overload for any thread count;
-  /// overriding schemes must preserve that contract.
+  /// Watermarks a dataset end-to-end. The default implementation builds
+  /// the histogram (sharded across `exec`'s pool and merged, DESIGN.md
+  /// §7), embeds it through `Embed(original, exec)` so intra-embed hot
+  /// loops parallelize too, and applies the generic data transformation
+  /// (insert or remove token instances at random positions until the
+  /// histogram matches), reusing that histogram and running its row
+  /// passes on the pool (DESIGN.md §17); schemes with a native row-level
+  /// path override it. The outcome is bit-identical for any thread
+  /// count, and cancellation/deadline surface as `kCancelled` /
+  /// `kDeadlineExceeded`; overriding schemes must preserve both.
   [[nodiscard]] virtual Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const;
+
+  /// Serial `EmbedDataset`: forwards with a default `ExecContext`.
+  [[nodiscard]] Result<DatasetEmbedOutcome> EmbedDataset(
+      const Dataset& original) const;
 
   /// Runs detection of `key` on a suspect histogram. `options` semantics
   /// per scheme: `min_pairs` is always the minimum number of verified

@@ -89,10 +89,6 @@ Result<WmObtOptions> WmObtScheme::ParseKeyPayload(
   return options;
 }
 
-Result<EmbedOutcome> WmObtScheme::Embed(const Histogram& original) const {
-  return Embed(original, ExecContext{});
-}
-
 Result<EmbedOutcome> WmObtScheme::Embed(const Histogram& original,
                                         const ExecContext& exec) const {
   FREQYWM_RETURN_NOT_OK(exec.CheckInterrupted());

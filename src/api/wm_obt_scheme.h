@@ -20,7 +20,7 @@ class WmObtScheme : public WatermarkScheme {
   explicit WmObtScheme(WmObtOptions options = {});
 
   std::string name() const override;
-  Result<EmbedOutcome> Embed(const Histogram& original) const override;
+  using WatermarkScheme::Embed;
   /// Exec-aware embed: the per-partition genetic optimization shards
   /// across the pool (deterministic per-partition RNG streams, DESIGN.md
   /// §9); byte-identical output at any thread count.

@@ -103,10 +103,6 @@ EmbedOutcome MakeOutcome(const Histogram& baseline, Histogram watermarked,
 
 }  // namespace
 
-Result<EmbedOutcome> WmRvsScheme::Embed(const Histogram& original) const {
-  return Embed(original, ExecContext{});
-}
-
 Result<EmbedOutcome> WmRvsScheme::Embed(const Histogram& original,
                                         const ExecContext& exec) const {
   FREQYWM_RETURN_NOT_OK(exec.CheckInterrupted());

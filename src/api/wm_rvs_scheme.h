@@ -23,7 +23,7 @@ class WmRvsScheme : public WatermarkScheme {
   explicit WmRvsScheme(WmRvsOptions options = {});
 
   std::string name() const override;
-  Result<EmbedOutcome> Embed(const Histogram& original) const override;
+  using WatermarkScheme::Embed;
   /// Exec-aware embed: the per-token keyed-hash pass fans out across the
   /// pool; byte-identical output (and side effects) at any thread count.
   Result<EmbedOutcome> Embed(const Histogram& original,

@@ -99,7 +99,9 @@ Result<DatasetGenerateResult> WatermarkGenerator::Generate(
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(
     const Dataset& original, const ExecContext& exec) const {
-  return Generate(original, exec.BuildHistogram(original), exec);
+  FREQYWM_ASSIGN_OR_RETURN(Histogram hist,
+                           exec.BuildHistogramChecked(original));
+  return Generate(original, hist, exec);
 }
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(

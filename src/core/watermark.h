@@ -85,7 +85,9 @@ class WatermarkGenerator {
 
   /// Exec-aware end-to-end variant: histogram build, eligible-pair scan
   /// and the data transformation's row passes run through `exec`.
-  /// Byte-identical to the serial overload.
+  /// Byte-identical to the serial overload. The histogram build honors
+  /// the context's cancellation/deadline (`kCancelled` /
+  /// `kDeadlineExceeded`).
   Result<DatasetGenerateResult> Generate(const Dataset& original,
                                          const ExecContext& exec) const;
 

@@ -49,8 +49,6 @@ void BatchDetector::Session::PrepareKeys() {
   key_options_.assign(keys_.size(), DetectOptions{});
   prepared_.assign(keys_.size(), nullptr);
   key_status_.assign(keys_.size(), Status::OK());
-  key_fingerprint_.assign(
-      options_.circuit_breaker != nullptr ? keys_.size() : 0, std::string());
   dense_ids_.assign(keys_.size(), {});
   for (size_t j = 0; j < keys_.size(); ++j) {
     const WatermarkScheme* scheme = schemes_.Get(keys_[j].scheme);
@@ -65,18 +63,6 @@ void BatchDetector::Session::PrepareKeys() {
     key_options_[j] = options_.use_recommended_options
                           ? scheme->RecommendedDetectOptions(keys_[j])
                           : options_.detect_options;
-    // Quarantined key (DESIGN.md §14): an open circuit poisons the
-    // column with the typed cooldown status before any preparation is
-    // paid — the breaker's whole point is not re-paying for a key that
-    // keeps failing.
-    if (options_.circuit_breaker != nullptr) {
-      key_fingerprint_[j] = PreparedKeyCache::Fingerprint(keys_[j]);
-      Status allowed = options_.circuit_breaker->Allow(key_fingerprint_[j]);
-      if (!allowed.ok()) {
-        key_status_[j] = std::move(allowed);
-        continue;
-      }
-    }
     // A preparation failure — injected here, or surfaced by the cache —
     // poisons only this column (DESIGN.md §13): prepared_[j] stays null,
     // the typed status is recorded, and every other key proceeds.
@@ -98,9 +84,6 @@ void BatchDetector::Session::PrepareKeys() {
       }
     }
     if (!prep.ok()) {
-      if (options_.circuit_breaker != nullptr) {
-        options_.circuit_breaker->RecordFailure(key_fingerprint_[j]);
-      }
       key_status_[j] = std::move(prep);
       continue;
     }
@@ -267,10 +250,7 @@ SessionDrainResult BatchDetector::Session::DrainChecked(
 SessionDrainResult BatchDetector::Session::DetectChecked(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
-  SessionDrainResult out =
-      DetectMatrix</*kChecked=*/true>(suspects, interrupt);
-  RecordColumnOutcomes(out);
-  return out;
+  return DetectMatrix</*kChecked=*/true>(suspects, interrupt);
 }
 
 namespace {
@@ -484,34 +464,6 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
                                             : a.key < b.key;
             });
   return out;
-}
-
-void BatchDetector::Session::RecordColumnOutcomes(
-    const SessionDrainResult& result) const {
-  if (options_.circuit_breaker == nullptr || keys_.empty()) return;
-  const size_t rows =
-      keys_.empty() ? 0 : result.evaluated.size() / keys_.size();
-  std::vector<uint8_t> column_failed(keys_.size(), 0);
-  for (const SessionCellError& error : result.cell_errors) {
-    if (error.key < keys_.size()) column_failed[error.key] = 1;
-  }
-  for (size_t j = 0; j < keys_.size(); ++j) {
-    if (!key_status_[j].ok()) continue;  // poisoned/quarantined column
-    if (column_failed[j]) {
-      options_.circuit_breaker->RecordFailure(key_fingerprint_[j]);
-      continue;
-    }
-    bool evaluated_any = false;
-    for (size_t i = 0; i < rows && !evaluated_any; ++i) {
-      evaluated_any = result.evaluated[i * keys_.size() + j] != 0;
-    }
-    // A cleanly evaluated column is end-to-end evidence the key is
-    // healthy; an interrupted drain that never reached the column is
-    // evidence of nothing.
-    if (evaluated_any) {
-      options_.circuit_breaker->RecordSuccess(key_fingerprint_[j]);
-    }
-  }
 }
 
 // ------------------------------------------------------------------- Run

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "core/options.h"
 #include "data/histogram.h"
 #include "exec/cancellation.h"
-#include "exec/circuit_breaker.h"
 #include "exec/prepared_key_cache.h"
 #include "exec/thread_pool.h"
 
@@ -84,15 +82,6 @@ struct BatchDetectOptions {
   /// `AddSuspect`/`AddSuspects` contract, which never sheds, is
   /// unchanged either way.
   size_t max_pending_suspects = 0;
-
-  /// Optional cooldown circuit breaker over key identities (DESIGN.md
-  /// §14). When set, a key whose circuit is open is skipped at
-  /// `PrepareKeys` — its column poisoned with the typed quarantine
-  /// status — and drain outcomes feed back per column: a prepare
-  /// failure or a drained column with cell errors records a failure, a
-  /// cleanly evaluated column records a success. Shareable across
-  /// sessions (that is the point: repeated failures accumulate).
-  std::shared_ptr<KeyCircuitBreaker> circuit_breaker;
 };
 
 /// The batch detection engine (DESIGN.md §7, §10): evaluates the full
@@ -250,11 +239,6 @@ class BatchDetector {
     template <bool kChecked>
     SessionDrainResult DetectMatrix(const std::vector<Histogram>& suspects,
                                     const InterruptContext& interrupt) const;
-    /// Feeds one drained column's outcome back to the shared circuit
-    /// breaker (no-op without one): a column that evaluated at least one
-    /// cell cleanly records a success, a column with cell errors records
-    /// a failure.
-    void RecordColumnOutcomes(const SessionDrainResult& result) const;
     /// Scatters `suspect` into flat per-vocabulary-id arrays, probing
     /// whichever side (suspect histogram vs union vocabulary) is smaller;
     /// both directions fill identical arrays.
@@ -268,10 +252,6 @@ class BatchDetector {
     std::vector<DetectOptions> key_options_;
     std::vector<std::shared_ptr<const PreparedKey>> prepared_;
     std::vector<Status> key_status_;
-    /// Cache fingerprints of the key column, resolved at construction —
-    /// the circuit breaker's key identities. Empty when no breaker is
-    /// configured.
-    std::vector<std::string> key_fingerprint_;
 
     /// Dense-gather state: the union of the keys' vocabularies interned
     /// into ids `[0, vocab_.size())`, and per key the map from its

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "exec/admission.h"
-#include "exec/circuit_breaker.h"
 #include "exec/prepared_key_cache.h"
 
 namespace freqywm {
@@ -52,12 +51,12 @@ struct DurabilityGauges {
 };
 
 /// Point-in-time health of one detection-engine instance (DESIGN.md §14):
-/// the admission counters/gauges, the prepared-key cache counters, the
-/// circuit-breaker gauges, and the session queue depth — everything an
-/// operator (or the `bench_overload` load generator) needs to see
-/// overload coming before it becomes memory growth. Pure data; each
-/// sub-snapshot is internally consistent (taken under its owner's lock)
-/// but the snapshot as a whole is not one atomic cut across components.
+/// the admission counters/gauges, the prepared-key cache counters and
+/// the session queue depth — everything an operator (or the
+/// `bench_overload` load generator) needs to see overload coming before
+/// it becomes memory growth. Pure data; each sub-snapshot is internally
+/// consistent (taken under its owner's lock) but the snapshot as a whole
+/// is not one atomic cut across components.
 struct EngineHealthSnapshot {
   /// Admit/shed counters and in-flight/pending gauges
   /// (`AdmissionController::stats`).
@@ -66,9 +65,6 @@ struct EngineHealthSnapshot {
   /// Hit/miss/eviction counters and entry gauge
   /// (`PreparedKeyCache::stats`).
   PreparedKeyCacheStats key_cache;
-
-  /// Quarantine gauges (`KeyCircuitBreaker::stats`).
-  CircuitBreakerStats breaker;
 
   /// Suspects enqueued and not yet drained (`Session::pending_suspects`,
   /// summed over the instance's live sessions).

@@ -2,9 +2,8 @@
 // kResourceExhausted rejections (escrow, sessions, in-flight suspects),
 // the RAII session lifecycle with unit accounting, the health snapshot,
 // and the isolation contract of the acceptance criteria: one tenant
-// saturating its quotas — or holding keys whose circuits are open —
-// cannot change another tenant's verdicts, cache contents or admission
-// outcomes.
+// saturating its quotas — or holding poisoned keys — cannot change
+// another tenant's verdicts, cache contents or admission outcomes.
 
 #include "analysis/tenant.h"
 
@@ -206,31 +205,29 @@ TEST(TenantTest, VerdictsIdenticalToUntenantedSessionAnyThreads) {
 }
 
 TEST(TenantTest, SaturatedOrPoisonedTenantCannotPerturbAnother) {
-  // Tenant A: tiny quotas, saturated, and every key's circuit forced
-  // open — the worst neighbor the acceptance criteria describe.
+  // Tenant A: tiny quotas, saturated, and a poisoned escrow entry (a
+  // key whose scheme tag is not registered) ahead of the fixture keys —
+  // the worst neighbor the acceptance criteria describe.
   TenantQuotas a_quotas;
   a_quotas.max_in_flight_suspects = 1;
   a_quotas.max_concurrent_sessions = 1;
-  a_quotas.breaker_failure_threshold = 1;
   TenantContext tenant_a("noisy", a_quotas);
+  const SchemeKey poisoned{"no-such-scheme", Fixture().keys[0].payload};
+  ASSERT_TRUE(tenant_a.Escrow("buyer-poisoned", poisoned).ok());
   EscrowAll(tenant_a);
-  for (const SchemeKey& key : Fixture().keys) {
-    tenant_a.circuit_breaker()->RecordFailure(
-        PreparedKeyCache::Fingerprint(key));
-  }
   auto a_session = tenant_a.OpenSession();
   ASSERT_TRUE(a_session.ok());
   ASSERT_TRUE(a_session.value()->TrySubmit(Batch(0, 1)).ok());
   // A is now fully saturated: in-flight quota consumed, session quota
-  // consumed, every key quarantined.
+  // consumed, and its poisoned column typed kNotFound.
   EXPECT_EQ(a_session.value()->key_statuses()[0].code(),
-            StatusCode::kUnavailable);
+            StatusCode::kNotFound);
   EXPECT_FALSE(a_session.value()->TrySubmit(Batch(0, 1)).ok());
   EXPECT_FALSE(tenant_a.OpenSession().ok());
 
   // Tenant B (same escrowed keys): verdicts must equal the untenanted
   // reference, its key columns must be healthy, and its admissions must
-  // succeed — A's saturation and quarantines are invisible to B.
+  // succeed — A's saturation and poisoned key are invisible to B.
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
   reference.AddSuspects(Batch(0, 3));
   const auto expected = reference.Drain();
@@ -258,7 +255,6 @@ TEST(TenantTest, SaturatedOrPoisonedTenantCannotPerturbAnother) {
   // B's cache slice saw only B's traffic (its own key preparations);
   // B's admission counters saw only B's submissions.
   EXPECT_EQ(tenant_b.Health().admission.total_shed(), 0u);
-  EXPECT_EQ(tenant_b.Health().breaker.open_keys, 0u);
   EXPECT_EQ(tenant_b.key_cache()->stats().size, Fixture().keys.size());
 }
 

@@ -8,11 +8,14 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "api/factory.h"
 #include "api/scheme.h"
 #include "common/random.h"
 #include "datagen/power_law.h"
+#include "exec/cancellation.h"
+#include "exec/exec_context.h"
 
 namespace freqywm {
 namespace {
@@ -123,6 +126,33 @@ TEST_P(SchemeConformanceTest, EmbedDatasetRoundTrip) {
       outcome.value().watermarked, outcome.value().key,
       scheme->RecommendedDetectOptions(outcome.value().key));
   EXPECT_TRUE(result.accepted) << GetParam();
+}
+
+TEST_P(SchemeConformanceTest, InterruptedEmbedReturnsTypedStatus) {
+  Rng rng(8);
+  PowerLawSpec spec;
+  spec.num_tokens = 120;
+  spec.sample_size = 30000;
+  spec.alpha = 0.6;
+  Dataset original = GeneratePowerLawDataset(spec, rng);
+  auto scheme = MakeScheme(GetParam(), 47);
+
+  CancellationSource source;
+  source.Cancel();
+  ExecContext cancelled;
+  cancelled.cancel = source.token();
+  ExecContext expired;
+  expired.deadline = Deadline::Expired();
+  for (const auto& [exec, code] :
+       {std::pair{cancelled, StatusCode::kCancelled},
+        std::pair{expired, StatusCode::kDeadlineExceeded}}) {
+    auto dataset_outcome = scheme->EmbedDataset(original, exec);
+    ASSERT_FALSE(dataset_outcome.ok()) << GetParam();
+    EXPECT_EQ(dataset_outcome.status().code(), code) << GetParam();
+    auto outcome = scheme->Embed(Histogram::FromDataset(original), exec);
+    ASSERT_FALSE(outcome.ok()) << GetParam();
+    EXPECT_EQ(outcome.status().code(), code) << GetParam();
+  }
 }
 
 TEST_P(SchemeConformanceTest, EmptyHistogramFailsCleanly) {

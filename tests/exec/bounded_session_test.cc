@@ -3,15 +3,12 @@
 // queue — all-or-nothing typed sheds, blocking until a drain frees
 // budget, interruption while blocked, and the determinism contract:
 // suspects that are admitted produce verdicts byte-identical to an
-// unthrottled session at any thread count. Also covers the key circuit
-// breaker's session integration: an open circuit quarantines its column
-// at PrepareKeys, and clean drains heal the breaker.
+// unthrottled session at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +18,6 @@
 #include "datagen/power_law.h"
 #include "exec/batch_detector.h"
 #include "exec/cancellation.h"
-#include "exec/circuit_breaker.h"
-#include "exec/prepared_key_cache.h"
 
 namespace freqywm {
 namespace {
@@ -193,61 +188,6 @@ TEST(BoundedSessionTest, AdmittedVerdictsIdenticalToUnthrottledAnyThreads) {
       }
     }
   }
-}
-
-TEST(BoundedSessionTest, OpenCircuitQuarantinesColumnAtPrepare) {
-  auto breaker = std::make_shared<KeyCircuitBreaker>(CircuitBreakerOptions{});
-  const std::string fingerprint =
-      PreparedKeyCache::Fingerprint(Fixture().keys[0]);
-  for (int i = 0; i < 3; ++i) breaker->RecordFailure(fingerprint);
-
-  BatchDetectOptions options;
-  options.circuit_breaker = breaker;
-  BatchDetector::Session session(options, Fixture().keys);
-
-  // Column 0 is quarantined (typed kUnavailable, the retryable code);
-  // column 1 is untouched — quarantine is per key identity.
-  ASSERT_EQ(session.key_statuses().size(), 2u);
-  EXPECT_EQ(session.key_statuses()[0].code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(session.key_statuses()[1].ok());
-  EXPECT_GE(breaker->stats().rejections, 1u);
-
-  // The drain still completes: the poisoned column is default-rejected
-  // and unevaluated, the healthy column fully evaluated.
-  session.AddSuspects(Batch(0, 2));
-  SessionDrainResult result = session.DrainChecked(InterruptContext{});
-  ASSERT_TRUE(result.status.ok());
-  for (size_t i = 0; i < result.verdicts.size(); ++i) {
-    EXPECT_EQ(result.evaluated[i * 2 + 0], 0);
-    EXPECT_EQ(result.evaluated[i * 2 + 1], 1);
-  }
-}
-
-TEST(BoundedSessionTest, CleanDrainHealsBreakerAfterCooldown) {
-  int64_t now = 0;
-  CircuitBreakerOptions breaker_options;
-  breaker_options.failure_threshold = 1;
-  breaker_options.cooldown = std::chrono::seconds(1);
-  breaker_options.clock_nanos = [&now] { return now; };
-  auto breaker = std::make_shared<KeyCircuitBreaker>(breaker_options);
-
-  const std::string fingerprint =
-      PreparedKeyCache::Fingerprint(Fixture().keys[0]);
-  breaker->RecordFailure(fingerprint);
-  EXPECT_EQ(breaker->stats().open_keys, 1u);
-
-  // Cooldown elapses: the next session's PrepareKeys probes the key,
-  // preparation succeeds, and the clean drain records the success that
-  // closes the circuit.
-  now += 2'000'000'000;
-  BatchDetectOptions options;
-  options.circuit_breaker = breaker;
-  BatchDetector::Session session(options, Fixture().keys);
-  EXPECT_TRUE(session.key_statuses()[0].ok());
-  session.AddSuspects(Batch(0, 1));
-  SessionDrainResult result = session.DrainChecked(InterruptContext{});
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(breaker->stats().open_keys, 0u);
 }
 
 }  // namespace
