@@ -170,9 +170,14 @@ std::vector<std::vector<DetectResult>> StreamChunked(
     size_t chunk) {
   std::vector<std::vector<DetectResult>> all;
   for (size_t start = 0; start < suspects.size(); start += chunk) {
-    for (size_t i = start; i < std::min(start + chunk, suspects.size());
-         ++i) {
-      session.AddSuspect(suspects[i]);
+    const size_t end = std::min(start + chunk, suspects.size());
+    // The default budget is unbounded, so every chunk is admitted; a
+    // failed enqueue returns short and fails the identity gate.
+    Status added = session.TryAddSuspects(std::vector<Histogram>(
+        suspects.begin() + start, suspects.begin() + end));
+    if (!added.ok()) {
+      std::printf("enqueue failed: %s\n", added.message().c_str());
+      return all;
     }
     auto rows = session.Drain();
     for (auto& row : rows) all.push_back(std::move(row));

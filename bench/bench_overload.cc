@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -65,7 +66,11 @@ Workload MakeWorkload() {
   w.suspects.push_back(original);
 
   BatchDetector::Session session(BatchDetectOptions{}, w.keys);
-  session.AddSuspects(w.suspects);
+  Status added = session.TryAddSuspects(w.suspects);  // unbounded budget
+  if (!added.ok()) {
+    std::printf("enqueue failed: %s\n", added.message().c_str());
+    std::exit(1);
+  }
   w.reference = session.Drain();
   return w;
 }

@@ -15,8 +15,6 @@
 namespace freqywm {
 
 class PreparedKeyCache;  // exec/prepared_key_cache.h
-struct RetryPolicy;      // exec/retry.h
-struct InterruptContext; // exec/cancellation.h
 
 /// One escrowed fingerprint: a buyer identity and the scheme-tagged key of
 /// the watermark embedded in that buyer's copy. Buyers of the same asset
@@ -170,13 +168,6 @@ class FingerprintRegistry {
   /// do not fail the save.
   [[nodiscard]] Status SaveToFile(const std::string& path,
                                   SaveReport* report = nullptr) const;
-
-  /// `SaveToFile` with bounded retry for transient failures: attempts
-  /// are governed by `retry` (exec/retry.h — injectable sleep, so tests
-  /// run instantly) and stop early when `interrupt` fires.
-  [[nodiscard]] Status SaveToFile(const std::string& path,
-                                  const RetryPolicy& retry,
-                                  const InterruptContext& interrupt) const;
 
   /// Reads and `ParseSnapshot`s `path`. `NotFound` when the file does not
   /// exist, `Unavailable` for transient read errors, `Corruption` for a

@@ -21,7 +21,6 @@
 #include "common/hex.h"
 #include "crypto/sha256.h"
 #include "exec/fault_injection.h"
-#include "exec/retry.h"
 
 namespace freqywm {
 
@@ -66,46 +65,6 @@ bool SyncParentDir(const std::string& path) {
   const bool synced = ::fsync(fd) == 0;
   (void)::close(fd);
   return synced;
-}
-
-Status SaveSnapshotTo(const std::string& snapshot, const std::string& path,
-                      FingerprintRegistry::SaveReport* report) {
-  const std::string temp = path + ".tmp";
-
-  FREQYWM_FAULT_POINT("registry_io/open_temp");
-  int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::Unavailable(ErrnoMessage("open", temp));
-
-  Status status = FREQYWM_FAULT_STATUS("registry_io/write");
-  if (status.ok()) status = WriteAll(fd, snapshot, temp);
-
-  if (status.ok()) {
-    status = FREQYWM_FAULT_STATUS("registry_io/fsync");
-    if (status.ok() && ::fsync(fd) != 0) {
-      status = Status::Unavailable(ErrnoMessage("fsync", temp));
-    }
-  }
-  if (::close(fd) != 0 && status.ok()) {
-    status = Status::Unavailable(ErrnoMessage("close", temp));
-  }
-
-  // The kill-during-save window: the temp file is complete and durable,
-  // the target not yet replaced. A fault (or crash) here must leave the
-  // previous snapshot untouched and loadable — which it does, because
-  // nothing has touched `path` yet.
-  if (status.ok()) status = FREQYWM_FAULT_STATUS("registry_io/rename");
-
-  if (status.ok() && ::rename(temp.c_str(), path.c_str()) != 0) {
-    status = Status::Unavailable(ErrnoMessage("rename", temp));
-  }
-  if (!status.ok()) {
-    (void)::unlink(temp.c_str());  // best-effort cleanup of the temp file
-    return status;
-  }
-  if (!SyncParentDir(path) && report != nullptr) {
-    ++report->parent_dir_fsync_warnings;
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -155,17 +114,43 @@ Result<FingerprintRegistry> FingerprintRegistry::ParseSnapshot(
 
 Status FingerprintRegistry::SaveToFile(const std::string& path,
                                        SaveReport* report) const {
-  return SaveSnapshotTo(SerializeSnapshot(), path, report);
-}
-
-Status FingerprintRegistry::SaveToFile(
-    const std::string& path, const RetryPolicy& retry,
-    const InterruptContext& interrupt) const {
-  // Serialize once; only the I/O retries.
   const std::string snapshot = SerializeSnapshot();
-  return RetryWithBackoff(retry, interrupt, [&] {
-    return SaveSnapshotTo(snapshot, path, nullptr);
-  });
+  const std::string temp = path + ".tmp";
+
+  FREQYWM_FAULT_POINT("registry_io/open_temp");
+  int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Status::Unavailable(ErrnoMessage("open", temp));
+
+  Status status = FREQYWM_FAULT_STATUS("registry_io/write");
+  if (status.ok()) status = WriteAll(fd, snapshot, temp);
+
+  if (status.ok()) {
+    status = FREQYWM_FAULT_STATUS("registry_io/fsync");
+    if (status.ok() && ::fsync(fd) != 0) {
+      status = Status::Unavailable(ErrnoMessage("fsync", temp));
+    }
+  }
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status::Unavailable(ErrnoMessage("close", temp));
+  }
+
+  // The kill-during-save window: the temp file is complete and durable,
+  // the target not yet replaced. A fault (or crash) here must leave the
+  // previous snapshot untouched and loadable — which it does, because
+  // nothing has touched `path` yet.
+  if (status.ok()) status = FREQYWM_FAULT_STATUS("registry_io/rename");
+
+  if (status.ok() && ::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::Unavailable(ErrnoMessage("rename", temp));
+  }
+  if (!status.ok()) {
+    (void)::unlink(temp.c_str());  // best-effort cleanup of the temp file
+    return status;
+  }
+  if (!SyncParentDir(path) && report != nullptr) {
+    ++report->parent_dir_fsync_warnings;
+  }
+  return Status::OK();
 }
 
 Result<FingerprintRegistry> FingerprintRegistry::LoadFromFile(

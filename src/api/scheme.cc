@@ -52,6 +52,7 @@ Status SchemeKey::SaveToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::NotFound("cannot open '" + path + "' for write");
   out << Serialize();
+  out.close();  // flush, so a full disk is reported here
   return out.good() ? Status::OK()
                     : Status::Corruption("short write to '" + path + "'");
 }

@@ -37,8 +37,8 @@ enum class StatusCode {
   /// violation.
   kDeadlineExceeded,
   /// A transient, retryable failure (I/O hiccup, injected fault). The
-  /// operation may succeed if retried — see exec/retry.h for the bounded
-  /// backoff helper; every other code is permanent.
+  /// operation may succeed if the caller retries it; every other code is
+  /// permanent.
   kUnavailable,
 };
 

@@ -84,6 +84,7 @@ Status WatermarkSecrets::SaveToFile(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return Status::NotFound("cannot open '" + path + "' for write");
   out << Serialize();
+  out.close();  // flush, so a full disk is reported here
   if (!out) return Status::Internal("write failed for '" + path + "'");
   return Status::OK();
 }

@@ -34,11 +34,6 @@ Status WatermarkGenerator::ValidateOptions() const {
 }
 
 Result<HistogramGenerateResult> WatermarkGenerator::GenerateFromHistogram(
-    const Histogram& original) const {
-  return GenerateFromHistogram(original, ExecContext{});
-}
-
-Result<HistogramGenerateResult> WatermarkGenerator::GenerateFromHistogram(
     const Histogram& original, const ExecContext& exec) const {
   FREQYWM_RETURN_NOT_OK(ValidateOptions());
   if (original.num_tokens() < 2) {
@@ -93,25 +88,9 @@ Result<HistogramGenerateResult> WatermarkGenerator::GenerateFromHistogram(
 }
 
 Result<DatasetGenerateResult> WatermarkGenerator::Generate(
-    const Dataset& original) const {
-  return Generate(original, Histogram::FromDataset(original));
-}
-
-Result<DatasetGenerateResult> WatermarkGenerator::Generate(
     const Dataset& original, const ExecContext& exec) const {
   FREQYWM_ASSIGN_OR_RETURN(Histogram hist,
                            exec.BuildHistogramChecked(original));
-  return Generate(original, hist, exec);
-}
-
-Result<DatasetGenerateResult> WatermarkGenerator::Generate(
-    const Dataset& original, const Histogram& hist) const {
-  return Generate(original, hist, ExecContext{});
-}
-
-Result<DatasetGenerateResult> WatermarkGenerator::Generate(
-    const Dataset& original, const Histogram& hist,
-    const ExecContext& exec) const {
   FREQYWM_ASSIGN_OR_RETURN(HistogramGenerateResult hist_result,
                            GenerateFromHistogram(hist, exec));
   Rng rng(options_.seed == 0

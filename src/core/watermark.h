@@ -70,38 +70,20 @@ class WatermarkGenerator {
   ///    unsorted histogram would silently yield garbage pairs),
   ///  * `ResourceExhausted` when no pair fits the budget (e.g. uniform
   ///    frequencies — the paper's inapplicability case).
+  /// When `exec` carries a thread pool, the eligible-pair scan (the
+  /// O(n^2) hot path of Algorithm I) is sharded across it. Output is
+  /// byte-identical at any thread count (DESIGN.md §8).
   Result<HistogramGenerateResult> GenerateFromHistogram(
-      const Histogram& original) const;
-
-  /// Exec-aware variant: when `exec` carries a thread pool, the
-  /// eligible-pair scan (the O(n^2) hot path of Algorithm I) is sharded
-  /// across it. Output is byte-identical to the serial overload at any
-  /// thread count (DESIGN.md §8).
-  Result<HistogramGenerateResult> GenerateFromHistogram(
-      const Histogram& original, const ExecContext& exec) const;
+      const Histogram& original, const ExecContext& exec = ExecContext{}) const;
 
   /// Watermarks a dataset end-to-end (histogram + data transformation).
-  Result<DatasetGenerateResult> Generate(const Dataset& original) const;
-
-  /// Exec-aware end-to-end variant: histogram build, eligible-pair scan
-  /// and the data transformation's row passes run through `exec`.
-  /// Byte-identical to the serial overload. The histogram build honors
-  /// the context's cancellation/deadline (`kCancelled` /
+  /// The histogram build, eligible-pair scan and the data
+  /// transformation's row passes run through `exec`; output is
+  /// byte-identical at any thread count. The histogram build honors the
+  /// context's cancellation/deadline (`kCancelled` /
   /// `kDeadlineExceeded`).
-  Result<DatasetGenerateResult> Generate(const Dataset& original,
-                                         const ExecContext& exec) const;
-
-  /// Like `Generate`, but with a caller-prebuilt histogram of `original`
-  /// (e.g. the sharded parallel build in `exec/parallel_histogram.h`).
-  /// Precondition: `hist` equals `Histogram::FromDataset(original)`; the
-  /// output is then identical to `Generate(original)`.
-  Result<DatasetGenerateResult> Generate(const Dataset& original,
-                                         const Histogram& hist) const;
-
-  /// Prebuilt-histogram variant that also shards the eligible-pair scan.
-  Result<DatasetGenerateResult> Generate(const Dataset& original,
-                                         const Histogram& hist,
-                                         const ExecContext& exec) const;
+  Result<DatasetGenerateResult> Generate(
+      const Dataset& original, const ExecContext& exec = ExecContext{}) const;
 
   const GenerateOptions& options() const { return options_; }
 

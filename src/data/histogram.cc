@@ -1,7 +1,6 @@
 #include "data/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace freqywm {
@@ -127,15 +126,6 @@ Histogram Histogram::Resorted() const {
   SortDescending(h.entries_);
   h.RebuildIndex();
   return h;
-}
-
-void Histogram::ScaleCounts(double factor) {
-  total_ = 0;
-  for (auto& e : entries_) {
-    e.count = static_cast<uint64_t>(std::llround(
-        static_cast<double>(e.count) * factor));
-    total_ += e.count;
-  }
 }
 
 }  // namespace freqywm

@@ -78,11 +78,6 @@ class Histogram {
   /// A copy re-sorted descending (deterministic tie-break).
   Histogram Resorted() const;
 
-  /// Multiplies every count by `factor`, rounding to nearest. Used by the
-  /// sampling-attack detector to scale a subsample back to the original
-  /// size (§V-B).
-  void ScaleCounts(double factor);
-
  private:
   void RebuildIndex();
 

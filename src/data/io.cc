@@ -23,6 +23,7 @@ Status WriteTokenFile(const Dataset& dataset, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::NotFound("cannot open '" + path + "' for write");
   for (const Token& t : dataset.tokens()) out << t << '\n';
+  out.close();  // flush, so a full disk is reported here
   if (!out) return Status::Internal("write failed for '" + path + "'");
   return Status::OK();
 }
@@ -56,6 +57,7 @@ Status WriteSimpleCsv(const TableDataset& table, const std::string& path) {
   for (size_t r = 0; r < table.num_rows(); ++r) {
     out << Join(table.row(r), ',') << '\n';
   }
+  out.close();  // flush, so a full disk is reported here
   if (!out) return Status::Internal("write failed for '" + path + "'");
   return Status::OK();
 }

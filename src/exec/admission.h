@@ -40,9 +40,8 @@ struct AdmissionOptions {
   /// to one second's worth of tokens (`rate_per_unit_time`, floor 1).
   double burst = 0;
 
-  /// Injectable monotonic clock in nanoseconds — the testing seam, like
-  /// `RetryPolicy::sleep`: tests drive a fake clock so token-bucket
-  /// decisions are exact and instant. Null → the real monotonic clock
+  /// Injectable monotonic clock in nanoseconds — the testing seam: tests
+  /// drive a fake clock so token-bucket decisions are exact and instant. Null → the real monotonic clock
   /// (the single clock read lives in admission.cc behind the
   /// determinism allowlist; admission never alters *what* admitted work
   /// computes, only *whether* work is admitted).

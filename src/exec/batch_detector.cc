@@ -131,41 +131,20 @@ void BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
   }
 }
 
-void BatchDetector::Session::AddSuspect(Histogram suspect) {
-  {
-    MutexLock lock(pending_mutex_);
-    pending_.push_back(std::move(suspect));
-  }
-  pending_cv_.NotifyAll();
-}
-
-void BatchDetector::Session::AddSuspects(std::vector<Histogram> suspects) {
-  {
-    MutexLock lock(pending_mutex_);
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
-  }
-  pending_cv_.NotifyAll();
-}
-
 Status BatchDetector::Session::TryAddSuspects(
     std::vector<Histogram> suspects) {
   FREQYWM_FAULT_POINT("session/add_bounded");
   const size_t budget = options_.max_pending_suspects;
-  {
-    MutexLock lock(pending_mutex_);
-    if (budget > 0 && pending_.size() + suspects.size() > budget) {
-      return Status::ResourceExhausted(
-          "shed: session queue full (" + std::to_string(pending_.size()) +
-          " pending + " + std::to_string(suspects.size()) + " offered > " +
-          std::to_string(budget) + " budget)");
-    }
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
+  MutexLock lock(pending_mutex_);
+  if (budget > 0 && pending_.size() + suspects.size() > budget) {
+    return Status::ResourceExhausted(
+        "shed: session queue full (" + std::to_string(pending_.size()) +
+        " pending + " + std::to_string(suspects.size()) + " offered > " +
+        std::to_string(budget) + " budget)");
   }
-  pending_cv_.NotifyAll();
+  for (Histogram& suspect : suspects) {
+    pending_.push_back(std::move(suspect));
+  }
   return Status::OK();
 }
 
@@ -181,33 +160,16 @@ Status BatchDetector::Session::AddSuspectsBounded(
         std::to_string(budget));
   }
   constexpr std::chrono::milliseconds kWaitQuantum(10);
-  {
-    MutexLock lock(pending_mutex_);
-    while (budget > 0 && pending_.size() + suspects.size() > budget) {
-      FREQYWM_RETURN_NOT_OK(interrupt.Check());
-      // Producer backpressure: drains notify pending_cv_ after claiming
-      // the queue, so space-waiters wake; the bounded quantum caps how
-      // long an interruption can go unnoticed if no drain ever runs.
-      pending_cv_.WaitFor(pending_mutex_, kWaitQuantum);
-    }
-    for (Histogram& suspect : suspects) {
-      pending_.push_back(std::move(suspect));
-    }
-  }
-  pending_cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status BatchDetector::Session::WaitForSuspects(
-    size_t min_count, const InterruptContext& interrupt) const {
-  // Bounded sleeps instead of an open-ended Wait: the quantum caps how
-  // long a cancellation or deadline expiry can go unnoticed when no
-  // producer ever notifies again.
-  constexpr std::chrono::milliseconds kWaitQuantum(10);
   MutexLock lock(pending_mutex_);
-  while (pending_.size() < min_count) {
+  while (budget > 0 && pending_.size() + suspects.size() > budget) {
     FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    // Producer backpressure: drains notify pending_cv_ after claiming
+    // the queue, so space-waiters wake; the bounded quantum caps how
+    // long an interruption can go unnoticed if no drain ever runs.
     pending_cv_.WaitFor(pending_mutex_, kWaitQuantum);
+  }
+  for (Histogram& suspect : suspects) {
+    pending_.push_back(std::move(suspect));
   }
   return Status::OK();
 }

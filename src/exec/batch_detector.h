@@ -78,9 +78,8 @@ struct BatchDetectOptions {
 
   /// Bounded pending-work budget for the session queue (DESIGN.md §14):
   /// the maximum suspects `TryAddSuspects`/`AddSuspectsBounded` allow to
-  /// accumulate between drains. 0 (default) = unbounded — the legacy
-  /// `AddSuspect`/`AddSuspects` contract, which never sheds, is
-  /// unchanged either way.
+  /// accumulate between drains. 0 (default) = unbounded: every enqueue
+  /// is admitted.
   size_t max_pending_suspects = 0;
 };
 
@@ -123,16 +122,17 @@ class BatchDetector {
   /// `Drain` output is element-wise identical to a one-shot `Run` over the
   /// concatenated chunks, for any chunking, thread count and cache state.
   ///
-  /// Concurrency: the enqueue side is thread-safe — `AddSuspect`/
-  /// `AddSuspects` may be called from many producer threads (the shape of
-  /// the ROADMAP's detection service, where request handlers enqueue while
-  /// a drainer detects); the pending queue is guarded by `pending_mutex_`
-  /// (machine-checked by the CI thread-safety job). Arrival order under
-  /// concurrent producers is whatever order the enqueues serialize in —
-  /// per-producer order is preserved. `Drain`/`Detect` remain
-  /// single-caller: one drainer at a time (the parallelism lives inside
-  /// `Drain`). Prepared keys resolved at construction are pinned for the
-  /// session's lifetime — cache evictions never invalidate them.
+  /// Concurrency: the enqueue side is thread-safe — `TryAddSuspects`/
+  /// `AddSuspectsBounded` may be called from many producer threads (the
+  /// shape of the ROADMAP's detection service, where request handlers
+  /// enqueue while a drainer detects); the pending queue is guarded by
+  /// `pending_mutex_` (machine-checked by the CI thread-safety job).
+  /// Arrival order under concurrent producers is whatever order the
+  /// enqueues serialize in — per-producer order is preserved.
+  /// `Drain`/`Detect` remain single-caller: one drainer at a time (the
+  /// parallelism lives inside `Drain`). Prepared keys resolved at
+  /// construction are pinned for the session's lifetime — cache
+  /// evictions never invalidate them.
   class Session {
    public:
     /// Creates a session over `keys`, owning a thread pool when
@@ -147,30 +147,25 @@ class BatchDetector {
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Enqueues suspects for the next `Drain`, preserving arrival order.
-    /// Thread-safe: producers may enqueue concurrently (and while a
-    /// `Drain` is running; such suspects land in the *next* drain).
-    void AddSuspect(Histogram suspect);
-    void AddSuspects(std::vector<Histogram> suspects);
-
-    /// Bounded enqueue, shed mode (DESIGN.md §14): admits `suspects`
-    /// only when the whole batch fits in the configured
-    /// `max_pending_suspects` budget; otherwise sheds all-or-nothing
-    /// with typed `kResourceExhausted` and enqueues NOTHING. With no
-    /// budget configured this is `AddSuspects` plus an OK. Thread-safe
-    /// like `AddSuspects`.
+    /// Enqueues suspects for the next `Drain`, preserving arrival order
+    /// — shed mode (DESIGN.md §14): admits `suspects` only when the
+    /// whole batch fits in the configured `max_pending_suspects` budget;
+    /// otherwise sheds all-or-nothing with typed `kResourceExhausted`
+    /// and enqueues NOTHING. With no budget configured every batch is
+    /// admitted with an OK. Thread-safe: producers may enqueue
+    /// concurrently (and while a `Drain` is running; such suspects land
+    /// in the *next* drain).
     [[nodiscard]] Status TryAddSuspects(std::vector<Histogram> suspects);
 
     /// Bounded enqueue, backpressure mode (DESIGN.md §14): blocks until
-    /// the batch fits in the budget (drains free space; the wait rides
-    /// the same `pending_cv_` as `WaitForSuspects`, in bounded ~10 ms
-    /// quanta), the token is cancelled, or the deadline expires —
-    /// returning the interruption status without enqueueing anything. A
-    /// batch larger than the whole budget can never fit and is shed
-    /// immediately with `kResourceExhausted`. Admitted batches are
-    /// byte-equivalent to an `AddSuspects` call: only *whether/when*
-    /// suspects enter the queue changes, never what their drain
-    /// computes.
+    /// the batch fits in the budget (drains free space and notify
+    /// `pending_cv_`; the wait runs in bounded ~10 ms quanta), the token
+    /// is cancelled, or the deadline expires — returning the
+    /// interruption status without enqueueing anything. A batch larger
+    /// than the whole budget can never fit and is shed immediately with
+    /// `kResourceExhausted`. Admitted batches are byte-equivalent to a
+    /// `TryAddSuspects` call: only *whether/when* suspects enter the
+    /// queue changes, never what their drain computes.
     [[nodiscard]] Status AddSuspectsBounded(std::vector<Histogram> suspects,
                                             const InterruptContext& interrupt);
 
@@ -203,16 +198,6 @@ class BatchDetector {
     /// top of this.
     SessionDrainResult DetectChecked(const std::vector<Histogram>& suspects,
                                      const InterruptContext& interrupt) const;
-
-    /// Blocks until at least `min_count` suspects are pending, the token
-    /// is cancelled, or the deadline expires — the producer/drainer
-    /// handshake of the detection-service shape. Returns OK when the
-    /// count is reached, else the interruption status. Uses bounded
-    /// `CondVar::WaitFor` sleeps internally, so a waiter blocked on a
-    /// notification that never comes still observes cancellation within
-    /// one wait quantum (~10 ms).
-    Status WaitForSuspects(size_t min_count,
-                           const InterruptContext& interrupt) const;
 
     /// Per-key preparation outcome, fixed at construction: `[j]` is OK
     /// when column `j` is usable, `kNotFound` for an unregistered scheme
@@ -262,10 +247,11 @@ class BatchDetector {
 
     /// Producer-side state: the only mutable-after-construction session
     /// state, guarded so request handlers can enqueue concurrently. The
-    /// CondVar pairs enqueues with `WaitForSuspects` sleepers.
+    /// CondVar wakes `AddSuspectsBounded` producers when a drain frees
+    /// the budget.
     mutable Mutex pending_mutex_;
     std::vector<Histogram> pending_ GUARDED_BY(pending_mutex_);
-    mutable CondVar pending_cv_;
+    CondVar pending_cv_;
 
     std::unique_ptr<ThreadPool> owned_pool_;
     ThreadPool* pool_ = nullptr;  // owned or borrowed; null → serial

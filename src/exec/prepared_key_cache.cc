@@ -55,17 +55,6 @@ std::shared_ptr<const PreparedKey> PreparedKeyCache::Get(
   return hit;
 }
 
-std::shared_ptr<const PreparedKey> PreparedKeyCache::GetOrPrepare(
-    const WatermarkScheme& scheme, const SchemeKey& key) {
-  Result<std::shared_ptr<const PreparedKey>> entry =
-      TryGetOrPrepare(scheme, key);
-  if (entry.ok()) return std::move(entry).value();
-  // A transient (injected) preparation failure: honor this API's
-  // never-null contract with a private, uncached preparation — the cache
-  // simply stays cold for this key and a later lookup retries.
-  return scheme.Prepare(key);
-}
-
 Result<std::shared_ptr<const PreparedKey>> PreparedKeyCache::TryGetOrPrepare(
     const WatermarkScheme& scheme, const SchemeKey& key) {
   const std::string fingerprint = Fingerprint(key);

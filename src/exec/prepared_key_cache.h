@@ -18,7 +18,7 @@ namespace freqywm {
 
 /// Counters of a `PreparedKeyCache` (monotonic since construction or the
 /// last `Clear`). `hits + misses` equals the number of lookups (`Get` and
-/// `GetOrPrepare` both count).
+/// `TryGetOrPrepare` both count).
 struct PreparedKeyCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -81,19 +81,15 @@ class PreparedKeyCache {
   /// The cached entry for `key`, preparing and inserting it via
   /// `scheme.Prepare(key)` on a miss. Preparation runs outside the cache
   /// lock; on a concurrent double-miss the first inserted entry wins and
-  /// is returned to both callers. Never returns nullptr.
-  std::shared_ptr<const PreparedKey> GetOrPrepare(
-      const WatermarkScheme& scheme, const SchemeKey& key);
-
-  /// The fallible form of `GetOrPrepare` (DESIGN.md §13): preparation
-  /// failures (today only injected at the `prepared_key_cache/prepare`
-  /// fault site; tomorrow any out-of-tree scheme whose `Prepare` touches
-  /// I/O) surface as a typed error instead of a cache entry. A failed
-  /// preparation inserts NOTHING — no tombstone, no negative entry — so
-  /// a later call for the same key retries from scratch and a transient
-  /// failure never poisons the key for other tenants (regression-tested
-  /// under TSan by tests/exec/fault_injection_test.cc). On success the
-  /// returned entry is never null.
+  /// is returned to both callers. Preparation failures (DESIGN.md §13;
+  /// today only injected at the `prepared_key_cache/prepare` fault site
+  /// or a `Prepare` that breaks its never-null contract) surface as a
+  /// typed error instead of a cache entry. A failed preparation inserts
+  /// NOTHING — no tombstone, no negative entry — so a later call for the
+  /// same key retries from scratch and a transient failure never poisons
+  /// the key for other tenants (regression-tested under TSan by
+  /// tests/exec/fault_injection_test.cc). On success the returned entry
+  /// is never null.
   Result<std::shared_ptr<const PreparedKey>> TryGetOrPrepare(
       const WatermarkScheme& scheme, const SchemeKey& key);
 

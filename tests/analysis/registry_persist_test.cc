@@ -1,23 +1,18 @@
-// Crash-safe registry persistence suite (ISSUE 8 / DESIGN.md §13):
-// SaveToFile/LoadFromFile round trips, the checksum footer rejecting
-// truncation and bit rot with typed Corruption, NotFound for a missing
-// path, the atomic write-temp/fsync/rename discipline (no temp residue,
-// old snapshot survives an injected crash-before-rename), and the bounded
-// retry overload driven by a fake sleep.
+// Crash-safe registry persistence suite (DESIGN.md §13): SaveToFile/
+// LoadFromFile round trips, the checksum footer rejecting truncation and
+// bit rot with typed Corruption, NotFound for a missing path, and the
+// atomic write-temp/fsync/rename discipline (no temp residue, old
+// snapshot survives an injected crash-before-rename).
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "analysis/registry.h"
-#include "exec/cancellation.h"
 #include "exec/fault_injection.h"
-#include "exec/retry.h"
 
 namespace freqywm {
 namespace {
@@ -157,32 +152,6 @@ TEST(RegistryPersistTest, DamagedFileFailsLoadTyped) {
   std::remove(path.c_str());
 }
 
-TEST(RegistryPersistTest, RetryOverloadSucceedsWithoutFaults) {
-  FingerprintRegistry registry = MakeRegistry();
-  std::string path = UniquePath("retry_clean");
-  RetryPolicy policy;
-  std::vector<std::chrono::nanoseconds> sleeps;
-  policy.sleep = [&](std::chrono::nanoseconds d) { sleeps.push_back(d); };
-  ASSERT_TRUE(registry.SaveToFile(path, policy, InterruptContext{}).ok());
-  EXPECT_TRUE(sleeps.empty());
-  auto loaded = FingerprintRegistry::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().Serialize(), registry.Serialize());
-  std::remove(path.c_str());
-}
-
-TEST(RegistryPersistTest, RetryOverloadHonorsCancellation) {
-  FingerprintRegistry registry = MakeRegistry();
-  CancellationSource source;
-  source.Cancel();
-  RetryPolicy policy;
-  policy.sleep = [](std::chrono::nanoseconds) {};
-  Status status =
-      registry.SaveToFile(UniquePath("retry_cancelled"), policy,
-                          InterruptContext{source.token(), Deadline()});
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-}
-
 #if defined(FREQYWM_FAULT_INJECTION)
 
 /// Injected-crash tests: every registry_io fault site must leave the
@@ -236,21 +205,6 @@ TEST_F(RegistryPersistFaultTest, EveryWriteSiteFailureLeavesOldLoadable) {
     EXPECT_EQ(loaded.value().Serialize(), old_registry.Serialize()) << site;
     std::remove(path.c_str());
   }
-}
-
-TEST_F(RegistryPersistFaultTest, RetryOverloadRidesOutTransientFault) {
-  FingerprintRegistry registry = MakeRegistry();
-  std::string path = UniquePath("retry_transient");
-  FaultInjector::Global().FailNextHits("registry_io/fsync", 1);
-  RetryPolicy policy;
-  std::vector<std::chrono::nanoseconds> sleeps;
-  policy.sleep = [&](std::chrono::nanoseconds d) { sleeps.push_back(d); };
-  ASSERT_TRUE(registry.SaveToFile(path, policy, InterruptContext{}).ok());
-  EXPECT_EQ(sleeps.size(), 1u);  // attempt 1 failed, attempt 2 landed
-  auto loaded = FingerprintRegistry::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().Serialize(), registry.Serialize());
-  std::remove(path.c_str());
 }
 
 TEST_F(RegistryPersistFaultTest, ParentDirFsyncFailureIsCountedWarning) {

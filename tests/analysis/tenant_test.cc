@@ -178,7 +178,7 @@ TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {
 
 TEST(TenantTest, VerdictsIdenticalToUntenantedSessionAnyThreads) {
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 3));
+  ASSERT_TRUE(reference.TryAddSuspects(Batch(0, 3)).ok());
   const auto expected = reference.Drain();
 
   for (size_t threads : {1u, 2u, 4u}) {
@@ -229,7 +229,7 @@ TEST(TenantTest, SaturatedOrPoisonedTenantCannotPerturbAnother) {
   // reference, its key columns must be healthy, and its admissions must
   // succeed — A's saturation and poisoned key are invisible to B.
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 3));
+  ASSERT_TRUE(reference.TryAddSuspects(Batch(0, 3)).ok());
   const auto expected = reference.Drain();
 
   TenantContext tenant_b("quiet");

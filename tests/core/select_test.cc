@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "datagen/power_law.h"
 #include "stats/similarity.h"
@@ -173,6 +176,66 @@ TEST(SelectTest, WeightFormulaAblationBothWork) {
   EXPECT_FALSE(rc.chosen.empty());
   ExpectTokenDisjoint(f.eligible, rp.chosen);
   ExpectTokenDisjoint(f.eligible, rc.chosen);
+}
+
+TEST(SelectTest, OptimalFillSolvesEquallyValuedKnapsack) {
+  // §III-B2's equally-valued 0/1 knapsack, solved inline by the
+  // ascending-cost fill over the matched pairs: under the additive churn
+  // budget each matched pair weighs its cost and is worth one. At 100 %
+  // every matched pair fits (call that set M). At a smaller budget b the
+  // choice must be a subset of M, as large as the longest cheapest-first
+  // prefix of M within floor(b% * total), and no subset of M may be
+  // larger (exhaustive search; 12 tokens leave at most 6 pairs).
+  size_t partial_fills = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Fixture f = MakeFixture(seed, 131, 0.7, 12, 3000);
+    GenerateOptions options = MakeOptions(SelectionStrategy::kOptimal, 100.0);
+    options.budget_mode = BudgetMode::kAdditiveChurn;
+    Rng rng(seed);
+    const std::vector<size_t> matched =
+        SelectPairs(f.hist, f.eligible, options, rng).chosen;
+    ASSERT_LE(matched.size(), 6u);
+    const std::set<size_t> m(matched.begin(), matched.end());
+    std::vector<uint64_t> costs;
+    for (size_t idx : matched) costs.push_back(f.eligible[idx].cost);
+    std::sort(costs.begin(), costs.end());
+
+    for (double budget : {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
+      options.budget_percent = budget;
+      SelectionResult r = SelectPairs(f.hist, f.eligible, options, rng);
+      const uint64_t capacity = static_cast<uint64_t>(
+          budget / 100.0 * static_cast<double>(f.hist.total_count()));
+      for (size_t idx : r.chosen) {
+        EXPECT_EQ(m.count(idx), 1u) << "seed " << seed << " budget " << budget;
+      }
+
+      size_t prefix = 0;
+      uint64_t used = 0;
+      while (prefix < costs.size() && used + costs[prefix] <= capacity) {
+        used += costs[prefix++];
+      }
+      EXPECT_EQ(r.chosen.size(), prefix)
+          << "seed " << seed << " budget " << budget;
+
+      size_t best = 0;
+      for (uint32_t mask = 0; mask < (1u << costs.size()); ++mask) {
+        uint64_t weight = 0;
+        size_t count = 0;
+        for (size_t i = 0; i < costs.size(); ++i) {
+          if (mask & (1u << i)) {
+            weight += costs[i];
+            ++count;
+          }
+        }
+        if (weight <= capacity) best = std::max(best, count);
+      }
+      EXPECT_EQ(r.chosen.size(), best)
+          << "seed " << seed << " budget " << budget;
+      if (prefix > 0 && prefix < costs.size()) ++partial_fills;
+    }
+  }
+  // The budgets must bind: some fill stops strictly inside M.
+  EXPECT_GT(partial_fills, 0u);
 }
 
 TEST(SelectTest, ZeroBudgetAdmitsOnlyFreePairs) {

@@ -162,21 +162,6 @@ TEST(HistogramTest, ResortedRestoresOrder) {
   EXPECT_EQ(r.CountOf("elpais"), 5000u);
 }
 
-TEST(HistogramTest, ScaleCounts) {
-  Histogram h = MakeUrlHistogram();
-  h.ScaleCounts(2.0);
-  EXPECT_EQ(h.CountOf("youtube"), 2196u);
-  EXPECT_EQ(h.CountOf("cnn"), 106u);
-}
-
-TEST(HistogramTest, ScaleCountsRoundsToNearest) {
-  auto h = Histogram::FromCounts({{"a", 3}});
-  ASSERT_TRUE(h.ok());
-  Histogram hist = std::move(h).value();
-  hist.ScaleCounts(0.5);  // 1.5 -> 2 (round half away from zero)
-  EXPECT_EQ(hist.CountOf("a"), 2u);
-}
-
 TEST(HistogramTest, EmptyHistogram) {
   Histogram h;
   EXPECT_TRUE(h.empty());

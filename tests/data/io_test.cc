@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "api/scheme.h"
+#include "core/secrets.h"
 
 namespace freqywm {
 namespace {
@@ -78,6 +83,25 @@ TEST_F(IoTest, EmptyCsvIsCorruption) {
   auto loaded = ReadSimpleCsv(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
+}
+
+TEST_F(IoTest, WritersReportFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC. The
+  // small payloads below sit in the stream buffer until it is flushed, so
+  // a writer that checks the stream before closing it reports OK.
+  const std::string full = "/dev/full";
+  if (::access(full.c_str(), W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+
+  const SchemeKey key{"freqywm", "payload"};
+  EXPECT_FALSE(key.SaveToFile(full).ok());
+  WatermarkSecrets secrets;
+  secrets.z = 131;
+  secrets.pairs.push_back(SecretPair{"a", "b"});
+  EXPECT_FALSE(secrets.SaveToFile(full).ok());
+  EXPECT_FALSE(WriteTokenFile(Dataset({"a", "b"}), full).ok());
+  TableDataset table({"x", "y"});
+  ASSERT_TRUE(table.AppendRow({"1", "2"}).ok());
+  EXPECT_FALSE(WriteSimpleCsv(table, full).ok());
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ std::vector<std::vector<DetectResult>> RunChunked(
   for (size_t start = 0; start < suspects.size(); start += chunk_size) {
     for (size_t i = start; i < std::min(start + chunk_size, suspects.size());
          ++i) {
-      session.AddSuspect(suspects[i]);
+      EXPECT_TRUE(session.TryAddSuspects({suspects[i]}).ok());
     }
     std::vector<std::vector<DetectResult>> rows = session.Drain();
     for (auto& row : rows) all.push_back(std::move(row));
@@ -204,8 +204,8 @@ TEST(BatchSessionTest, DrainClearsPendingAndEmptyDrainYieldsNothing) {
 
   BatchDetector::Session session({}, {outcome.value().key});
   EXPECT_TRUE(session.Drain().empty());
-  session.AddSuspect(outcome.value().watermarked);
-  session.AddSuspects({original, MakeCleanHistogram(24)});
+  ASSERT_TRUE(session.TryAddSuspects({outcome.value().watermarked}).ok());
+  ASSERT_TRUE(session.TryAddSuspects({original, MakeCleanHistogram(24)}).ok());
   EXPECT_EQ(session.pending_suspects(), 3u);
   auto rows = session.Drain();
   EXPECT_EQ(rows.size(), 3u);
@@ -219,7 +219,7 @@ TEST(BatchSessionTest, UnregisteredSchemeTagStreamsDefaultRejects) {
   Histogram original = MakeCleanHistogram(29);
   BatchDetector::Session session(
       {}, {SchemeKey{"no-such-scheme", "payload"}});
-  session.AddSuspect(original);
+  ASSERT_TRUE(session.TryAddSuspects({original}).ok());
   auto rows = session.Drain();
   ASSERT_EQ(rows.size(), 1u);
   ASSERT_EQ(rows[0].size(), 1u);

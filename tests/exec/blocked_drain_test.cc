@@ -113,7 +113,7 @@ TEST(BlockedDrainTest, EveryShapeAndThreadCountMatchesTheSerialLoop) {
                                   std::to_string(num_keys) + " on " +
                                   std::to_string(threads) + " threads";
 
-        session.AddSuspects(suspects);
+        ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
         const SessionDrainResult checked =
             session.DrainChecked(InterruptContext{});
         ASSERT_TRUE(checked.status.ok()) << where << ": " << checked.status;
@@ -121,7 +121,7 @@ TEST(BlockedDrainTest, EveryShapeAndThreadCountMatchesTheSerialLoop) {
         ASSERT_EQ(checked.evaluated.size(), num_suspects * num_keys);
         for (uint8_t e : checked.evaluated) ASSERT_EQ(e, 1) << where;
 
-        session.AddSuspects(suspects);
+        ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
         const std::vector<std::vector<DetectResult>> drained = session.Drain();
         const std::vector<std::vector<DetectResult>> detected =
             session.Detect(suspects);
@@ -157,7 +157,7 @@ TEST(BlockedDrainTest, SuspectTilesPastSixteenMatchTheSerialLoop) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, keys);
-    session.AddSuspects(suspects);
+    ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
     const SessionDrainResult result = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok()) << result.status;
     for (size_t i = 0; i < suspects.size(); ++i) {
@@ -178,7 +178,7 @@ TEST(BlockedDrainTest, AlreadyCancelledContextEvaluatesNoCell) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, market.keys);
-    session.AddSuspects(market.suspects);
+    ASSERT_TRUE(session.TryAddSuspects(market.suspects).ok());
     const SessionDrainResult result =
         session.DrainChecked(InterruptContext{source.token(), Deadline()});
     EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
@@ -241,7 +241,7 @@ TEST(BlockedDrainTest, MixedSchemeColumnsMatchTheSerialLoop) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, market.keys);
-    session.AddSuspects(market.suspects);
+    ASSERT_TRUE(session.TryAddSuspects(market.suspects).ok());
     const SessionDrainResult checked = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(checked.status.ok()) << checked.status;
     const std::vector<std::vector<DetectResult>> detected =

@@ -165,7 +165,7 @@ TEST(BoundedSessionTest, DeadlineWhileBlockedReturnsTypedStatus) {
 TEST(BoundedSessionTest, AdmittedVerdictsIdenticalToUnthrottledAnyThreads) {
   // Unthrottled serial reference.
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  reference.AddSuspects(Batch(0, 4));
+  ASSERT_TRUE(reference.TryAddSuspects(Batch(0, 4)).ok());
   const auto expected = reference.Drain();
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {

@@ -220,25 +220,6 @@ TEST_F(FaultInjectionTest, CacheConcurrentRetryAfterInjectedFailure) {
   }
 }
 
-TEST_F(FaultInjectionTest, GetOrPrepareFallsBackUncachedOnInjectedFault) {
-  // The infallible entry point keeps its never-null contract even when
-  // the cache path fails: it degrades to a private, uncached Prepare.
-  auto scheme_result = SchemeFactory::Create("freqywm");
-  ASSERT_TRUE(scheme_result.ok());
-  const WatermarkScheme& scheme = *scheme_result.value();
-  SchemeKey key = MakeFreqywmKey(5);
-
-  PreparedKeyCache cache;
-  FaultInjector::Global().FailNextHits("prepared_key_cache/prepare", 1);
-  auto entry = cache.GetOrPrepare(scheme, key);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(cache.size(), 0u);  // the fault kept it out of the cache
-
-  auto cached = cache.GetOrPrepare(scheme, key);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 #else
 
 TEST_F(FaultInjectionTest, SiteTestsRequireFaultInjectionBuild) {

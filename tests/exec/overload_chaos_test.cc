@@ -59,7 +59,7 @@ struct ChaosFixture {
       if (suspect.total_count() == 0) suspect = outcome.value().watermarked;
     }
     BatchDetector::Session session(BatchDetectOptions{}, keys);
-    session.AddSuspect(suspect);
+    EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
     auto verdicts = session.Drain();
     EXPECT_EQ(verdicts.size(), 1u);
     if (!verdicts.empty()) reference_row = verdicts[0];

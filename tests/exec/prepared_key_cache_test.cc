@@ -67,8 +67,8 @@ TEST(PreparedKeyCacheTest, GetOrPrepareHitsShareOneObject) {
   Escrowed escrowed = MakeEscrowed(101, original);
   PreparedKeyCache cache(4);
 
-  auto first = cache.GetOrPrepare(*escrowed.scheme, escrowed.key);
-  auto second = cache.GetOrPrepare(*escrowed.scheme, escrowed.key);
+  auto first = cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
+  auto second = cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), second.get());
 
@@ -85,7 +85,7 @@ TEST(PreparedKeyCacheTest, GetNeverPrepares) {
   PreparedKeyCache cache(4);
   EXPECT_EQ(cache.Get(escrowed.key), nullptr);
   EXPECT_EQ(cache.size(), 0u);
-  auto prepared = cache.GetOrPrepare(*escrowed.scheme, escrowed.key);
+  auto prepared = cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
   EXPECT_EQ(cache.Get(escrowed.key).get(), prepared.get());
 }
 
@@ -96,11 +96,11 @@ TEST(PreparedKeyCacheTest, EvictsLeastRecentlyUsed) {
     escrowed.push_back(MakeEscrowed(seed, original));
   }
   PreparedKeyCache cache(2);
-  auto p0 = cache.GetOrPrepare(*escrowed[0].scheme, escrowed[0].key);
-  auto p1 = cache.GetOrPrepare(*escrowed[1].scheme, escrowed[1].key);
+  auto p0 = cache.TryGetOrPrepare(*escrowed[0].scheme, escrowed[0].key).value();
+  auto p1 = cache.TryGetOrPrepare(*escrowed[1].scheme, escrowed[1].key).value();
   // Touch key 0 so key 1 is the LRU victim when key 2 arrives.
   EXPECT_NE(cache.Get(escrowed[0].key), nullptr);
-  auto p2 = cache.GetOrPrepare(*escrowed[2].scheme, escrowed[2].key);
+  auto p2 = cache.TryGetOrPrepare(*escrowed[2].scheme, escrowed[2].key).value();
 
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
@@ -125,7 +125,8 @@ TEST(PreparedKeyCacheTest, CapacityFloorIsOne) {
   Escrowed escrowed = MakeEscrowed(301, original);
   PreparedKeyCache cache(0);
   EXPECT_EQ(cache.capacity(), 1u);
-  EXPECT_NE(cache.GetOrPrepare(*escrowed.scheme, escrowed.key), nullptr);
+  EXPECT_NE(cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value(),
+            nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -133,7 +134,7 @@ TEST(PreparedKeyCacheTest, ClearDropsEntriesAndCounters) {
   Histogram original = MakeCleanHistogram(15);
   Escrowed escrowed = MakeEscrowed(401, original);
   PreparedKeyCache cache(4);
-  auto prepared = cache.GetOrPrepare(*escrowed.scheme, escrowed.key);
+  auto prepared = cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
@@ -154,9 +155,10 @@ TEST(PreparedKeyCacheTest, CachedStateIsPureFunctionOfKey) {
   ASSERT_TRUE(other.ok()) << other.status();
 
   PreparedKeyCache cache(4);
-  auto via_other = cache.GetOrPrepare(*other.value(), escrowed.key);
+  auto via_other = cache.TryGetOrPrepare(*other.value(), escrowed.key).value();
   // The embedding scheme now hits the entry prepared by the other config.
-  auto via_embedder = cache.GetOrPrepare(*escrowed.scheme, escrowed.key);
+  auto via_embedder =
+      cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
   EXPECT_EQ(via_other.get(), via_embedder.get());
 
   DetectOptions options =
@@ -171,22 +173,23 @@ TEST(PreparedKeyCacheTest, CachedStateIsPureFunctionOfKey) {
 
 TEST(PreparedKeyCacheTest, StatsCountEveryLookupPathExactly) {
   // Regression for the health-snapshot wiring (DESIGN.md §14): the
-  // `hits + misses == lookups` ledger must hold across ALL THREE lookup
-  // paths — Get, GetOrPrepare and TryGetOrPrepare — so the overload
-  // bench's cache gauges are trustworthy.
+  // `hits + misses == lookups` ledger must hold across both lookup paths
+  // — Get and TryGetOrPrepare — so the overload bench's cache gauges are
+  // trustworthy.
   Histogram original = MakeCleanHistogram(55);
   Escrowed a = MakeEscrowed(811, original);
   Escrowed b = MakeEscrowed(812, original);
   PreparedKeyCache cache(8);
 
-  EXPECT_EQ(cache.Get(a.key), nullptr);                       // miss
-  EXPECT_NE(cache.GetOrPrepare(*a.scheme, a.key), nullptr);   // miss+insert
-  EXPECT_NE(cache.GetOrPrepare(*a.scheme, a.key), nullptr);   // hit
-  auto tried = cache.TryGetOrPrepare(*b.scheme, b.key);       // miss+insert
+  // a: miss, miss+insert, hit. b: miss+insert, hit, hit.
+  EXPECT_EQ(cache.Get(a.key), nullptr);
+  EXPECT_NE(cache.TryGetOrPrepare(*a.scheme, a.key).value(), nullptr);
+  EXPECT_NE(cache.TryGetOrPrepare(*a.scheme, a.key).value(), nullptr);
+  auto tried = cache.TryGetOrPrepare(*b.scheme, b.key);
   ASSERT_TRUE(tried.ok());
-  tried = cache.TryGetOrPrepare(*b.scheme, b.key);            // hit
+  tried = cache.TryGetOrPrepare(*b.scheme, b.key);
   ASSERT_TRUE(tried.ok());
-  EXPECT_NE(cache.Get(b.key), nullptr);                       // hit
+  EXPECT_NE(cache.Get(b.key), nullptr);
 
   PreparedKeyCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 3u);
@@ -222,7 +225,7 @@ TEST(PreparedKeyCacheTest, StatsSnapshotIsConsistentUnderConcurrentTraffic) {
     writers.emplace_back([&, t] {
       for (size_t i = 0; i < kIters; ++i) {
         const Escrowed& e = keys[(t + i) % keys.size()];
-        EXPECT_NE(cache.GetOrPrepare(*e.scheme, e.key), nullptr);
+        EXPECT_NE(cache.TryGetOrPrepare(*e.scheme, e.key).value(), nullptr);
       }
     });
   }
@@ -256,7 +259,7 @@ TEST(PreparedKeyCacheTest, ConcurrentHitMissEvictUnderContention) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kItersPerThread; ++i) {
         const Escrowed& e = escrowed[(t + i) % kKeys];
-        auto prepared = cache.GetOrPrepare(*e.scheme, e.key);
+        auto prepared = cache.TryGetOrPrepare(*e.scheme, e.key).value();
         if (prepared == nullptr || !(prepared->key() == e.key)) {
           ++failures[t];
           continue;

@@ -1,5 +1,5 @@
 // Concurrent-producer contract of `BatchDetector::Session` (DESIGN.md §11):
-// `AddSuspect`/`AddSuspects` are documented thread-safe — request handlers
+// `TryAddSuspects` is documented thread-safe — request handlers
 // enqueue while a single drainer detects — and the pending queue is guarded
 // by `pending_mutex_` (statically checked by the CI thread-safety job; this
 // test is the dynamic half, run under TSan by the thread-sanitizer CI job).
@@ -57,7 +57,7 @@ TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t i = 0; i < kPerProducer; ++i) {
-        session.AddSuspect(suspect);
+        EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
       }
     });
   }
@@ -91,12 +91,16 @@ TEST(BatchSessionConcurrentAddTest, EnqueueDuringDrainLandsInNextDrain) {
   const Histogram suspect = MakeCleanHistogram(888);
   constexpr size_t kFirstBatch = 10;
   constexpr size_t kConcurrent = 30;
-  for (size_t i = 0; i < kFirstBatch; ++i) session.AddSuspect(suspect);
+  for (size_t i = 0; i < kFirstBatch; ++i) {
+    ASSERT_TRUE(session.TryAddSuspects({suspect}).ok());
+  }
 
   // A producer races `Drain`: its suspects land either in this drain or in
   // the pending queue for the next one, never lost and never duplicated.
   std::thread producer([&session, &suspect] {
-    for (size_t i = 0; i < kConcurrent; ++i) session.AddSuspect(suspect);
+    for (size_t i = 0; i < kConcurrent; ++i) {
+      EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
+    }
   });
   const size_t first = session.Drain().size();
   producer.join();
@@ -121,7 +125,9 @@ TEST(BatchSessionConcurrentAddTest, AddSuspectsBulkIsThreadSafe) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t b = 0; b < kBatchesPerProducer; ++b) {
-        session.AddSuspects(std::vector<Histogram>(kBatchSize, suspect));
+        EXPECT_TRUE(
+            session.TryAddSuspects(std::vector<Histogram>(kBatchSize, suspect))
+                .ok());
       }
     });
   }

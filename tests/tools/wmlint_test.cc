@@ -103,9 +103,10 @@ TEST(WmlintOracleTest, FlagsMissingSiblingAndUntestedOracle) {
   RunResult r = RunFixture("oracle_bad", "oracle");
   std::vector<std::string> keys = Keys(r, "oracle");
   std::sort(keys.begin(), keys.end());
-  ASSERT_EQ(keys.size(), 2u) << RenderText(r);
+  ASSERT_EQ(keys.size(), 3u) << RenderText(r);
   EXPECT_EQ(keys[0], "Compute");  // no sibling at all
-  EXPECT_EQ(keys[1], "Shard");    // sibling exists but untested
+  EXPECT_EQ(keys[1], "Mix");      // only a later parameter is defaulted
+  EXPECT_EQ(keys[2], "Shard");    // sibling exists but untested
 }
 
 TEST(WmlintOracleTest, ReferenceSiblingAndTestedSerialOverloadPass) {

@@ -539,15 +539,24 @@ void CheckOracle(const std::vector<LexedFile>& code,
       }
       size_t close = SkipBalanced(toks, i + 1, "(", ")");
       bool takes_exec = false;
+      // `const ExecContext& exec = ExecContext{}`: calling without the
+      // argument is the serial overload, so the declaration is both.
+      bool exec_defaulted = false;
+      bool in_exec_param = false;
       for (size_t j = i + 2; j + 1 < close; ++j) {
-        if (IsIdent(toks[j], "ExecContext")) takes_exec = true;
+        if (IsIdent(toks[j], "ExecContext")) {
+          takes_exec = in_exec_param = true;
+        } else if (IsPunct(toks[j], ",")) {
+          in_exec_param = false;
+        } else if (in_exec_param && IsPunct(toks[j], "=")) {
+          exec_defaulted = true;
+        }
       }
       all_decls.insert(toks[i].text);
       if (takes_exec) {
         exec_decls.emplace(toks[i].text, DeclSite{file.path, toks[i].line});
-      } else {
-        serial_decls.insert(toks[i].text);
       }
+      if (!takes_exec || exec_defaulted) serial_decls.insert(toks[i].text);
     }
   }
 

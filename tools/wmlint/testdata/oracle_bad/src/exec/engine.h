@@ -13,6 +13,10 @@ int Compute(int input, const ExecContext& exec);
 int Shard(int input, const ExecContext& exec);
 int Shard(int input);
 
+// A default on a later parameter leaves the context required: still no
+// serial overload.
+int Mix(int input, const ExecContext& exec, int rounds = 1);
+
 }  // namespace fixture
 
 #endif  // FIXTURE_EXEC_ENGINE_H_

@@ -13,6 +13,9 @@ int ComputeReference(int input);
 int Shard(int input, const ExecContext& exec);
 int Shard(int input);
 
+// Defaulted-context pattern: `Blend(input)` is the serial overload.
+int Blend(int input, const ExecContext& exec = ExecContext{});
+
 }  // namespace fixture
 
 #endif  // FIXTURE_EXEC_ENGINE_H_

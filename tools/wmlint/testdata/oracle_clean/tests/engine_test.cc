@@ -2,10 +2,11 @@
 
 namespace fixture {
 
-// Exercises both oracles so the contract check sees them referenced.
+// Exercises every oracle so the contract check sees them referenced.
 void IdentityHarness() {
   ComputeReference(7);
   Shard(7);
+  Blend(7);
 }
 
 }  // namespace fixture
