@@ -41,7 +41,7 @@
 #include "common/stopwatch.h"
 #include "datagen/power_law.h"
 #include "exec/batch_detector.h"
-#include "exec/parallel_histogram.h"
+#include "exec/exec_context.h"
 #include "exec/thread_pool.h"
 
 using namespace freqywm;
@@ -416,7 +416,7 @@ int main() {
     ThreadPool pool(threads - 1);
     Histogram sharded;
     double best = BestOfReps([&] {
-      sharded = BuildHistogramSharded(dataset, pool);
+      sharded = ExecContext{&pool}.BuildHistogram(dataset);
     });
     bool identical = gate.Check(
         "sharded histogram @" + std::to_string(threads) +

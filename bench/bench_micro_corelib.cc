@@ -2,9 +2,9 @@
 // the Gen/Detect costs behind Table II's timing columns: SHA-256, pair
 // modulus derivation (full re-hash vs midstate reduce), eligible-pair
 // construction (unpruned reference vs the pruned midstate scan), the three
-// selection strategies, end-to-end generation, and detection (uncached
+// selection strategies, end-to-end generation, detection (uncached
 // reference vs the per-key modulus table, one trace-like dense cell, and a
-// 4 x 1,000 session drain).
+// 4 x 1,000 session drain), and the thread pool's per-loop overhead.
 //
 // After the google-benchmark run, main() executes the pair-enumeration
 // acceptance harness (ISSUE 3): BuildEligiblePairsReference vs
@@ -461,6 +461,32 @@ BENCHMARK_CAPTURE(BM_TransformDataset, serial, false)
     ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_TransformDataset, pooled, true)
     ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
+
+// Per-loop overhead of the pool's two loops: n empty iterations on three
+// workers plus the caller, so the time is queueing, claiming and the
+// completion wait alone.
+void BM_ParallelFor(benchmark::State& state) {
+  static ThreadPool pool(3);
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::function<void(size_t)> body = [](size_t) {};
+  for (auto _ : state) pool.ParallelFor(n, body);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParallelFor)->Arg(4)->Arg(64);
+
+void BM_ParallelForChecked(benchmark::State& state) {
+  static ThreadPool pool(3);
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::function<Status(size_t)> body = [](size_t) {
+    return Status::OK();
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pool.ParallelForChecked(n, InterruptContext{}, body));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParallelForChecked)->Arg(4)->Arg(64);
 
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark

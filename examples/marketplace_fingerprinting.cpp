@@ -2,9 +2,9 @@
 // introduction. A data seller embeds a DIFFERENT watermark for every buyer
 // and records each scheme-tagged key in an (immutable) index — here the
 // library's `FingerprintRegistry`. When a pirated copy surfaces — disguised
-// by the pirate with random frequency noise — `Trace` runs every escrowed
-// key against it through the `WatermarkScheme` interface and identifies
-// which buyer leaked it.
+// by the pirate with random frequency noise — `TraceSuspects` runs every
+// escrowed key against it through the `WatermarkScheme` interface and
+// identifies which buyer leaked it.
 //
 // Parameter note: fingerprinting needs pairs whose moduli comfortably
 // exceed both the pirate's noise and the detection threshold, otherwise
@@ -117,11 +117,14 @@ int main() {
   // Trace: the registry runs every escrowed key against the pirated copy
   // through its scheme's Detect — no per-buyer plumbing here. The true
   // origin verifies far above the chance floor; innocents stay below k.
-  DetectOptions d;
+  BatchDetectOptions trace;
+  trace.use_recommended_options = false;
+  DetectOptions& d = trace.detect_options;
   d.pair_threshold = 3;        // covers the pirate's noise
   d.symmetric_residue = true;  // noise drifts residues both ways
   d.min_pairs = std::max<size_t>(1, min_fingerprint_pairs / 2);
-  std::vector<TraceMatch> matches = registry.Trace(pirated, d);
+  std::vector<TraceMatch> matches =
+      registry.TraceSuspects({pirated}, trace)[0];
 
   std::printf("\n%-16s %-10s %-12s\n", "buyer", "scheme", "verified");
   for (const TraceMatch& match : matches) {
@@ -332,7 +335,8 @@ int main() {
 
   // The recovered ledger still traces the pirated copy to the same buyer.
   std::vector<TraceMatch> retrace =
-      recovered.value()->durable_registry()->Snapshot().Trace(pirated, d);
+      recovered.value()->durable_registry()->Snapshot().TraceSuspects(
+          {pirated}, trace)[0];
   if (retrace.empty() || matches.empty() ||
       retrace[0].buyer_id != matches[0].buyer_id) {
     std::printf("recovered ledger failed to re-trace the leak\n");

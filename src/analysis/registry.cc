@@ -5,12 +5,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
-#include "api/factory.h"
 #include "common/string_util.h"
 #include "exec/batch_detector.h"
 
@@ -69,69 +66,19 @@ Status FingerprintRegistry::Register(const std::string& buyer_id,
   return Register(buyer_id, SchemeKey{"freqywm", secrets.Serialize()});
 }
 
-namespace {
-
-/// Shared trace loop; `options_for` picks the detection settings per
-/// record (fixed caller options vs the scheme's recommended ones).
-template <typename OptionsFor>
-std::vector<TraceMatch> TraceRecords(
-    const std::vector<FingerprintRecord>& records, const Histogram& suspect,
-    const OptionsFor& options_for) {
-  SchemeCache cache;
-  std::vector<TraceMatch> matches;
-  for (const auto& record : records) {
-    const WatermarkScheme* scheme = cache.Get(record.key.scheme);
-    if (!scheme) continue;  // scheme not registered in the factory
-    DetectResult r =
-        scheme->Detect(suspect, record.key, options_for(*scheme, record));
-    if (r.accepted) {
-      matches.push_back(TraceMatch{record.buyer_id, record.key.scheme, r});
-    }
-  }
-  SortStrongestFirst(matches);
-  return matches;
-}
-
-}  // namespace
-
-std::vector<TraceMatch> FingerprintRegistry::Trace(
-    const Histogram& suspect, const DetectOptions& options) const {
-  return TraceRecords(records_, suspect,
-                      [&options](const WatermarkScheme&,
-                                 const FingerprintRecord&) {
-                        return options;
-                      });
-}
-
-std::vector<TraceMatch> FingerprintRegistry::TraceWithRecommendedOptions(
-    const Histogram& suspect) const {
-  return TraceRecords(records_, suspect,
-                      [](const WatermarkScheme& scheme,
-                         const FingerprintRecord& record) {
-                        return scheme.RecommendedDetectOptions(record.key);
-                      });
-}
-
 std::vector<std::vector<TraceMatch>> FingerprintRegistry::TraceSuspects(
     const std::vector<Histogram>& suspects,
-    const TraceOptions& options) const {
+    const BatchDetectOptions& options) const {
   std::vector<SchemeKey> keys;
   keys.reserve(records_.size());
   for (const auto& record : records_) keys.push_back(record.key);
-
-  BatchDetectOptions batch;
-  batch.num_threads = options.num_threads;
-  batch.use_recommended_options = options.use_recommended_options;
-  batch.detect_options = options.detect_options;
-  batch.key_cache = options.key_cache;
   std::vector<std::vector<DetectResult>> detections =
-      BatchDetector(batch).Run(suspects, std::move(keys));
+      BatchDetector(options).Run(suspects, std::move(keys));
 
-  // Reduce each suspect's row exactly as the serial trace does: keep the
-  // accepted records in registration order, then sort strongest first
-  // (stable, so registration order breaks ties). Unregistered schemes
-  // yield default (rejected) results and drop out, matching the serial
-  // skip.
+  // Reduce each suspect's row: keep the accepted records in registration
+  // order, then sort strongest first (stable, so registration order
+  // breaks ties). Unregistered schemes yield default (rejected) results
+  // and drop out.
   std::vector<std::vector<TraceMatch>> matches(suspects.size());
   for (size_t i = 0; i < suspects.size(); ++i) {
     for (size_t j = 0; j < records_.size(); ++j) {

@@ -1,7 +1,6 @@
 #ifndef FREQYWM_ANALYSIS_REGISTRY_H_
 #define FREQYWM_ANALYSIS_REGISTRY_H_
 
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -11,15 +10,14 @@
 #include "core/detect.h"
 #include "core/secrets.h"
 #include "data/histogram.h"
+#include "exec/batch_detector.h"
 
 namespace freqywm {
 
-class PreparedKeyCache;  // exec/prepared_key_cache.h
-
 /// One escrowed fingerprint: a buyer identity and the scheme-tagged key of
 /// the watermark embedded in that buyer's copy. Buyers of the same asset
-/// may be fingerprinted with different schemes — `Trace` dispatches each
-/// record through the `SchemeFactory` by its tag.
+/// may be fingerprinted with different schemes — `TraceSuspects`
+/// dispatches each record through the `SchemeFactory` by its tag.
 struct FingerprintRecord {
   std::string buyer_id;
   SchemeKey key;
@@ -38,35 +36,11 @@ struct TraceMatch {
   }
 };
 
-/// Knobs of `FingerprintRegistry::TraceSuspects` — the batch trace over a
-/// whole set of suspect copies (DESIGN.md §7).
-struct TraceOptions {
-  /// Opt-in parallelism: 1 (default) runs the serial reference path; > 1
-  /// evaluates the (suspect × record) detection matrix on that many
-  /// threads via the `BatchDetector`. Results are identical either way.
-  size_t num_threads = 1;
-
-  /// When true (default), each record is detected under its scheme's
-  /// `RecommendedDetectOptions` (the `TraceWithRecommendedOptions`
-  /// semantics); when false, `detect_options` applies to every record
-  /// (the fixed-options `Trace` semantics).
-  bool use_recommended_options = true;
-  DetectOptions detect_options;
-
-  /// Optional shared `PreparedKey` cache (DESIGN.md §10): successive
-  /// `TraceSuspects` batches over the same escrowed keys then skip key
-  /// parsing and modulus derivation entirely — preparation is paid once
-  /// per key lifetime, the per-tenant caching the batch-detection service
-  /// needs. Null → keys are prepared privately per call. Results are
-  /// identical either way.
-  std::shared_ptr<PreparedKeyCache> key_cache;
-};
-
 /// The immutable escrow index from the paper's introduction: a seller (or
 /// marketplace) stores one watermark key per buyer; when an unauthorized
-/// copy surfaces, `Trace` identifies the culprit by running every escrowed
-/// key against it — entirely through the `WatermarkScheme` interface, with
-/// no scheme-specific branching.
+/// copy surfaces, `TraceSuspects` identifies the culprit by running every
+/// escrowed key against it — entirely through the `WatermarkScheme`
+/// interface, with no scheme-specific branching.
 ///
 /// The paper suggests a blockchain for immutability; this class provides
 /// the data structure and a text serialization — pin the serialized bytes
@@ -96,30 +70,20 @@ class FingerprintRegistry {
     return buyer_ids_.count(buyer_id) > 0;
   }
 
-  /// Runs detection with `options` for every escrowed key against
-  /// `suspect` — each record through its scheme's `Detect` — and returns
-  /// the accepted matches, strongest first (by verified fraction, ties by
+  /// Traces a batch of suspect copies — the marketplace workload where one
+  /// owner screens many surfaced datasets at once. Every escrowed key runs
+  /// against every suspect through its scheme's `Detect`, on the
+  /// `BatchDetector` (DESIGN.md §7): under the scheme's
+  /// `RecommendedDetectOptions` by default, or under
+  /// `options.detect_options` when `use_recommended_options` is false.
+  /// Element `i` of the result lists the accepted matches for
+  /// `suspects[i]`, strongest first (by verified fraction, ties by
   /// registration order). Records whose scheme is not registered in the
-  /// `SchemeFactory` are skipped.
-  std::vector<TraceMatch> Trace(const Histogram& suspect,
-                                const DetectOptions& options) const;
-
-  /// Like `Trace`, but detects each record under its scheme's
-  /// `RecommendedDetectOptions`, so mixed-scheme registries use sound
-  /// per-scheme accept thresholds instead of one global setting.
-  std::vector<TraceMatch> TraceWithRecommendedOptions(
-      const Histogram& suspect) const;
-
-  /// Traces a whole batch of suspect copies — the marketplace workload
-  /// where one owner screens many surfaced datasets at once. Element `i`
-  /// of the result is exactly what the serial per-suspect call
-  /// (`TraceWithRecommendedOptions(suspects[i])`, or
-  /// `Trace(suspects[i], options.detect_options)` when
-  /// `use_recommended_options` is false) returns, independent of
-  /// `options.num_threads`.
+  /// `SchemeFactory` are skipped. Results are independent of
+  /// `options.num_threads` and `options.key_cache`.
   std::vector<std::vector<TraceMatch>> TraceSuspects(
       const std::vector<Histogram>& suspects,
-      const TraceOptions& options = {}) const;
+      const BatchDetectOptions& options = {}) const;
 
   /// Serializes the whole registry (buyer ids + scheme-tagged keys).
   std::string Serialize() const;

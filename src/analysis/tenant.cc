@@ -196,7 +196,7 @@ FingerprintRegistry TenantContext::RegistrySnapshot() const {
 std::vector<std::vector<TraceMatch>> TenantContext::TraceSuspects(
     const std::vector<Histogram>& suspects, size_t num_threads) const {
   const FingerprintRegistry snapshot = RegistrySnapshot();
-  TraceOptions options;
+  BatchDetectOptions options;
   options.num_threads = num_threads;
   options.key_cache = key_cache_;
   return snapshot.TraceSuspects(suspects, options);

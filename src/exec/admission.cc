@@ -145,27 +145,10 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     return Status::ResourceExhausted(
         "shed: request exceeds token-bucket burst capacity");
   }
-  // Bounded waiting room: beyond the pending budget, callers are shed,
-  // not queued — this is what caps the memory an overload can pin.
-  if (options_.max_pending > 0 && pending_ + units > options_.max_pending) {
-    ++shed_capacity_;
-    return Status::ResourceExhausted(
-        "shed: admission waiting room full (" + std::to_string(pending_) +
-        "/" + std::to_string(options_.max_pending) + " units pending)");
-  }
-  // Deadline-aware admission: if the bucket cannot possibly produce the
-  // tokens before the caller's deadline, the work would expire while
-  // queued — reject it now so the queue never holds dead work.
-  if (interrupt.deadline.finite()) {
-    const int64_t wait = NanosUntilTokensLocked(want, Now());
-    if (wait > interrupt.deadline.remaining().count()) {
-      ++shed_deadline_;
-      return Status::ResourceExhausted(
-          "shed: deadline would expire while queued for rate tokens");
-    }
-  }
-
-  pending_ += units;
+  // A request admissible now is admitted at once; only a caller that must
+  // wait passes the waiting-room and deadline screens below and counts
+  // toward `pending_`.
+  bool queued = false;
   Status verdict = Status::OK();
   for (;;) {
     if (interrupt.cancel.cancelled()) {
@@ -174,7 +157,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
     }
     if (interrupt.deadline.finite() && interrupt.deadline.expired()) {
       // Expired while waiting on in-flight capacity (token waits are
-      // pre-screened above): the work was never admitted, so this is a
+      // pre-screened below): the work was never admitted, so this is a
       // shed, not a deadline failure of running work.
       ++shed_deadline_;
       verdict = Status::ResourceExhausted(
@@ -192,6 +175,30 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
       in_flight_ += units;
       admitted_ += units;
       break;
+    }
+    if (!queued) {
+      // Bounded waiting room: beyond the pending budget, callers are
+      // shed, not queued — this is what caps the memory an overload can
+      // pin.
+      if (options_.max_pending > 0 &&
+          pending_ + units > options_.max_pending) {
+        ++shed_capacity_;
+        return Status::ResourceExhausted(
+            "shed: admission waiting room full (" +
+            std::to_string(pending_) + "/" +
+            std::to_string(options_.max_pending) + " units pending)");
+      }
+      // Deadline-aware admission: if the bucket cannot possibly produce
+      // the tokens before the caller's deadline, the work would expire
+      // while queued — reject it now so the queue never holds dead work.
+      if (interrupt.deadline.finite() &&
+          token_wait > interrupt.deadline.remaining().count()) {
+        ++shed_deadline_;
+        return Status::ResourceExhausted(
+            "shed: deadline would expire while queued for rate tokens");
+      }
+      pending_ += units;
+      queued = true;
     }
     // Bounded sleep: woken early by a release; re-checks interruption at
     // least once per quantum even if no release ever comes. Under an
@@ -212,7 +219,7 @@ Result<AdmissionController::Permit> AdmissionController::Admit(
       released_cv_.WaitFor(mu_, std::chrono::nanoseconds(nap));
     }
   }
-  pending_ -= units;
+  if (queued) pending_ -= units;
   if (!verdict.ok()) return verdict;
   return Permit(this, units);
 }

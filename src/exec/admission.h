@@ -143,7 +143,8 @@ class AdmissionController {
   /// Blocking admission: waits for bucket tokens and in-flight capacity,
   /// honoring `interrupt` (checked once per bounded wait quantum).
   /// Sheds without waiting — typed `kResourceExhausted` — when:
-  ///   - the waiting room is full (`max_pending` would be exceeded);
+  ///   - it must wait and the waiting room is full (`max_pending` would
+  ///     be exceeded); a request admissible at once never counts there;
   ///   - `units` can never be admitted (`units > max_in_flight`, or
   ///     `units > burst` with a rate configured);
   ///   - the caller's deadline would expire while queued: the token

@@ -1,5 +1,8 @@
 #include "exec/exec_context.h"
 
+#include <cassert>
+#include <utility>
+
 #include "exec/parallel_histogram.h"
 #include "exec/thread_pool.h"
 
@@ -10,8 +13,12 @@ bool ExecContext::parallel() const {
 }
 
 Histogram ExecContext::BuildHistogram(const Dataset& dataset) const {
-  if (parallel()) return BuildHistogramSharded(dataset, *pool);
-  return Histogram::FromDataset(dataset);
+  if (!parallel()) return Histogram::FromDataset(dataset);
+  // A default context is never interrupted, so the build cannot fail.
+  Result<Histogram> hist =
+      BuildHistogramShardedChecked(dataset, *pool, InterruptContext{});
+  assert(hist.ok());
+  return std::move(hist).value();
 }
 
 Result<Histogram> ExecContext::BuildHistogramChecked(

@@ -16,14 +16,6 @@ constexpr size_t kMinRowsPerChunk = 1 << 14;
 
 }  // namespace
 
-Histogram BuildHistogramSharded(const Dataset& dataset, ThreadPool& pool) {
-  // A default context is never interrupted, so the build cannot fail.
-  Result<Histogram> hist =
-      BuildHistogramShardedChecked(dataset, pool, InterruptContext{});
-  assert(hist.ok());
-  return std::move(hist).value();
-}
-
 Result<Histogram> BuildHistogramShardedChecked(
     const Dataset& dataset, ThreadPool& pool,
     const InterruptContext& interrupt) {

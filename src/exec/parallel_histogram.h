@@ -18,16 +18,13 @@ namespace freqywm {
 /// sets — no cross-shard synchronization). Phase 3 concatenates the shard
 /// entries and applies the histogram's deterministic descending sort.
 ///
-/// The result is identical to `Histogram::FromDataset(dataset)` — same
-/// entry order, ranks and total — regardless of thread count; small
-/// datasets fall back to the serial build outright. Runs the checked build
-/// below with a context that is never interrupted.
-Histogram BuildHistogramSharded(const Dataset& dataset, ThreadPool& pool);
-
-/// Like `BuildHistogramSharded`, but polls `interrupt` at every chunk and
-/// shard boundary (via `ParallelForChecked`) and returns
-/// `kCancelled`/`kDeadlineExceeded` instead of a partial histogram. A run
-/// that completes is byte-identical to the serial build.
+/// Polls `interrupt` at every chunk and shard boundary (via
+/// `ParallelForChecked`) and returns `kCancelled`/`kDeadlineExceeded`
+/// instead of a partial histogram. A run that completes is identical to
+/// `Histogram::FromDataset(dataset)` — same entry order, ranks and total —
+/// regardless of thread count; small datasets fall back to the serial
+/// build outright. `ExecContext::BuildHistogram` runs it with a context
+/// that is never interrupted.
 Result<Histogram> BuildHistogramShardedChecked(const Dataset& dataset,
                                                ThreadPool& pool,
                                                const InterruptContext& interrupt);

@@ -1,6 +1,7 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/mutex.h"
@@ -8,101 +9,79 @@
 
 namespace freqywm {
 
-namespace {
+/// Shared state of one `ParallelFor` or `ParallelForChecked` call. Lives in
+/// a `shared_ptr` captured by the helper tasks: a helper that is only
+/// dequeued after the loop finished claims an index >= n and exits without
+/// touching the body, so the caller returns as soon as all `n` iterations
+/// are done — it never waits for stragglers that hold no work.
+///
+/// Exactly one of `body` (the unchecked loop) and `checked_body` is set.
+/// Only the checked loop polls `interrupt`, runs the `thread_pool/shard`
+/// fault site and records errors. `stop` makes its claims cheap to drain
+/// after a failure: a claimer that observes it skips the body but still
+/// counts its index toward `done`, so the caller's wait stays bounded.
+struct ThreadPool::LoopState {
+  LoopState(size_t n_in, const std::function<void(size_t)>* body_in,
+            const std::function<Status(size_t)>* checked_body_in,
+            const InterruptContext* interrupt_in)
+      : n(n_in),
+        body(body_in),
+        checked_body(checked_body_in),
+        interrupt(interrupt_in) {}
 
-/// Shared state of one `ParallelFor` call. Lives in a `shared_ptr` captured
-/// by the helper tasks: a helper that is only dequeued after the loop
-/// finished claims an index >= n and exits without touching `body`, so the
-/// caller can return as soon as all `n` iterations are done — it never
-/// waits for stragglers that hold no work. The mutex guards no data (the
-/// counters are atomics); it pairs the completion notify with the caller's
-/// wait predicate.
-struct ForState {
-  size_t n = 0;
-  const std::function<void(size_t)>* body = nullptr;
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  Mutex mutex;
-  CondVar cv;
-};
-
-/// Claims indices until exhausted. Whoever completes the last iteration
-/// wakes the caller; the notify happens with the mutex held so the wakeup
-/// cannot race past the caller's predicate check.
-void RunForChunk(ForState& state) {
-  while (true) {
-    size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= state.n) return;
-    (*state.body)(i);
-    if (state.done.fetch_add(1, std::memory_order_acq_rel) + 1 == state.n) {
-      MutexLock lock(state.mutex);
-      state.cv.NotifyAll();
+  /// Claims indices until exhausted. Whoever completes the last iteration
+  /// wakes the caller; the notify happens with the mutex held so the
+  /// wakeup cannot race past the caller's wait.
+  void ClaimIndices() {
+    while (true) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      if (body != nullptr) {
+        (*body)(i);
+      } else if (!stop.load(std::memory_order_acquire)) {
+        RunChecked(i);
+      }
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        MutexLock lock(mutex);
+        cv.NotifyAll();
+      }
     }
   }
-}
 
-/// Shared state of one `ParallelForChecked` call. Same lifecycle as
-/// `ForState`; additionally carries the stop latch and the first-error /
-/// interruption record. `stop` makes claims cheap to drain after a
-/// failure: a claimer that observes it skips the body but still counts
-/// its index toward `done`, so the caller's completion wait stays bounded.
-struct CheckedForState {
-  CheckedForState(size_t n_in, const std::function<Status(size_t)>* body_in,
-                  const InterruptContext* interrupt_in)
-      : n(n_in), body(body_in), interrupt(interrupt_in) {}
+  /// One checked iteration: poll, fault site, body. Records the first
+  /// interruption and the error of the smallest failing index.
+  void RunChecked(size_t i) {
+    Status st = interrupt->Check();
+    const bool was_interrupt = !st.ok();
+    if (st.ok()) {
+      st = FREQYWM_FAULT_STATUS_KEYED("thread_pool/shard",
+                                      static_cast<uint64_t>(i));
+      if (st.ok()) st = (*checked_body)(i);
+    }
+    if (st.ok()) return;
+    MutexLock lock(mutex);
+    if (was_interrupt) {
+      if (interrupt_status.ok()) interrupt_status = std::move(st);
+    } else if (error.ok() || i < error_index) {
+      error_index = i;
+      error = std::move(st);
+    }
+    stop.store(true, std::memory_order_release);
+  }
 
   const size_t n;
-  const std::function<Status(size_t)>* body;
+  const std::function<void(size_t)>* body;
+  const std::function<Status(size_t)>* checked_body;
   const InterruptContext* interrupt;
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   std::atomic<bool> stop{false};
   Mutex mutex;
   CondVar cv;
-  bool has_error GUARDED_BY(mutex) = false;
   size_t error_index GUARDED_BY(mutex) = 0;
   Status error GUARDED_BY(mutex);
-  bool interrupted GUARDED_BY(mutex) = false;
   Status interrupt_status GUARDED_BY(mutex);
 };
-
-/// Claims indices until exhausted or stopped; mirrors `RunForChunk` with
-/// the error/interrupt bookkeeping added.
-void RunCheckedForChunk(CheckedForState& state) {
-  while (true) {
-    const size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= state.n) return;
-    if (!state.stop.load(std::memory_order_acquire)) {
-      Status st = state.interrupt->Check();
-      const bool was_interrupt = !st.ok();
-      if (st.ok()) {
-        st = FREQYWM_FAULT_STATUS_KEYED("thread_pool/shard",
-                                        static_cast<uint64_t>(i));
-        if (st.ok()) st = (*state.body)(i);
-      }
-      if (!st.ok()) {
-        MutexLock lock(state.mutex);
-        if (was_interrupt) {
-          if (!state.interrupted) {
-            state.interrupted = true;
-            state.interrupt_status = st;
-          }
-        } else if (!state.has_error || i < state.error_index) {
-          state.has_error = true;
-          state.error_index = i;
-          state.error = std::move(st);
-        }
-        state.stop.store(true, std::memory_order_release);
-      }
-    }
-    if (state.done.fetch_add(1, std::memory_order_acq_rel) + 1 == state.n) {
-      MutexLock lock(state.mutex);
-      state.cv.NotifyAll();
-    }
-  }
-}
-
-}  // namespace
 
 size_t ThreadPool::HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
@@ -110,104 +89,63 @@ size_t ThreadPool::HardwareThreads() {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = HardwareThreads();
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<TaskQueue>());
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(wake_mutex_);
-    stop_.store(true, std::memory_order_release);
+    MutexLock lock(mutex_);
+    stop_ = true;
   }
   wake_cv_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
   {
-    TaskQueue& queue = *queues_[q];
-    MutexLock lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    // Empty critical section: pairs the notify with the wait predicate so
-    // a worker observing pending_ == 0 is guaranteed to see the wakeup.
-    MutexLock lock(wake_mutex_);
+    MutexLock lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
   wake_cv_.NotifyOne();
 }
 
-bool ThreadPool::RunOneTask(size_t self) {
-  std::function<void()> task;
-  {
-    // Own queue: newest first (LIFO) — the classic work-stealing split.
-    TaskQueue& own = *queues_[self];
-    MutexLock lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
+void ThreadPool::WorkerLoop() {
+  while (true) {
+    std::function<void()> task;
+    {
+      MutexLock lock(mutex_);
+      while (tasks_.empty() && !stop_) wake_cv_.Wait(mutex_);
+      if (tasks_.empty()) return;  // stopped and drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
+    task();
   }
-  if (!task) {
-    // Steal oldest-first from the other queues.
-    for (size_t k = 1; k < queues_.size() && !task; ++k) {
-      TaskQueue& victim = *queues_[(self + k) % queues_.size()];
-      MutexLock lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-      }
-    }
-  }
-  if (!task) return false;
-  pending_.fetch_sub(1, std::memory_order_release);
-  task();
-  return true;
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
-  while (true) {
-    if (RunOneTask(self)) continue;
-    MutexLock lock(wake_mutex_);
-    wake_cv_.Wait(wake_mutex_, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
+void ThreadPool::RunLoop(const std::shared_ptr<LoopState>& loop) {
+  const size_t helpers = std::min(workers_.size(), loop->n - 1);
+  {
+    MutexLock lock(mutex_);
+    for (size_t h = 0; h < helpers; ++h) {
+      tasks_.emplace_back([loop] { loop->ClaimIndices(); });
     }
+  }
+  for (size_t h = 0; h < helpers; ++h) wake_cv_.NotifyOne();
+  loop->ClaimIndices();  // the caller is a full participant
+  MutexLock lock(loop->mutex);
+  while (loop->done.load(std::memory_order_acquire) != loop->n) {
+    loop->cv.Wait(loop->mutex);
   }
 }
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  auto state = std::make_shared<ForState>();
-  state->n = n;
-  state->body = &body;
-  size_t helpers = std::min(workers_.size(), n - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([state] { RunForChunk(*state); });
-  }
-  RunForChunk(*state);  // the caller is a full participant
-  MutexLock lock(state->mutex);
-  state->cv.Wait(state->mutex, [&] {
-    return state->done.load(std::memory_order_acquire) == state->n;
-  });
+  RunLoop(std::make_shared<LoopState>(n, &body, nullptr, nullptr));
 }
 
 Status ThreadPool::ParallelForChecked(
@@ -215,32 +153,10 @@ Status ThreadPool::ParallelForChecked(
     const std::function<Status(size_t)>& body) {
   FREQYWM_RETURN_NOT_OK(interrupt.Check());
   if (n == 0) return Status::OK();
-  if (n == 1 || workers_.empty()) {
-    // Serial path: in-order execution makes "smallest failing index"
-    // trivially the first failure; interruption is still polled per index
-    // so a serial context degrades exactly like a single-shard parallel
-    // one.
-    for (size_t i = 0; i < n; ++i) {
-      FREQYWM_RETURN_NOT_OK(interrupt.Check());
-      FREQYWM_FAULT_POINT_KEYED("thread_pool/shard",
-                                static_cast<uint64_t>(i));
-      FREQYWM_RETURN_NOT_OK(body(i));
-    }
-    return Status::OK();
-  }
-  auto state = std::make_shared<CheckedForState>(n, &body, &interrupt);
-  const size_t helpers = std::min(workers_.size(), n - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([state] { RunCheckedForChunk(*state); });
-  }
-  RunCheckedForChunk(*state);  // the caller is a full participant
-  MutexLock lock(state->mutex);
-  state->cv.Wait(state->mutex, [&] {
-    return state->done.load(std::memory_order_acquire) == state->n;
-  });
-  if (state->has_error) return state->error;
-  if (state->interrupted) return state->interrupt_status;
-  return Status::OK();
+  auto loop = std::make_shared<LoopState>(n, nullptr, &body, &interrupt);
+  RunLoop(loop);
+  MutexLock lock(loop->mutex);
+  return loop->error.ok() ? loop->interrupt_status : loop->error;
 }
 
 }  // namespace freqywm

@@ -1,7 +1,6 @@
 #ifndef FREQYWM_EXEC_THREAD_POOL_H_
 #define FREQYWM_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -16,32 +15,29 @@
 
 namespace freqywm {
 
-/// A small work-stealing thread pool — the execution substrate of the batch
-/// detection engine and the sharded histogram build (DESIGN.md §7).
+/// A small thread pool with one shared FIFO of tasks — the execution
+/// substrate of the batch detection engine, the sharded histogram build,
+/// the pooled data transform and the WM-OBT GA (DESIGN.md §7).
 ///
-/// Each worker owns a deque; `Submit` distributes tasks round-robin, a
-/// worker pops its own deque LIFO (cache-warm) and steals FIFO from the
-/// others when empty. `ParallelFor` is the main entry point for data
-/// parallelism: the calling thread participates in the loop (claiming
-/// indices from the same atomic counter as the workers), so a `ParallelFor`
-/// issued from inside a pool task cannot deadlock even when every worker is
-/// busy — the caller simply drains the remaining indices itself.
+/// `ParallelFor` and `ParallelForChecked` are the entry points for data
+/// parallelism and share one claim loop: the calling thread and at most
+/// min(workers, n − 1) queued helper tasks claim indices from one atomic
+/// counter. The caller participates, so a loop issued from inside a pool
+/// task cannot deadlock even when every worker is busy — the caller
+/// simply drains the remaining indices itself.
 ///
 /// Tasks must not throw; error handling in this codebase is `Status`-based
 /// and parallel bodies communicate failure through their outputs.
 ///
 /// Lock discipline (machine-checked by the CI thread-safety job,
-/// DESIGN.md §11): each `TaskQueue::tasks` deque is guarded by its own
-/// `TaskQueue::mutex`; `wake_mutex_` guards no data — it exists to pair
-/// `wake_cv_` notifies with the wait predicate over the `pending_` and
-/// `stop_` atomics, so a submit between "queues empty" and "worker asleep"
-/// is never lost.
+/// DESIGN.md §11): `mutex_` guards the task queue and the stop flag, and
+/// idle workers sleep on `wake_cv_` until either changes.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 → `HardwareThreads()`).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains all submitted tasks, then joins the workers.
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -80,27 +76,19 @@ class ThreadPool {
   static size_t HardwareThreads();
 
  private:
-  struct TaskQueue {
-    Mutex mutex;
-    std::deque<std::function<void()>> tasks GUARDED_BY(mutex);
-  };
+  struct LoopState;  // one ParallelFor / ParallelForChecked call
 
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
-  /// Pops one task (own queue LIFO, then steals FIFO) and runs it.
-  /// Returns false when every queue was empty.
-  bool RunOneTask(size_t self);
+  /// Queues the loop's helpers under one lock, claims indices on the
+  /// calling thread, then waits until all iterations completed.
+  void RunLoop(const std::shared_ptr<LoopState>& loop);
 
-  std::vector<std::unique_ptr<TaskQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  /// Tasks pushed but not yet popped; the wait predicate reads it so a
-  /// submit between "queues empty" and "worker asleep" is never lost.
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
-  Mutex wake_mutex_;
+  Mutex mutex_;
+  std::deque<std::function<void()>> tasks_ GUARDED_BY(mutex_);
+  bool stop_ GUARDED_BY(mutex_) = false;
   CondVar wake_cv_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace freqywm

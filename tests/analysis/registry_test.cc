@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "api/factory.h"
 #include "attacks/destroy.h"
 #include "core/watermark.h"
@@ -33,6 +36,43 @@ SchemeKey MakeSchemeKey(const std::string& scheme, uint64_t seed) {
       created.value()->Embed(GeneratePowerLawHistogram(spec, rng));
   EXPECT_TRUE(outcome.ok()) << outcome.status();
   return outcome.value().key;
+}
+
+/// Traces one suspect under fixed detection options for every record.
+std::vector<TraceMatch> TraceFixed(const FingerprintRegistry& registry,
+                                   const Histogram& suspect,
+                                   const DetectOptions& detect_options) {
+  BatchDetectOptions options;
+  options.use_recommended_options = false;
+  options.detect_options = detect_options;
+  return registry.TraceSuspects({suspect}, options)[0];
+}
+
+/// The serial trace oracle: every record through its `SchemeFactory`
+/// scheme's `Detect` (under `fixed`, or the scheme's recommended options
+/// when null), accepted matches sorted strongest first — stable, so
+/// registration order breaks ties.
+std::vector<TraceMatch> SerialTrace(const FingerprintRegistry& registry,
+                                    const Histogram& suspect,
+                                    const DetectOptions* fixed) {
+  std::vector<TraceMatch> matches;
+  for (const FingerprintRecord& record : registry.records()) {
+    auto scheme = SchemeFactory::Create(record.key.scheme);
+    if (!scheme.ok()) continue;
+    const DetectOptions options =
+        fixed != nullptr ? *fixed
+                         : scheme.value()->RecommendedDetectOptions(record.key);
+    DetectResult r = scheme.value()->Detect(suspect, record.key, options);
+    if (r.accepted) {
+      matches.push_back(TraceMatch{record.buyer_id, record.key.scheme, r});
+    }
+  }
+  std::stable_sort(matches.begin(), matches.end(),
+                   [](const TraceMatch& a, const TraceMatch& b) {
+                     return a.detection.verified_fraction >
+                            b.detection.verified_fraction;
+                   });
+  return matches;
 }
 
 TEST(RegistryTest, RegisterAndEnumerate) {
@@ -273,7 +313,7 @@ TEST(RegistryTest, TraceIdentifiesLeakingBuyer) {
     ASSERT_TRUE(secrets.ok());
     d.min_pairs = std::max<size_t>(1, secrets.value().pairs.size() / 2);
   }
-  auto matches = registry.Trace(pirated, d);
+  auto matches = TraceFixed(registry, pirated, d);
   ASSERT_FALSE(matches.empty());
   EXPECT_EQ(matches[0].buyer_id, "buyer-1");
   EXPECT_EQ(matches[0].scheme, "freqywm");
@@ -306,13 +346,13 @@ TEST(RegistryTest, TraceOnUnrelatedDataFindsNothing) {
   DetectOptions d;
   d.pair_threshold = 0;
   d.min_pairs = std::max<size_t>(1, pairs / 2);
-  EXPECT_TRUE(registry.Trace(unrelated, d).empty());
+  EXPECT_TRUE(TraceFixed(registry, unrelated, d).empty());
 }
 
 TEST(RegistryTest, MixedSchemeTraceFindsOnlyTheEmbeddedScheme) {
   // Escrow one key per scheme, all embedded into copies of the same
   // master; leak the wm-rvs copy; only the wm-rvs buyer may match. Runs
-  // entirely through Trace — no scheme-specific branching here.
+  // entirely through TraceSuspects — no scheme-specific branching here.
   Rng rng(21);
   PowerLawSpec spec;
   spec.num_tokens = 200;
@@ -339,7 +379,7 @@ TEST(RegistryTest, MixedSchemeTraceFindsOnlyTheEmbeddedScheme) {
   }
   ASSERT_FALSE(leaked.empty());
 
-  auto matches = registry.TraceWithRecommendedOptions(leaked);
+  auto matches = registry.TraceSuspects({leaked})[0];
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].buyer_id, "buyer-wm-rvs");
   EXPECT_EQ(matches[0].scheme, "wm-rvs");
@@ -375,10 +415,10 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   // Recommended-options semantics.
   std::vector<std::vector<TraceMatch>> serial;
   for (const Histogram& suspect : suspects) {
-    serial.push_back(registry.TraceWithRecommendedOptions(suspect));
+    serial.push_back(SerialTrace(registry, suspect, nullptr));
   }
   for (size_t threads : {1, 4}) {
-    TraceOptions options;
+    BatchDetectOptions options;
     options.num_threads = threads;
     EXPECT_TRUE(registry.TraceSuspects(suspects, options) == serial)
         << threads << " threads";
@@ -390,15 +430,15 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   }
   EXPECT_TRUE(serial.back().empty());
 
-  // Fixed-options semantics (the `Trace(suspect, options)` path).
+  // Fixed-options semantics (`use_recommended_options` false).
   DetectOptions fixed;
   fixed.pair_threshold = 0;
   fixed.min_pairs = 1;
   std::vector<std::vector<TraceMatch>> serial_fixed;
   for (const Histogram& suspect : suspects) {
-    serial_fixed.push_back(registry.Trace(suspect, fixed));
+    serial_fixed.push_back(SerialTrace(registry, suspect, &fixed));
   }
-  TraceOptions fixed_options;
+  BatchDetectOptions fixed_options;
   fixed_options.num_threads = 4;
   fixed_options.use_recommended_options = false;
   fixed_options.detect_options = fixed;
@@ -417,10 +457,10 @@ TEST(RegistryTest, TraceSuspectsSkipsUnregisteredSchemes) {
   FingerprintRegistry registry;
   ASSERT_TRUE(
       registry.Register("ghost", SchemeKey{"not-a-scheme", "blob"}).ok());
-  auto batched = registry.TraceSuspects({master}, TraceOptions{});
+  auto batched = registry.TraceSuspects({master}, BatchDetectOptions{});
   ASSERT_EQ(batched.size(), 1u);
   EXPECT_TRUE(batched[0].empty());
-  EXPECT_TRUE(registry.TraceSuspects({}, TraceOptions{}).empty());
+  EXPECT_TRUE(registry.TraceSuspects({}, BatchDetectOptions{}).empty());
 }
 
 TEST(RegistryTest, RoundTripIsByteExactForForeignPayloads) {
@@ -447,7 +487,7 @@ TEST(RegistryTest, TraceSkipsUnregisteredSchemes) {
   spec.num_tokens = 50;
   spec.sample_size = 20000;
   Histogram hist = GeneratePowerLawHistogram(spec, rng);
-  EXPECT_TRUE(registry.Trace(hist, DetectOptions{}).empty());
+  EXPECT_TRUE(TraceFixed(registry, hist, DetectOptions{}).empty());
 }
 
 }  // namespace

@@ -214,6 +214,21 @@ TEST(AdmissionTest, BoundedWaitingRoomShedsExcessPending) {
   EXPECT_EQ(controller.stats().pending, 0u);
 }
 
+TEST(AdmissionTest, WaitingRoomNeverShedsImmediatelyAdmissibleWork) {
+  AdmissionOptions options;
+  options.max_in_flight = 8;
+  options.max_pending = 4;
+  AdmissionController controller(options);
+
+  // 5 units exceed the waiting room but fit the idle semaphore: the
+  // request needs no wait, so the waiting room does not apply.
+  auto permit = controller.Admit(5, InterruptContext{});
+  ASSERT_TRUE(permit.ok()) << permit.status().ToString();
+  EXPECT_EQ(controller.stats().in_flight, 5u);
+  EXPECT_EQ(controller.stats().pending, 0u);
+  EXPECT_EQ(controller.stats().total_shed(), 0u);
+}
+
 TEST(AdmissionTest, CancellationWhileQueuedReturnsCancelled) {
   AdmissionOptions options;
   options.max_in_flight = 1;

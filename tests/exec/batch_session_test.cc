@@ -227,7 +227,7 @@ TEST(BatchSessionTest, UnregisteredSchemeTagStreamsDefaultRejects) {
 }
 
 TEST(BatchSessionTest, TraceSuspectsWithSharedCacheMatchesUncached) {
-  // The registry wiring: TraceOptions::key_cache changes who pays the
+  // The registry wiring: BatchDetectOptions::key_cache changes who pays the
   // preparation, never the matches.
   Histogram original = MakeCleanHistogram(37);
   auto outcome = MakeScheme("freqywm", 66)->Embed(original);
@@ -237,10 +237,10 @@ TEST(BatchSessionTest, TraceSuspectsWithSharedCacheMatchesUncached) {
   ASSERT_TRUE(registry.Register("buyer-1", outcome.value().key).ok());
   std::vector<Histogram> suspects{outcome.value().watermarked, original};
 
-  TraceOptions plain;
+  BatchDetectOptions plain;
   auto uncached = registry.TraceSuspects(suspects, plain);
 
-  TraceOptions with_cache;
+  BatchDetectOptions with_cache;
   with_cache.key_cache = std::make_shared<PreparedKeyCache>();
   auto cold = registry.TraceSuspects(suspects, with_cache);
   auto warm = registry.TraceSuspects(suspects, with_cache);

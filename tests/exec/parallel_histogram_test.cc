@@ -38,7 +38,7 @@ TEST(ParallelHistogramTest, MatchesSerialBuildOnLargeDataset) {
   Histogram serial = Histogram::FromDataset(dataset);
   for (size_t threads : {1, 2, 4, 7}) {
     ThreadPool pool(threads);
-    Histogram sharded = BuildHistogramSharded(dataset, pool);
+    Histogram sharded = ExecContext{&pool}.BuildHistogram(dataset);
     ExpectIdentical(serial, sharded);
   }
 }
@@ -53,17 +53,17 @@ TEST(ParallelHistogramTest, ManyTiedCountsKeepDeterministicOrder) {
   Dataset dataset(std::move(tokens));
   Histogram serial = Histogram::FromDataset(dataset);
   ThreadPool pool(4);
-  ExpectIdentical(serial, BuildHistogramSharded(dataset, pool));
+  ExpectIdentical(serial, ExecContext{&pool}.BuildHistogram(dataset));
 }
 
 TEST(ParallelHistogramTest, SmallAndEmptyDatasetsFallBackToSerial) {
   ThreadPool pool(4);
-  Histogram empty = BuildHistogramSharded(Dataset(), pool);
+  Histogram empty = ExecContext{&pool}.BuildHistogram(Dataset());
   EXPECT_TRUE(empty.empty());
 
   Dataset tiny(std::vector<Token>{"a", "b", "a"});
   ExpectIdentical(Histogram::FromDataset(tiny),
-                  BuildHistogramSharded(tiny, pool));
+                  ExecContext{&pool}.BuildHistogram(tiny));
 }
 
 TEST(ParallelHistogramTest, ExecContextDispatchesSerialAndParallel) {

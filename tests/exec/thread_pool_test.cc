@@ -6,6 +6,8 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace freqywm {
@@ -97,6 +99,76 @@ TEST(ThreadPoolTest, ManySmallLoopsStress) {
     pool.ParallelFor(64, [&](size_t i) { sum.fetch_add(i); });
     ASSERT_EQ(sum.load(), 64u * 63u / 2);
   }
+}
+
+TEST(ThreadPoolTest, ExternalCallersShareOneQueue) {
+  // Four threads outside the pool interleave unchecked and checked loops
+  // on it; every loop runs each of its indices exactly once.
+  ThreadPool pool(3);
+  constexpr size_t kN = 64;
+  constexpr int kLoops = 200;
+  std::atomic<int> bad_loops{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (int loop = 0; loop < kLoops; ++loop) {
+        std::vector<std::atomic<int>> hits(kN);
+        pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+        Status status = pool.ParallelForChecked(
+            kN, InterruptContext{}, [&](size_t i) {
+              hits[i].fetch_add(1);
+              return Status::OK();
+            });
+        if (!status.ok()) bad_loops.fetch_add(1);
+        for (const auto& h : hits) {
+          if (h.load() != 2) {
+            bad_loops.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(bad_loops.load(), 0);
+}
+
+TEST(ThreadPoolTest, CheckedLoopNestedInParallelForReportsSmallestFailure) {
+  // Each outer iteration runs a checked loop on the same pool whose
+  // failing indices depend on the outer index; every inner loop returns
+  // the error of its own smallest failing index.
+  ThreadPool pool(3);
+  constexpr size_t kOuter = 16;
+  std::vector<Status> results(kOuter);
+  pool.ParallelFor(kOuter, [&](size_t outer) {
+    results[outer] = pool.ParallelForChecked(
+        100, InterruptContext{}, [&](size_t i) {
+          if (i == outer + 10 || i == outer + 50 || i == 99) {
+            return Status::Internal("fail at " + std::to_string(i));
+          }
+          return Status::OK();
+        });
+  });
+  for (size_t outer = 0; outer < kOuter; ++outer) {
+    EXPECT_EQ(results[outer].code(), StatusCode::kInternal);
+    EXPECT_EQ(results[outer].message(),
+              "fail at " + std::to_string(outer + 10))
+        << "outer " << outer;
+  }
+}
+
+TEST(ThreadPoolTest, DestroyWithStaleHelpersQueued) {
+  // Tiny loops finish on the caller before their helpers are dequeued,
+  // so the queue fills with stale helpers; destroying the pool right
+  // after must run them harmlessly and touch no finished loop's body.
+  std::atomic<int> calls{0};
+  {
+    ThreadPool pool(4);
+    for (int loop = 0; loop < 2000; ++loop) {
+      pool.ParallelFor(2, [&](size_t) { calls.fetch_add(1); });
+    }
+  }
+  EXPECT_EQ(calls.load(), 4000);
 }
 
 TEST(ThreadPoolTest, HardwareThreadsHasFloorOfOne) {

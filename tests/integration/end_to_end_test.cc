@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/detect.h"
 #include "core/secrets.h"
@@ -50,8 +51,12 @@ TEST_P(PipelineTest, GenerateSerializeReloadDetect) {
                                        param.metric),
             98.0);
 
-  // Round-trip the secrets through the wire format.
-  std::string path = testing::TempDir() + "/e2e_secrets.txt";
+  // Round-trip the secrets through the wire format. The file name is
+  // unique per case, so cases running in parallel never share it.
+  std::string path = testing::TempDir() + "/e2e_secrets_" +
+                     std::to_string(static_cast<int>(param.strategy)) + "_" +
+                     std::to_string(static_cast<int>(param.rule)) + "_" +
+                     std::to_string(static_cast<int>(param.metric)) + ".txt";
   ASSERT_TRUE(r.value().report.secrets.SaveToFile(path).ok());
   auto reloaded = WatermarkSecrets::LoadFromFile(path);
   ASSERT_TRUE(reloaded.ok());
