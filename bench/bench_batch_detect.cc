@@ -171,15 +171,9 @@ std::vector<std::vector<DetectResult>> StreamChunked(
   std::vector<std::vector<DetectResult>> all;
   for (size_t start = 0; start < suspects.size(); start += chunk) {
     const size_t end = std::min(start + chunk, suspects.size());
-    // The default budget is unbounded, so every chunk is admitted; a
-    // failed enqueue returns short and fails the identity gate.
-    Status added = session.TryAddSuspects(std::vector<Histogram>(
-        suspects.begin() + start, suspects.begin() + end));
-    if (!added.ok()) {
-      std::printf("enqueue failed: %s\n", added.message().c_str());
-      return all;
-    }
-    auto rows = session.Drain();
+    session.AddSuspects(std::vector<Histogram>(suspects.begin() + start,
+                                               suspects.begin() + end));
+    auto rows = session.DrainChecked(InterruptContext{}).verdicts;
     for (auto& row : rows) all.push_back(std::move(row));
   }
   return all;
@@ -209,10 +203,11 @@ int main() {
               suspects.size(), keys.size(), cells, kSuspectTokens);
 
   BatchDetectOptions serial_opts;  // num_threads = 1 → serial reference
-  BatchDetector serial(serial_opts);
   std::vector<std::vector<DetectResult>> reference;
   double serial_best = BestOfReps([&] {
-    reference = serial.Run(suspects, keys);
+    reference = BatchDetector::Session(serial_opts, keys)
+                    .DetectChecked(suspects, InterruptContext{})
+                    .verdicts;
   });
   std::printf("%8s  %12s  %10s  %9s\n", "threads", "seconds", "cells/s",
               "speedup");
@@ -226,12 +221,13 @@ int main() {
   for (size_t threads : {2, 4, 8}) {
     BatchDetectOptions opts;
     opts.num_threads = threads;
-    BatchDetector parallel(opts);
     // threads = total parallelism: this thread helps, so threads-1 workers.
     ThreadPool pool(threads - 1);
     std::vector<std::vector<DetectResult>> results;
     double best = BestOfReps([&] {
-      results = parallel.Run(suspects, keys, &pool);
+      results = BatchDetector::Session(opts, keys, &pool)
+                    .DetectChecked(suspects, InterruptContext{})
+                    .verdicts;
     });
     bool identical = gate.Check(
         "mixed matrix @" + std::to_string(threads) + " threads vs serial",
@@ -271,9 +267,12 @@ int main() {
   for (size_t threads : {1, 2, 4, 8}) {
     BatchDetectOptions opts;
     opts.num_threads = threads;
-    BatchDetector engine(opts);
     std::vector<std::vector<DetectResult>> results;
-    double best = BestOfReps([&] { results = engine.Run(fw_suspects, fw_keys); });
+    double best = BestOfReps([&] {
+      results = BatchDetector::Session(opts, fw_keys)
+                    .DetectChecked(fw_suspects, InterruptContext{})
+                    .verdicts;
+    });
     bool identical = gate.Check(
         "prepared engine @" + std::to_string(threads) + " threads vs PR 2",
         results == fw_reference);
@@ -345,7 +344,8 @@ int main() {
     std::vector<std::vector<DetectResult>> one_shot;
     double warm_best = BestOfReps([&] {
       BatchDetector::Session session(opts, fw_keys);
-      one_shot = session.Detect(fw_suspects);
+      one_shot =
+          session.DetectChecked(fw_suspects, InterruptContext{}).verdicts;
     });
     bool identical = one_shot == fw_reference;
 

@@ -4,7 +4,8 @@
 // graceful-degradation curve: goodput (drained rows/sec), shed rate,
 // and p50/p99 submit-call latency per load point. Under any offered
 // load the invariants are the ISSUE 9 acceptance criteria — pending
-// work bounded by the budget, every shed typed kResourceExhausted (or
+// work bounded by the in-flight quota (every queued suspect holds an
+// admission unit), every shed typed kResourceExhausted (or
 // kDeadlineExceeded/kCancelled for interrupted waits), and admitted
 // work byte-identical to the unthrottled serial reference.
 //
@@ -18,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -65,13 +65,9 @@ Workload MakeWorkload() {
   }
   w.suspects.push_back(original);
 
-  BatchDetector::Session session(BatchDetectOptions{}, w.keys);
-  Status added = session.TryAddSuspects(w.suspects);  // unbounded budget
-  if (!added.ok()) {
-    std::printf("enqueue failed: %s\n", added.message().c_str());
-    std::exit(1);
-  }
-  w.reference = session.Drain();
+  w.reference = BatchDetector::Session(BatchDetectOptions{}, w.keys)
+                    .DetectChecked(w.suspects, InterruptContext{})
+                    .verdicts;
   return w;
 }
 
@@ -281,12 +277,12 @@ int main() {
     std::printf(
         "\nload %2zux: offered %llu  admitted %llu  shed %llu (%.1f%%)\n"
         "         goodput %.0f rows/s  p50 %.3f ms  p99 %.3f ms\n"
-        "         peak pending %zu (budget %zu)\n",
+        "         peak pending %zu (in-flight quota %zu)\n",
         point.multiplier, static_cast<unsigned long long>(point.offered),
         static_cast<unsigned long long>(point.admitted),
         static_cast<unsigned long long>(point.shed),
         100.0 * point.shed_fraction, point.goodput_rows_per_s, point.p50_ms,
-        point.p99_ms, point.peak_pending, kPendingQuota);
+        point.p99_ms, point.peak_pending, kInFlightQuota);
     gate.Check("load " + std::to_string(multiplier) +
                    "x: all sheds typed",
                point.all_typed);
@@ -294,8 +290,8 @@ int main() {
                    "x: admitted == drained",
                point.admitted == point.drained);
     gate.Check("load " + std::to_string(multiplier) +
-                   "x: pending bounded by budget",
-               point.peak_pending <= kPendingQuota);
+                   "x: pending bounded by in-flight quota",
+               point.peak_pending <= kInFlightQuota);
     gate.Check("load " + std::to_string(multiplier) +
                    "x: admitted verdicts byte-identical",
                point.identity_violations == 0);

@@ -123,8 +123,13 @@ int main() {
   d.pair_threshold = 3;        // covers the pirate's noise
   d.symmetric_residue = true;  // noise drifts residues both ways
   d.min_pairs = std::max<size_t>(1, min_fingerprint_pairs / 2);
-  std::vector<TraceMatch> matches =
-      registry.TraceSuspects({pirated}, trace)[0];
+  Result<std::vector<std::vector<TraceMatch>>> traced =
+      registry.TraceSuspects({pirated}, trace);
+  if (!traced.ok()) {
+    std::printf("trace failed: %s\n", traced.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<TraceMatch> matches = traced.value()[0];
 
   std::printf("\n%-16s %-10s %-12s\n", "buyer", "scheme", "verified");
   for (const TraceMatch& match : matches) {
@@ -150,7 +155,7 @@ int main() {
   quotas.max_escrowed_keys = 3;
   quotas.max_concurrent_sessions = 1;
   quotas.max_in_flight_suspects = 4;  // admitted-but-undrained budget
-  quotas.max_pending_suspects = 4;    // session queue budget
+  quotas.max_pending_suspects = 4;    // Submit waiting room
   TenantContext seller("marketplace-eu", quotas);
   for (size_t i = 0; i < 3; ++i) {
     if (Status s = seller.Escrow(buyers[i], keys[i]); !s.ok()) {
@@ -334,18 +339,19 @@ int main() {
   }
 
   // The recovered ledger still traces the pirated copy to the same buyer.
-  std::vector<TraceMatch> retrace =
+  Result<std::vector<std::vector<TraceMatch>>> retraced =
       recovered.value()->durable_registry()->Snapshot().TraceSuspects(
-          {pirated}, trace)[0];
-  if (retrace.empty() || matches.empty() ||
-      retrace[0].buyer_id != matches[0].buyer_id) {
+          {pirated}, trace);
+  if (!retraced.ok() || retraced.value()[0].empty() || matches.empty() ||
+      retraced.value()[0][0].buyer_id != matches[0].buyer_id) {
     std::printf("recovered ledger failed to re-trace the leak\n");
     return 1;
   }
+  const TraceMatch& retrace = retraced.value()[0][0];
   std::printf("recovered ledger re-traces the leak to: %s (%.0f%% "
               "verified)\n",
-              retrace[0].buyer_id.c_str(),
-              retrace[0].detection.verified_fraction * 100);
+              retrace.buyer_id.c_str(),
+              retrace.detection.verified_fraction * 100);
 
   std::remove(DurableRegistry::SnapshotPath(durable_dir).c_str());
   std::remove(DurableRegistry::WalPath(durable_dir).c_str());

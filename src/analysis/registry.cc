@@ -66,14 +66,20 @@ Status FingerprintRegistry::Register(const std::string& buyer_id,
   return Register(buyer_id, SchemeKey{"freqywm", secrets.Serialize()});
 }
 
-std::vector<std::vector<TraceMatch>> FingerprintRegistry::TraceSuspects(
-    const std::vector<Histogram>& suspects,
-    const BatchDetectOptions& options) const {
+Result<std::vector<std::vector<TraceMatch>>>
+FingerprintRegistry::TraceSuspects(const std::vector<Histogram>& suspects,
+                                   const BatchDetectOptions& options) const {
   std::vector<SchemeKey> keys;
   keys.reserve(records_.size());
   for (const auto& record : records_) keys.push_back(record.key);
-  std::vector<std::vector<DetectResult>> detections =
-      BatchDetector(options).Run(suspects, std::move(keys));
+  SessionDrainResult drained =
+      BatchDetector::Session(options, std::move(keys))
+          .DetectChecked(suspects, InterruptContext{});
+  FREQYWM_RETURN_NOT_OK(drained.status);
+  if (!drained.cell_errors.empty()) return drained.cell_errors[0].status;
+  for (const Status& status : drained.key_status) {
+    if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
+  }
 
   // Reduce each suspect's row: keep the accepted records in registration
   // order, then sort strongest first (stable, so registration order
@@ -82,10 +88,10 @@ std::vector<std::vector<TraceMatch>> FingerprintRegistry::TraceSuspects(
   std::vector<std::vector<TraceMatch>> matches(suspects.size());
   for (size_t i = 0; i < suspects.size(); ++i) {
     for (size_t j = 0; j < records_.size(); ++j) {
-      if (!detections[i][j].accepted) continue;
+      const DetectResult& detection = drained.verdicts[i][j];
+      if (!detection.accepted) continue;
       matches[i].push_back(TraceMatch{records_[j].buyer_id,
-                                      records_[j].key.scheme,
-                                      detections[i][j]});
+                                      records_[j].key.scheme, detection});
     }
     SortStrongestFirst(matches[i]);
   }

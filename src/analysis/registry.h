@@ -72,16 +72,18 @@ class FingerprintRegistry {
 
   /// Traces a batch of suspect copies — the marketplace workload where one
   /// owner screens many surfaced datasets at once. Every escrowed key runs
-  /// against every suspect through its scheme's `Detect`, on the
-  /// `BatchDetector` (DESIGN.md §7): under the scheme's
+  /// against every suspect through its scheme's `Detect`, in one
+  /// `BatchDetector::Session` (DESIGN.md §7): under the scheme's
   /// `RecommendedDetectOptions` by default, or under
   /// `options.detect_options` when `use_recommended_options` is false.
   /// Element `i` of the result lists the accepted matches for
   /// `suspects[i]`, strongest first (by verified fraction, ties by
   /// registration order). Records whose scheme is not registered in the
-  /// `SchemeFactory` are skipped. Results are independent of
+  /// `SchemeFactory` are skipped. Any other failure — a failed drain, a
+  /// failed cell, or a key whose `Prepare` failed — is returned as the
+  /// error instead of passing as "no match". Results are independent of
   /// `options.num_threads` and `options.key_cache`.
-  std::vector<std::vector<TraceMatch>> TraceSuspects(
+  [[nodiscard]] Result<std::vector<std::vector<TraceMatch>>> TraceSuspects(
       const std::vector<Histogram>& suspects,
       const BatchDetectOptions& options = {}) const;
 

@@ -33,12 +33,7 @@ Status TenantSession::Submit(std::vector<Histogram> suspects,
   Result<AdmissionController::Permit> permit =
       tenant_->admission_->Admit(suspects.size(), interrupt);
   FREQYWM_RETURN_NOT_OK(permit.status());
-  // A failed enqueue drops the permit here, so the shed leaves no units
-  // leased — all-or-nothing.
-  FREQYWM_RETURN_NOT_OK(
-      session_->AddSuspectsBounded(std::move(suspects), interrupt));
-  MutexLock lock(mu_);
-  permits_.push_back(std::move(permit).value());
+  Enqueue(std::move(permit).value(), std::move(suspects));
   return Status::OK();
 }
 
@@ -48,10 +43,18 @@ Status TenantSession::TrySubmit(std::vector<Histogram> suspects,
   Result<AdmissionController::Permit> permit =
       tenant_->admission_->TryAdmit(suspects.size(), deadline);
   FREQYWM_RETURN_NOT_OK(permit.status());
-  FREQYWM_RETURN_NOT_OK(session_->TryAddSuspects(std::move(suspects)));
-  MutexLock lock(mu_);
-  permits_.push_back(std::move(permit).value());
+  Enqueue(std::move(permit).value(), std::move(suspects));
   return Status::OK();
+}
+
+void TenantSession::Enqueue(AdmissionController::Permit permit,
+                            std::vector<Histogram> suspects) {
+  // Queue and file the permit under one lock: a concurrent drain that
+  // claims these rows releases their units only after the permit is
+  // filed, so every queued suspect holds a unit.
+  MutexLock lock(mu_);
+  session_->AddSuspects(std::move(suspects));
+  permits_.push_back(std::move(permit));
 }
 
 SessionDrainResult TenantSession::DrainChecked(
@@ -176,7 +179,6 @@ Result<std::unique_ptr<TenantSession>> TenantContext::OpenSession(
   BatchDetectOptions options;
   options.num_threads = num_threads;
   options.key_cache = key_cache_;
-  options.max_pending_suspects = quotas_.max_pending_suspects;
   // Key preparation (the expensive part) runs outside the tenant lock.
   auto session = std::unique_ptr<TenantSession>(new TenantSession(
       this,
@@ -193,7 +195,7 @@ FingerprintRegistry TenantContext::RegistrySnapshot() const {
   return registry_;
 }
 
-std::vector<std::vector<TraceMatch>> TenantContext::TraceSuspects(
+Result<std::vector<std::vector<TraceMatch>>> TenantContext::TraceSuspects(
     const std::vector<Histogram>& suspects, size_t num_threads) const {
   const FingerprintRegistry snapshot = RegistrySnapshot();
   BatchDetectOptions options;

@@ -41,12 +41,14 @@ struct TenantQuotas {
   size_t max_concurrent_sessions = 0;
 
   /// Maximum suspects admitted (submitted, not yet drained) across all
-  /// of the tenant's sessions — `AdmissionOptions::max_in_flight`. 0 =
-  /// unlimited.
+  /// of the tenant's sessions — `AdmissionOptions::max_in_flight`. Every
+  /// queued suspect holds one of these units, so this is also the bound
+  /// on the tenant's session queues. 0 = unlimited.
   size_t max_in_flight_suspects = 0;
 
-  /// Suspects that may wait inside blocking `Submit` calls —
-  /// `AdmissionOptions::max_pending`. 0 = unlimited.
+  /// Suspects that may wait inside blocking `Submit` calls for in-flight
+  /// capacity (the waiting room) — `AdmissionOptions::max_pending`. It
+  /// does not bound the session queues. 0 = unlimited.
   size_t max_pending_suspects = 0;
 
   /// Token-bucket rate limit in suspects per second, with burst
@@ -82,9 +84,10 @@ class TenantContext;
 /// the tenant's admission controller. `Submit` admits suspects (blocking
 /// with backpressure, honoring the caller's interrupt) before they enter
 /// the session queue; `TrySubmit` is the non-blocking shed-mode variant.
-/// Draining returns admitted units to the in-flight semaphore, one per
-/// drained row; destruction returns whatever is still outstanding and
-/// frees the tenant's session slot.
+/// Admission is the only bound on the queue: every queued suspect holds
+/// one in-flight unit. Draining returns admitted units to the in-flight
+/// semaphore, one per drained row; destruction returns whatever is still
+/// outstanding and frees the tenant's session slot.
 ///
 /// Determinism: a suspect that is admitted produces verdicts
 /// byte-identical to the same suspect through an unthrottled session at
@@ -92,7 +95,7 @@ class TenantContext;
 /// never its bytes (enforced by tests/analysis/tenant_test.cc).
 ///
 /// Concurrency: `Submit`/`TrySubmit` are thread-safe (many producers);
-/// `DrainChecked` is single-caller, like `Session::Drain`.
+/// `DrainChecked` is single-caller, like `Session::DrainChecked`.
 class TenantSession {
  public:
   ~TenantSession();
@@ -100,18 +103,17 @@ class TenantSession {
   TenantSession& operator=(const TenantSession&) = delete;
 
   /// Blocking submission: admits `suspects.size()` units through the
-  /// tenant's admission controller (rate + in-flight + pending budget,
-  /// deadline-aware), then enqueues through the session's bounded
-  /// backpressure path. Typed outcomes: `kResourceExhausted` sheds,
-  /// `kCancelled` / the interrupt status when `interrupt` fires while
-  /// queued. All-or-nothing: on any non-OK return NOTHING was enqueued
-  /// and no units stay leased.
+  /// tenant's admission controller (rate + in-flight + waiting room,
+  /// deadline-aware), then enqueues them in the session. Typed outcomes:
+  /// `kResourceExhausted` sheds, `kCancelled` / the interrupt status when
+  /// `interrupt` fires while waiting. All-or-nothing: on any non-OK
+  /// return NOTHING was enqueued and no units stay leased.
   [[nodiscard]] Status Submit(std::vector<Histogram> suspects,
                               const InterruptContext& interrupt);
 
   /// Non-blocking submission: sheds immediately (typed
-  /// `kResourceExhausted`) instead of waiting for tokens, capacity or
-  /// queue space. All-or-nothing like `Submit`.
+  /// `kResourceExhausted`) instead of waiting for tokens or capacity.
+  /// All-or-nothing like `Submit`.
   [[nodiscard]] Status TrySubmit(std::vector<Histogram> suspects,
                                  const Deadline& deadline = {});
 
@@ -135,6 +137,11 @@ class TenantSession {
   friend class TenantContext;
   TenantSession(TenantContext* tenant,
                 std::unique_ptr<BatchDetector::Session> session);
+
+  /// Enqueues admitted `suspects` and files the `permit` that holds
+  /// their units.
+  void Enqueue(AdmissionController::Permit permit,
+               std::vector<Histogram> suspects);
 
   /// Returns `rows` admitted units to the in-flight semaphore, oldest
   /// permits first.
@@ -194,9 +201,10 @@ class TenantContext {
   Result<std::unique_ptr<TenantSession>> OpenSession(size_t num_threads = 1);
 
   /// Traces suspects through the tenant's registry with the tenant's
-  /// cache — the serial convenience path, un-throttled (admission
-  /// applies to sessions; a trace is one bounded call).
-  std::vector<std::vector<TraceMatch>> TraceSuspects(
+  /// cache (`FingerprintRegistry::TraceSuspects`, on `num_threads`
+  /// threads) — one bounded call, un-throttled: admission applies to
+  /// sessions only.
+  [[nodiscard]] Result<std::vector<std::vector<TraceMatch>>> TraceSuspects(
       const std::vector<Histogram>& suspects, size_t num_threads = 1) const;
 
   /// Point-in-time health of this tenant's slice of the engine:

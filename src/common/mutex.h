@@ -77,9 +77,10 @@ class CondVar {
   /// Like `Wait`, but gives up after `timeout`. Returns true if notified
   /// (or spuriously woken) before the timeout, false on timeout. Either
   /// way the mutex is reacquired before returning. This is what makes a
-  /// blocked `Session::Drain` interruptible: waiters bounded by `WaitFor`
-  /// can re-check a `CancellationToken`/`Deadline` between sleeps instead
-  /// of blocking forever on a notification that may never come.
+  /// blocked `AdmissionController::Admit` interruptible: waiters bounded
+  /// by `WaitFor` can re-check a `CancellationToken`/`Deadline` between
+  /// sleeps instead of blocking forever on a notification that may never
+  /// come.
   bool WaitFor(Mutex& mutex, std::chrono::nanoseconds timeout)
       REQUIRES(mutex) {
     std::unique_lock<std::mutex> lock(mutex.mutex_, std::adopt_lock);

@@ -1,8 +1,6 @@
 #include "exec/batch_detector.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -11,11 +9,6 @@
 #include "exec/fault_injection.h"
 
 namespace freqywm {
-
-BatchDetector::BatchDetector(BatchDetectOptions options)
-    : options_(std::move(options)) {}
-
-// ---------------------------------------------------------------- Session
 
 BatchDetector::Session::Session(BatchDetectOptions options,
                                 std::vector<SchemeKey> keys)
@@ -38,13 +31,13 @@ BatchDetector::Session::Session(BatchDetectOptions options,
 }
 
 void BatchDetector::Session::PrepareKeys() {
-  // One scheme per distinct tag (the same `SchemeCache` the serial
-  // registry trace uses), populated on the constructing thread so `Drain`
-  // only reads. Per-key detection settings, prepared state and dense id
-  // maps are likewise resolved here — once per session, not per chunk —
-  // and stay deterministic regardless of scheduling. Prepared state goes
-  // through the shared cache when one is configured, so keys already
-  // prepared by an earlier session (or another tenant) cost a lookup.
+  // One scheme per distinct tag (`SchemeCache`), populated on the
+  // constructing thread so a drain only reads. Per-key detection
+  // settings, prepared state and dense id maps are likewise resolved
+  // here — once per session, not per chunk — and stay deterministic
+  // regardless of scheduling. Prepared state goes through the shared
+  // cache when one is configured, so keys already prepared by an earlier
+  // session (or another tenant) cost a lookup.
   key_scheme_.assign(keys_.size(), nullptr);
   key_options_.assign(keys_.size(), DetectOptions{});
   prepared_.assign(keys_.size(), nullptr);
@@ -131,47 +124,11 @@ void BatchDetector::Session::ScatterSuspect(const Histogram& suspect,
   }
 }
 
-Status BatchDetector::Session::TryAddSuspects(
-    std::vector<Histogram> suspects) {
-  FREQYWM_FAULT_POINT("session/add_bounded");
-  const size_t budget = options_.max_pending_suspects;
+void BatchDetector::Session::AddSuspects(std::vector<Histogram> suspects) {
   MutexLock lock(pending_mutex_);
-  if (budget > 0 && pending_.size() + suspects.size() > budget) {
-    return Status::ResourceExhausted(
-        "shed: session queue full (" + std::to_string(pending_.size()) +
-        " pending + " + std::to_string(suspects.size()) + " offered > " +
-        std::to_string(budget) + " budget)");
-  }
   for (Histogram& suspect : suspects) {
     pending_.push_back(std::move(suspect));
   }
-  return Status::OK();
-}
-
-Status BatchDetector::Session::AddSuspectsBounded(
-    std::vector<Histogram> suspects, const InterruptContext& interrupt) {
-  FREQYWM_FAULT_POINT("session/add_bounded");
-  const size_t budget = options_.max_pending_suspects;
-  if (budget > 0 && suspects.size() > budget) {
-    // Can never fit; blocking would hang forever.
-    return Status::ResourceExhausted(
-        "shed: batch of " + std::to_string(suspects.size()) +
-        " suspects exceeds the whole pending budget of " +
-        std::to_string(budget));
-  }
-  constexpr std::chrono::milliseconds kWaitQuantum(10);
-  MutexLock lock(pending_mutex_);
-  while (budget > 0 && pending_.size() + suspects.size() > budget) {
-    FREQYWM_RETURN_NOT_OK(interrupt.Check());
-    // Producer backpressure: drains notify pending_cv_ after claiming
-    // the queue, so space-waiters wake; the bounded quantum caps how
-    // long an interruption can go unnoticed if no drain ever runs.
-    pending_cv_.WaitFor(pending_mutex_, kWaitQuantum);
-  }
-  for (Histogram& suspect : suspects) {
-    pending_.push_back(std::move(suspect));
-  }
-  return Status::OK();
 }
 
 size_t BatchDetector::Session::pending_suspects() const {
@@ -179,7 +136,8 @@ size_t BatchDetector::Session::pending_suspects() const {
   return pending_.size();
 }
 
-std::vector<Histogram> BatchDetector::Session::ClaimPending() {
+SessionDrainResult BatchDetector::Session::DrainChecked(
+    const InterruptContext& interrupt) {
   // Claim the queue atomically, then detect outside the lock: producers
   // that enqueue while the matrix evaluates land in the next drain instead
   // of blocking on it.
@@ -188,31 +146,7 @@ std::vector<Histogram> BatchDetector::Session::ClaimPending() {
     MutexLock lock(pending_mutex_);
     batch.swap(pending_);
   }
-  // The claim freed the whole pending budget: wake any producer blocked
-  // in AddSuspectsBounded.
-  pending_cv_.NotifyAll();
-  return batch;
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Drain() {
-  return Detect(ClaimPending());
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Session::Detect(
-    const std::vector<Histogram>& suspects) const {
-  return DetectMatrix</*kChecked=*/false>(suspects, InterruptContext{})
-      .verdicts;
-}
-
-SessionDrainResult BatchDetector::Session::DrainChecked(
-    const InterruptContext& interrupt) {
-  return DetectChecked(ClaimPending(), interrupt);
-}
-
-SessionDrainResult BatchDetector::Session::DetectChecked(
-    const std::vector<Histogram>& suspects,
-    const InterruptContext& interrupt) const {
-  return DetectMatrix</*kChecked=*/true>(suspects, interrupt);
+  return DetectChecked(batch, interrupt);
 }
 
 namespace {
@@ -291,38 +225,21 @@ std::vector<KeyRun> PlanBlocks(const std::vector<uint8_t>& histogram_key,
 }
 
 /// Runs `body` for every index below `n` on `pool`, or inline without
-/// one. Checked: through `ParallelForChecked` (the interrupt polled and
-/// the `thread_pool/shard` fault site run before every index), returning
-/// the first error. Unchecked: through `ParallelFor`, which has neither,
-/// and `body` must not fail.
-template <bool kChecked>
+/// one, polling the interrupt (and, on the pool, the `thread_pool/shard`
+/// fault site) before every index; returns the first error.
 Status ForEach(ThreadPool* pool, size_t n, const InterruptContext& interrupt,
                const std::function<Status(size_t)>& body) {
-  if constexpr (kChecked) {
-    if (pool != nullptr) return pool->ParallelForChecked(n, interrupt, body);
-    for (size_t index = 0; index < n; ++index) {
-      FREQYWM_RETURN_NOT_OK(interrupt.Check());
-      FREQYWM_RETURN_NOT_OK(body(index));
-    }
-  } else {
-    auto run = [&](size_t index) {
-      const Status status = body(index);
-      assert(status.ok());
-      (void)status;
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, run);
-    } else {
-      for (size_t index = 0; index < n; ++index) run(index);
-    }
+  if (pool != nullptr) return pool->ParallelForChecked(n, interrupt, body);
+  for (size_t index = 0; index < n; ++index) {
+    FREQYWM_RETURN_NOT_OK(interrupt.Check());
+    FREQYWM_RETURN_NOT_OK(body(index));
   }
   return Status::OK();
 }
 
 }  // namespace
 
-template <bool kChecked>
-SessionDrainResult BatchDetector::Session::DetectMatrix(
+SessionDrainResult BatchDetector::Session::DetectChecked(
     const std::vector<Histogram>& suspects,
     const InterruptContext& interrupt) const {
   SessionDrainResult out;
@@ -331,10 +248,8 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
                       std::vector<DetectResult>(keys_.size()));
   out.evaluated.assign(suspects.size() * keys_.size(), 0);
   if (suspects.empty() || keys_.empty()) return out;
-  if constexpr (kChecked) {
-    out.status = interrupt.Check();
-    if (!out.status.ok()) return out;
-  }
+  out.status = interrupt.Check();
+  if (!out.status.ok()) return out;
 
   ThreadPool* pool =
       pool_ != nullptr && pool_->num_threads() > 0 ? pool_ : nullptr;
@@ -349,24 +264,23 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
   std::vector<uint64_t> counts(suspects.size() * width, 0);
   std::vector<uint8_t> present(suspects.size() * width, 0);
   if (width > 0) {
-    out.status = ForEach<kChecked>(
-        pool, suspects.size(), interrupt, [&](size_t i) {
-          ScatterSuspect(suspects[i], counts.data() + i * width,
-                         present.data() + i * width);
-          return Status::OK();
-        });
+    out.status = ForEach(pool, suspects.size(), interrupt, [&](size_t i) {
+      ScatterSuspect(suspects[i], counts.data() + i * width,
+                     present.data() + i * width);
+      return Status::OK();
+    });
     if (!out.status.ok()) return out;
   }
 
   // Phase 2 — the matrix, one block per claim (PlanBlocks), with per-cell
-  // isolation when checked (DESIGN.md §13): a failing cell records a
-  // typed error under `errors_mutex` and the block goes on, so one bad
-  // cell never aborts the drain; only a cancellation/deadline (polled per
-  // block) stops it. Vocabulary keys read counts by index (zero hash
-  // probes per cell); whole-histogram schemes keep the prepared histogram
-  // path. Poisoned columns cost nothing, so they ride in vocabulary
-  // blocks. Each cell depends only on (suspect, key, options), so any
-  // schedule yields identical results.
+  // isolation (DESIGN.md §13): a failing cell records a typed error under
+  // `errors_mutex` and the block goes on, so one bad cell never aborts the
+  // drain; only a cancellation/deadline (polled per block) stops it.
+  // Vocabulary keys read counts by index (zero hash probes per cell);
+  // whole-histogram schemes keep the prepared histogram path. Poisoned
+  // columns cost nothing, so they ride in vocabulary blocks. Each cell
+  // depends only on (suspect, key, options), so any schedule yields
+  // identical results.
   const size_t num_keys = keys_.size();
   std::vector<uint8_t> histogram_key(num_keys, 0);
   for (size_t j = 0; j < num_keys; ++j) {
@@ -392,15 +306,12 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
       const WatermarkScheme& scheme = *key_scheme_[j];
       for (size_t i = i_begin; i < i_end; ++i) {
         const size_t c = i * num_keys + j;
-        if constexpr (kChecked) {
-          Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
-                                                   static_cast<uint64_t>(c));
-          if (!cell.ok()) {
-            MutexLock lock(errors_mutex);
-            out.cell_errors.push_back(
-                SessionCellError{i, j, std::move(cell)});
-            continue;
-          }
+        Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
+                                                 static_cast<uint64_t>(c));
+        if (!cell.ok()) {
+          MutexLock lock(errors_mutex);
+          out.cell_errors.push_back(SessionCellError{i, j, std::move(cell)});
+          continue;
         }
         if (!dense_ids_[j].empty()) {
           DenseSuspectCounts dense{counts.data() + i * width,
@@ -416,7 +327,7 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
     }
     return Status::OK();
   };
-  out.status = ForEach<kChecked>(pool, num_blocks, interrupt, detect_block);
+  out.status = ForEach(pool, num_blocks, interrupt, detect_block);
 
   // Deterministic error report order regardless of which thread recorded
   // which cell first.
@@ -426,22 +337,6 @@ SessionDrainResult BatchDetector::Session::DetectMatrix(
                                             : a.key < b.key;
             });
   return out;
-}
-
-// ------------------------------------------------------------------- Run
-
-std::vector<std::vector<DetectResult>> BatchDetector::Run(
-    const std::vector<Histogram>& suspects,
-    std::vector<SchemeKey> keys) const {
-  Session session(options_, std::move(keys));
-  return session.Detect(suspects);
-}
-
-std::vector<std::vector<DetectResult>> BatchDetector::Run(
-    const std::vector<Histogram>& suspects, std::vector<SchemeKey> keys,
-    ThreadPool* pool) const {
-  Session session(options_, std::move(keys), pool);
-  return session.Detect(suspects);
 }
 
 }  // namespace freqywm

@@ -29,7 +29,7 @@ struct SessionCellError {
   Status status;
 };
 
-/// The result of a failure-aware session drain (DESIGN.md §13). The
+/// The result of a session drain or detection (DESIGN.md §13). The
 /// verdict matrix always has full |suspects| × |keys| shape; the
 /// companion fields say which cells actually hold a detection:
 ///
@@ -54,7 +54,7 @@ struct SessionDrainResult {
   Status status;
 };
 
-/// Configuration of a `BatchDetector` run.
+/// Configuration of a `BatchDetector::Session`.
 struct BatchDetectOptions {
   /// Total parallelism (worker threads; the submitting thread helps).
   /// 1 → the serial reference path, bit-identical to a hand-written
@@ -69,24 +69,19 @@ struct BatchDetectOptions {
   /// Fixed per-cell settings, used when `use_recommended_options` is false.
   DetectOptions detect_options;
 
-  /// Optional shared `PreparedKey` cache (DESIGN.md §10). When set, runs
-  /// and sessions resolve their keys through it, so preparation is paid
-  /// once per key *lifetime* — across batches, sessions and tenants — not
-  /// once per `Run`. When null, keys are prepared privately. Cache state
+  /// Optional shared `PreparedKey` cache (DESIGN.md §10). When set,
+  /// sessions resolve their keys through it, so preparation is paid once
+  /// per key *lifetime* — across batches, sessions and tenants — not once
+  /// per session. When null, keys are prepared privately. Cache state
   /// (cold, warm, evicted) never changes detection output.
   std::shared_ptr<PreparedKeyCache> key_cache;
-
-  /// Bounded pending-work budget for the session queue (DESIGN.md §14):
-  /// the maximum suspects `TryAddSuspects`/`AddSuspectsBounded` allow to
-  /// accumulate between drains. 0 (default) = unbounded: every enqueue
-  /// is admitted.
-  size_t max_pending_suspects = 0;
 };
 
 /// The batch detection engine (DESIGN.md §7, §10): evaluates the full
 /// |suspects| × |keys| matrix of `WatermarkScheme::Detect` calls — the
 /// marketplace workload where one owner traces many suspect copies against
-/// many escrowed keys.
+/// many escrowed keys. `BatchDetector` is only the scope of `Session`,
+/// the one way in.
 ///
 /// Scheme instances are created once per distinct key tag and shared
 /// across threads (`Detect` is const and stateless for every in-tree
@@ -96,11 +91,11 @@ struct BatchDetectOptions {
 /// the dense count gather: the union vocabulary is interned into dense ids,
 /// each suspect histogram is scattered into a flat count vector once, and
 /// every matrix cell then reads counts by index — zero hash probes per
-/// cell (DESIGN.md §10). Keys whose scheme tag is not registered yield a
-/// default (rejected) `DetectResult`, matching the serial
-/// `FingerprintRegistry::Trace` convention of skipping them.
+/// cell (DESIGN.md §10). Keys whose scheme tag is not registered poison
+/// their column with `kNotFound` and yield default (rejected) verdicts,
+/// which `FingerprintRegistry::TraceSuspects` skips.
 ///
-/// Determinism contract: `result[i][j]` depends only on
+/// Determinism contract: `verdicts[i][j]` depends only on
 /// `(suspects[i], keys[j], options)` — never on thread count, schedule,
 /// chunking or cache state — so every configuration is element-wise
 /// identical to the serial path (enforced for every registered scheme by
@@ -108,8 +103,6 @@ struct BatchDetectOptions {
 /// `tests/exec/batch_session_test.cc`).
 class BatchDetector {
  public:
-  explicit BatchDetector(BatchDetectOptions options = {});
-
   /// A streaming detection session: the key column is fixed once, and
   /// suspect chunks arrive incrementally — the shape of the ROADMAP's
   /// batch-detection service, where escrowed buyer keys are long-lived and
@@ -119,18 +112,21 @@ class BatchDetector {
   /// session over the same keys starts warm), and the dense-gather
   /// interner with the per-key dense id maps.
   ///
-  /// `Drain` output is element-wise identical to a one-shot `Run` over the
-  /// concatenated chunks, for any chunking, thread count and cache state.
+  /// `DrainChecked` output is element-wise identical to one
+  /// `DetectChecked` over the concatenated chunks, for any chunking,
+  /// thread count and cache state.
   ///
-  /// Concurrency: the enqueue side is thread-safe — `TryAddSuspects`/
-  /// `AddSuspectsBounded` may be called from many producer threads (the
-  /// shape of the ROADMAP's detection service, where request handlers
-  /// enqueue while a drainer detects); the pending queue is guarded by
-  /// `pending_mutex_` (machine-checked by the CI thread-safety job).
-  /// Arrival order under concurrent producers is whatever order the
-  /// enqueues serialize in — per-producer order is preserved.
-  /// `Drain`/`Detect` remain single-caller: one drainer at a time (the
-  /// parallelism lives inside `Drain`). Prepared keys resolved at
+  /// Concurrency: the enqueue side is thread-safe — `AddSuspects` may be
+  /// called from many producer threads (the shape of the ROADMAP's
+  /// detection service, where request handlers enqueue while a drainer
+  /// detects); the pending queue is guarded by `pending_mutex_`
+  /// (machine-checked by the CI thread-safety job). Arrival order under
+  /// concurrent producers is whatever order the enqueues serialize in —
+  /// per-producer order is preserved. The queue itself is unbounded: a
+  /// `TenantSession` bounds it by admitting every suspect through its
+  /// tenant's `AdmissionController` first (DESIGN.md §14).
+  /// `DrainChecked` remains single-caller: one drainer at a time (the
+  /// parallelism lives inside the drain). Prepared keys resolved at
   /// construction are pinned for the session's lifetime — cache
   /// evictions never invalidate them.
   class Session {
@@ -147,64 +143,33 @@ class BatchDetector {
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Enqueues suspects for the next `Drain`, preserving arrival order
-    /// — shed mode (DESIGN.md §14): admits `suspects` only when the
-    /// whole batch fits in the configured `max_pending_suspects` budget;
-    /// otherwise sheds all-or-nothing with typed `kResourceExhausted`
-    /// and enqueues NOTHING. With no budget configured every batch is
-    /// admitted with an OK. Thread-safe: producers may enqueue
-    /// concurrently (and while a `Drain` is running; such suspects land
-    /// in the *next* drain).
-    [[nodiscard]] Status TryAddSuspects(std::vector<Histogram> suspects);
+    /// Enqueues suspects for the next `DrainChecked`, preserving arrival
+    /// order. Thread-safe: producers may enqueue concurrently (and while
+    /// a drain is running; such suspects land in the *next* drain).
+    void AddSuspects(std::vector<Histogram> suspects);
 
-    /// Bounded enqueue, backpressure mode (DESIGN.md §14): blocks until
-    /// the batch fits in the budget (drains free space and notify
-    /// `pending_cv_`; the wait runs in bounded ~10 ms quanta), the token
-    /// is cancelled, or the deadline expires — returning the
-    /// interruption status without enqueueing anything. A batch larger
-    /// than the whole budget can never fit and is shed immediately with
-    /// `kResourceExhausted`. Admitted batches are byte-equivalent to a
-    /// `TryAddSuspects` call: only *whether/when* suspects enter the
-    /// queue changes, never what their drain computes.
-    [[nodiscard]] Status AddSuspectsBounded(std::vector<Histogram> suspects,
-                                            const InterruptContext& interrupt);
-
-    /// Suspects enqueued since the last `Drain`. Thread-safe.
+    /// Suspects enqueued since the last drain. Thread-safe.
     size_t pending_suspects() const;
 
-    /// Detects every pending suspect against the key column and clears
-    /// the queue. Row order equals arrival order.
-    std::vector<std::vector<DetectResult>> Drain();
-
-    /// One-shot detection of `suspects` against the key column, without
-    /// touching the pending queue: the matrix body of `DetectChecked`
-    /// without its interrupt polls and fault sites, keeping only the
-    /// verdicts. `Run` is implemented on top of this.
-    std::vector<std::vector<DetectResult>> Detect(
-        const std::vector<Histogram>& suspects) const;
-
-    /// The failure-aware drain (DESIGN.md §13): claims the pending queue
-    /// like `Drain`, but honors `interrupt` at every block boundary (one
-    /// whole-histogram cell, or at most 16 vocabulary keys × 16
-    /// suspects, DESIGN.md §18) and isolates per-key / per-cell failures
-    /// instead of assuming them away.
-    /// Claimed suspects are consumed even when the drain is interrupted —
-    /// the caller inspects `evaluated` to see which cells completed. For
-    /// a clean, uninterrupted run over all-OK keys, the verdicts are
-    /// element-wise identical to `Drain()`.
+    /// The drain (DESIGN.md §13): claims the whole pending queue and
+    /// detects it against the key column, honoring `interrupt` at every
+    /// block boundary (one whole-histogram cell, or at most 16
+    /// vocabulary keys × 16 suspects, DESIGN.md §18) and isolating
+    /// per-key / per-cell failures instead of assuming them away. Row
+    /// order equals arrival order. Claimed suspects are consumed even
+    /// when the drain is interrupted — the caller inspects `evaluated` to
+    /// see which cells completed.
     SessionDrainResult DrainChecked(const InterruptContext& interrupt);
 
-    /// Failure-aware one-shot detection; `DrainChecked` is implemented on
-    /// top of this.
+    /// One-shot detection of `suspects` against the key column, without
+    /// touching the pending queue; `DrainChecked` is implemented on top
+    /// of this.
     SessionDrainResult DetectChecked(const std::vector<Histogram>& suspects,
                                      const InterruptContext& interrupt) const;
 
     /// Per-key preparation outcome, fixed at construction: `[j]` is OK
     /// when column `j` is usable, `kNotFound` for an unregistered scheme
     /// tag, or the typed `Prepare` failure that poisoned the column.
-    /// Unregistered tags were always skipped silently (`Run`'s
-    /// default-rejected convention); this is where that fact became
-    /// observable.
     const std::vector<Status>& key_statuses() const { return key_status_; }
 
     const std::vector<SchemeKey>& keys() const { return keys_; }
@@ -214,16 +179,6 @@ class BatchDetector {
 
    private:
     void PrepareKeys();
-    /// Takes the whole pending queue and wakes producers blocked on the
-    /// budget.
-    std::vector<Histogram> ClaimPending();
-    /// The one matrix body behind `Detect` and `DetectChecked`: scatter,
-    /// then blocks of cells on the pool (DESIGN.md §18). `kChecked` false
-    /// (`Detect`) compiles out the interrupt polls and the fault sites,
-    /// so the unchecked verdicts never depend on an armed injector.
-    template <bool kChecked>
-    SessionDrainResult DetectMatrix(const std::vector<Histogram>& suspects,
-                                    const InterruptContext& interrupt) const;
     /// Scatters `suspect` into flat per-vocabulary-id arrays, probing
     /// whichever side (suspect histogram vs union vocabulary) is smaller;
     /// both directions fill identical arrays.
@@ -246,35 +201,13 @@ class BatchDetector {
     std::vector<std::vector<uint32_t>> dense_ids_;
 
     /// Producer-side state: the only mutable-after-construction session
-    /// state, guarded so request handlers can enqueue concurrently. The
-    /// CondVar wakes `AddSuspectsBounded` producers when a drain frees
-    /// the budget.
+    /// state, guarded so request handlers can enqueue concurrently.
     mutable Mutex pending_mutex_;
     std::vector<Histogram> pending_ GUARDED_BY(pending_mutex_);
-    CondVar pending_cv_;
 
     std::unique_ptr<ThreadPool> owned_pool_;
     ThreadPool* pool_ = nullptr;  // owned or borrowed; null → serial
   };
-
-  /// Runs the matrix: `Run(...)[i][j]` is the detection of `keys[j]` on
-  /// `suspects[i]`. Creates a transient pool when `num_threads > 1`.
-  /// `keys` is taken by value and moved into the one-chunk session —
-  /// callers with a freshly built vector move it in copy-free.
-  std::vector<std::vector<DetectResult>> Run(
-      const std::vector<Histogram>& suspects,
-      std::vector<SchemeKey> keys) const;
-
-  /// Like `Run`, but borrows `pool` (may be null → serial). Lets callers
-  /// amortize one pool across many batches.
-  std::vector<std::vector<DetectResult>> Run(
-      const std::vector<Histogram>& suspects, std::vector<SchemeKey> keys,
-      ThreadPool* pool) const;
-
-  const BatchDetectOptions& options() const { return options_; }
-
- private:
-  BatchDetectOptions options_;
 };
 
 }  // namespace freqywm

@@ -29,13 +29,14 @@ struct PreparedKeyCacheStats {
 /// A thread-safe, LRU-bounded cache of `PreparedKey` state shared across
 /// detection runs (DESIGN.md §10).
 ///
-/// PR 3 made key preparation cheap *within* one `BatchDetector::Run` (the
-/// key is parsed and its moduli derived once per run); this cache makes it
-/// cheap across a key's *lifetime*: the marketplace front end traces every
-/// surfaced suspect batch against the same escrowed buyer keys, and with a
-/// shared cache each key pays `WatermarkScheme::Prepare` once, not once
-/// per batch. `BatchDetector::Session`, `FingerprintRegistry::
-/// TraceSuspects` and any future tenant can share one instance.
+/// A `BatchDetector::Session` prepares each key once for all its chunks
+/// (the key is parsed and its moduli derived once per session); this
+/// cache makes preparation cheap across a key's *lifetime*: the
+/// marketplace front end traces every surfaced suspect batch against the
+/// same escrowed buyer keys, and with a shared cache each key pays
+/// `WatermarkScheme::Prepare` once, not once per batch.
+/// `BatchDetector::Session`, `FingerprintRegistry::TraceSuspects` and
+/// any future tenant can share one instance.
 ///
 /// Keying: entries are indexed by `Fingerprint(key)` — a SHA-256 over the
 /// scheme tag and payload with length framing, so distinct (scheme,

@@ -38,6 +38,19 @@ SchemeKey MakeSchemeKey(const std::string& scheme, uint64_t seed) {
   return outcome.value().key;
 }
 
+/// `TraceSuspects`, expected to succeed (a failure yields no matches).
+std::vector<std::vector<TraceMatch>> TraceOk(
+    const FingerprintRegistry& registry,
+    const std::vector<Histogram>& suspects,
+    const BatchDetectOptions& options = {}) {
+  auto traced = registry.TraceSuspects(suspects, options);
+  EXPECT_TRUE(traced.ok()) << traced.status();
+  if (!traced.ok()) {
+    return std::vector<std::vector<TraceMatch>>(suspects.size());
+  }
+  return traced.value();
+}
+
 /// Traces one suspect under fixed detection options for every record.
 std::vector<TraceMatch> TraceFixed(const FingerprintRegistry& registry,
                                    const Histogram& suspect,
@@ -45,7 +58,7 @@ std::vector<TraceMatch> TraceFixed(const FingerprintRegistry& registry,
   BatchDetectOptions options;
   options.use_recommended_options = false;
   options.detect_options = detect_options;
-  return registry.TraceSuspects({suspect}, options)[0];
+  return TraceOk(registry, {suspect}, options)[0];
 }
 
 /// The serial trace oracle: every record through its `SchemeFactory`
@@ -379,7 +392,7 @@ TEST(RegistryTest, MixedSchemeTraceFindsOnlyTheEmbeddedScheme) {
   }
   ASSERT_FALSE(leaked.empty());
 
-  auto matches = registry.TraceSuspects({leaked})[0];
+  auto matches = TraceOk(registry, {leaked})[0];
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].buyer_id, "buyer-wm-rvs");
   EXPECT_EQ(matches[0].scheme, "wm-rvs");
@@ -420,7 +433,7 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   for (size_t threads : {1, 4}) {
     BatchDetectOptions options;
     options.num_threads = threads;
-    EXPECT_TRUE(registry.TraceSuspects(suspects, options) == serial)
+    EXPECT_TRUE(TraceOk(registry, suspects, options) == serial)
         << threads << " threads";
   }
   // Each buyer's copy matched at least its own key; clean copy matched
@@ -442,8 +455,7 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   fixed_options.num_threads = 4;
   fixed_options.use_recommended_options = false;
   fixed_options.detect_options = fixed;
-  EXPECT_TRUE(registry.TraceSuspects(suspects, fixed_options) ==
-              serial_fixed);
+  EXPECT_TRUE(TraceOk(registry, suspects, fixed_options) == serial_fixed);
 }
 
 TEST(RegistryTest, TraceSuspectsSkipsUnregisteredSchemes) {
@@ -457,10 +469,10 @@ TEST(RegistryTest, TraceSuspectsSkipsUnregisteredSchemes) {
   FingerprintRegistry registry;
   ASSERT_TRUE(
       registry.Register("ghost", SchemeKey{"not-a-scheme", "blob"}).ok());
-  auto batched = registry.TraceSuspects({master}, BatchDetectOptions{});
+  auto batched = TraceOk(registry, {master}, BatchDetectOptions{});
   ASSERT_EQ(batched.size(), 1u);
   EXPECT_TRUE(batched[0].empty());
-  EXPECT_TRUE(registry.TraceSuspects({}, BatchDetectOptions{}).empty());
+  EXPECT_TRUE(TraceOk(registry, {}, BatchDetectOptions{}).empty());
 }
 
 TEST(RegistryTest, RoundTripIsByteExactForForeignPayloads) {

@@ -149,6 +149,33 @@ TEST(TenantTest, InFlightQuotaShedsTypedAndRecoversAfterDrain) {
   EXPECT_TRUE(session.value()->TrySubmit(Batch(2, 1)).ok());
 }
 
+TEST(TenantTest, WaitingRoomQuotaDoesNotCapInFlight) {
+  // `max_pending_suspects` sizes only the waiting room of blocking
+  // `Submit`s; the in-flight quota alone bounds what may be queued.
+  TenantQuotas quotas;
+  quotas.max_in_flight_suspects = 8;
+  quotas.max_pending_suspects = 4;
+  TenantContext tenant("acme", quotas);
+  EscrowAll(tenant);
+
+  auto session = tenant.OpenSession();
+  ASSERT_TRUE(session.ok());
+  Status submitted = session.value()->TrySubmit(Batch(0, 5));
+  ASSERT_TRUE(submitted.ok()) << submitted;
+
+  EngineHealthSnapshot health = tenant.Health();
+  EXPECT_EQ(health.admission.admitted, 5u);
+  EXPECT_EQ(health.session_queue_depth, 5u);
+
+  // 5 more would exceed the in-flight quota, so they must wait, and the
+  // batch is larger than the waiting room: admission sheds it at once.
+  Status shed = session.value()->Submit(Batch(0, 5), InterruptContext{});
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted) << shed;
+  EXPECT_EQ(tenant.admission().stats().total_shed(), 1u);
+  EXPECT_EQ(session.value()->pending_suspects(), 5u);
+}
+
 TEST(TenantTest, AbandonedSessionReturnsLeasedUnits) {
   TenantQuotas quotas;
   quotas.max_in_flight_suspects = 2;
@@ -178,8 +205,8 @@ TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {
 
 TEST(TenantTest, VerdictsIdenticalToUntenantedSessionAnyThreads) {
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  ASSERT_TRUE(reference.TryAddSuspects(Batch(0, 3)).ok());
-  const auto expected = reference.Drain();
+  reference.AddSuspects(Batch(0, 3));
+  const auto expected = reference.DrainChecked(InterruptContext{}).verdicts;
 
   for (size_t threads : {1u, 2u, 4u}) {
     TenantQuotas quotas;
@@ -229,8 +256,8 @@ TEST(TenantTest, SaturatedOrPoisonedTenantCannotPerturbAnother) {
   // reference, its key columns must be healthy, and its admissions must
   // succeed — A's saturation and poisoned key are invisible to B.
   BatchDetector::Session reference(BatchDetectOptions{}, Fixture().keys);
-  ASSERT_TRUE(reference.TryAddSuspects(Batch(0, 3)).ok());
-  const auto expected = reference.Drain();
+  reference.AddSuspects(Batch(0, 3));
+  const auto expected = reference.DrainChecked(InterruptContext{}).verdicts;
 
   TenantContext tenant_b("quiet");
   EscrowAll(tenant_b);
@@ -270,9 +297,11 @@ TEST(TenantTest, TraceSuspectsMatchesRegistrySemantics) {
   }
   const auto expected = reference.TraceSuspects(Batch(0, 2));
   const auto actual = tenant.TraceSuspects(Batch(0, 2));
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "suspect " << i;
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  ASSERT_EQ(actual.value().size(), expected.value().size());
+  for (size_t i = 0; i < expected.value().size(); ++i) {
+    EXPECT_EQ(actual.value()[i], expected.value()[i]) << "suspect " << i;
   }
 }
 

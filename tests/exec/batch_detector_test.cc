@@ -1,7 +1,7 @@
 // Determinism conformance for the batch detection engine (ISSUE 2): for
-// every scheme registered in the `SchemeFactory`, `BatchDetector` output
-// must be element-wise identical to the serial `Detect` loop, at any
-// thread count.
+// every scheme registered in the `SchemeFactory`, the session matrix
+// (`BatchDetector::Session::DetectChecked`) must be element-wise identical
+// to the serial `Detect` loop, at any thread count.
 
 #include "exec/batch_detector.h"
 
@@ -34,6 +34,15 @@ std::unique_ptr<WatermarkScheme> MakeScheme(const std::string& name,
   auto scheme = SchemeFactory::Create(name, bag);
   EXPECT_TRUE(scheme.ok()) << scheme.status();
   return std::move(scheme).value();
+}
+
+/// The session verdict matrix of `suspects` × `keys` under `options`.
+std::vector<std::vector<DetectResult>> Matrix(
+    const BatchDetectOptions& options, const std::vector<Histogram>& suspects,
+    const std::vector<SchemeKey>& keys) {
+  return BatchDetector::Session(options, keys)
+      .DetectChecked(suspects, InterruptContext{})
+      .verdicts;
 }
 
 /// The serial reference: the exact nested loop `BatchDetector` replaces.
@@ -80,7 +89,7 @@ TEST_P(BatchDetectorSchemeTest, ParallelMatrixIdenticalToSerialDetectLoop) {
   for (size_t threads : {1, 2, 4, 8}) {
     BatchDetectOptions options;
     options.num_threads = threads;
-    auto results = BatchDetector(options).Run(suspects, keys);
+    auto results = Matrix(options, suspects, keys);
     EXPECT_TRUE(results == reference) << GetParam() << " at " << threads
                                       << " threads";
   }
@@ -122,7 +131,7 @@ TEST(BatchDetectorTest, MixedSchemeMatrixWithFixedOptions) {
   options.num_threads = 4;
   options.use_recommended_options = false;
   options.detect_options = fixed;
-  auto results = BatchDetector(options).Run(suspects, keys);
+  auto results = Matrix(options, suspects, keys);
   EXPECT_TRUE(results == reference);
 }
 
@@ -132,7 +141,7 @@ TEST(BatchDetectorTest, UnregisteredSchemeTagYieldsDefaultReject) {
   for (size_t threads : {1, 4}) {
     BatchDetectOptions options;
     options.num_threads = threads;
-    auto results = BatchDetector(options).Run({original}, keys);
+    auto results = Matrix(options, {original}, keys);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_EQ(results[0].size(), 1u);
     EXPECT_TRUE(results[0][0] == DetectResult{});
@@ -140,9 +149,8 @@ TEST(BatchDetectorTest, UnregisteredSchemeTagYieldsDefaultReject) {
 }
 
 TEST(BatchDetectorTest, EmptyInputsYieldEmptyMatrix) {
-  BatchDetector detector;
-  EXPECT_TRUE(detector.Run({}, {}).empty());
-  auto no_keys = detector.Run({MakeCleanHistogram(3)}, {});
+  EXPECT_TRUE(Matrix({}, {}, {}).empty());
+  auto no_keys = Matrix({}, {MakeCleanHistogram(3)}, {});
   ASSERT_EQ(no_keys.size(), 1u);
   EXPECT_TRUE(no_keys[0].empty());
 }
@@ -157,12 +165,16 @@ TEST(BatchDetectorTest, BorrowedPoolIsReusableAcrossRuns) {
 
   BatchDetectOptions options;
   options.num_threads = 4;
-  BatchDetector detector(options);
   ThreadPool pool(4);
-  auto first = detector.Run(suspects, keys, &pool);
-  auto second = detector.Run(suspects, keys, &pool);
+  auto detect = [&](ThreadPool* borrowed) {
+    return BatchDetector::Session(options, keys, borrowed)
+        .DetectChecked(suspects, InterruptContext{})
+        .verdicts;
+  };
+  auto first = detect(&pool);
+  auto second = detect(&pool);
   EXPECT_TRUE(first == second);
-  EXPECT_TRUE(first == detector.Run(suspects, keys, nullptr));
+  EXPECT_TRUE(first == detect(nullptr));
 }
 
 }  // namespace

@@ -71,9 +71,10 @@ std::vector<std::vector<DetectResult>> RunChunked(
   for (size_t start = 0; start < suspects.size(); start += chunk_size) {
     for (size_t i = start; i < std::min(start + chunk_size, suspects.size());
          ++i) {
-      EXPECT_TRUE(session.TryAddSuspects({suspects[i]}).ok());
+      session.AddSuspects({suspects[i]});
     }
-    std::vector<std::vector<DetectResult>> rows = session.Drain();
+    std::vector<std::vector<DetectResult>> rows =
+        session.DrainChecked(InterruptContext{}).verdicts;
     for (auto& row : rows) all.push_back(std::move(row));
   }
   return all;
@@ -125,14 +126,19 @@ TEST_P(BatchSessionSchemeTest, WarmCacheColdCacheAndNoCacheAgree) {
   std::vector<Histogram> suspects{outcome.value().watermarked, original};
   std::vector<SchemeKey> keys{outcome.value().key};
 
+  auto detect = [&](const BatchDetectOptions& options) {
+    return BatchDetector::Session(options, keys)
+        .DetectChecked(suspects, InterruptContext{})
+        .verdicts;
+  };
   BatchDetectOptions uncached;
-  auto no_cache = BatchDetector(uncached).Run(suspects, keys);
+  auto no_cache = detect(uncached);
 
   auto cache = std::make_shared<PreparedKeyCache>();
   BatchDetectOptions cached;
   cached.key_cache = cache;
-  auto cold = BatchDetector(cached).Run(suspects, keys);
-  auto warm = BatchDetector(cached).Run(suspects, keys);
+  auto cold = detect(cached);
+  auto warm = detect(cached);
 
   EXPECT_TRUE(no_cache == cold) << GetParam();
   EXPECT_TRUE(cold == warm) << GetParam();
@@ -194,7 +200,8 @@ TEST(BatchSessionTest, SessionSurvivesCacheEviction) {
   options.key_cache = tiny_cache;
   BatchDetector::Session session(options, keys);
   EXPECT_GE(tiny_cache->stats().evictions, keys.size() - 1);
-  EXPECT_TRUE(session.Detect(suspects) == reference);
+  EXPECT_TRUE(session.DetectChecked(suspects, InterruptContext{}).verdicts ==
+              reference);
 }
 
 TEST(BatchSessionTest, DrainClearsPendingAndEmptyDrainYieldsNothing) {
@@ -203,14 +210,14 @@ TEST(BatchSessionTest, DrainClearsPendingAndEmptyDrainYieldsNothing) {
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   BatchDetector::Session session({}, {outcome.value().key});
-  EXPECT_TRUE(session.Drain().empty());
-  ASSERT_TRUE(session.TryAddSuspects({outcome.value().watermarked}).ok());
-  ASSERT_TRUE(session.TryAddSuspects({original, MakeCleanHistogram(24)}).ok());
+  EXPECT_TRUE(session.DrainChecked(InterruptContext{}).verdicts.empty());
+  session.AddSuspects({outcome.value().watermarked});
+  session.AddSuspects({original, MakeCleanHistogram(24)});
   EXPECT_EQ(session.pending_suspects(), 3u);
-  auto rows = session.Drain();
+  auto rows = session.DrainChecked(InterruptContext{}).verdicts;
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_EQ(session.pending_suspects(), 0u);
-  EXPECT_TRUE(session.Drain().empty());
+  EXPECT_TRUE(session.DrainChecked(InterruptContext{}).verdicts.empty());
   EXPECT_TRUE(rows[0][0].accepted);
   EXPECT_FALSE(rows[1][0].accepted);
 }
@@ -219,8 +226,8 @@ TEST(BatchSessionTest, UnregisteredSchemeTagStreamsDefaultRejects) {
   Histogram original = MakeCleanHistogram(29);
   BatchDetector::Session session(
       {}, {SchemeKey{"no-such-scheme", "payload"}});
-  ASSERT_TRUE(session.TryAddSuspects({original}).ok());
-  auto rows = session.Drain();
+  session.AddSuspects({original});
+  auto rows = session.DrainChecked(InterruptContext{}).verdicts;
   ASSERT_EQ(rows.size(), 1u);
   ASSERT_EQ(rows[0].size(), 1u);
   EXPECT_TRUE(rows[0][0] == DetectResult{});
@@ -239,13 +246,17 @@ TEST(BatchSessionTest, TraceSuspectsWithSharedCacheMatchesUncached) {
 
   BatchDetectOptions plain;
   auto uncached = registry.TraceSuspects(suspects, plain);
+  ASSERT_TRUE(uncached.ok()) << uncached.status();
 
   BatchDetectOptions with_cache;
   with_cache.key_cache = std::make_shared<PreparedKeyCache>();
-  auto cold = registry.TraceSuspects(suspects, with_cache);
+  auto cold_result = registry.TraceSuspects(suspects, with_cache);
   auto warm = registry.TraceSuspects(suspects, with_cache);
-  EXPECT_TRUE(uncached == cold);
-  EXPECT_TRUE(cold == warm);
+  ASSERT_TRUE(cold_result.ok()) << cold_result.status();
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  const auto& cold = cold_result.value();
+  EXPECT_TRUE(uncached.value() == cold);
+  EXPECT_TRUE(cold == warm.value());
   EXPECT_EQ(with_cache.key_cache->stats().misses, 1u);
   ASSERT_EQ(cold.size(), 2u);
   ASSERT_EQ(cold[0].size(), 1u);

@@ -3,8 +3,8 @@
 // the matrix shape, and whole-histogram keys one cell per block. Key
 // counts on both sides of a tile edge (1, 15, 17), a trace-sized column
 // (1,000) and mixed-scheme columns must give the verdicts of a
-// hand-written serial loop at every thread count, through `Detect`,
-// `Drain` and `DrainChecked` alike.
+// hand-written serial loop at every thread count, through
+// `DetectChecked` and `DrainChecked` alike.
 
 #include <gtest/gtest.h>
 
@@ -113,7 +113,7 @@ TEST(BlockedDrainTest, EveryShapeAndThreadCountMatchesTheSerialLoop) {
                                   std::to_string(num_keys) + " on " +
                                   std::to_string(threads) + " threads";
 
-        ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
+        session.AddSuspects(suspects);
         const SessionDrainResult checked =
             session.DrainChecked(InterruptContext{});
         ASSERT_TRUE(checked.status.ok()) << where << ": " << checked.status;
@@ -121,10 +121,11 @@ TEST(BlockedDrainTest, EveryShapeAndThreadCountMatchesTheSerialLoop) {
         ASSERT_EQ(checked.evaluated.size(), num_suspects * num_keys);
         for (uint8_t e : checked.evaluated) ASSERT_EQ(e, 1) << where;
 
-        ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
-        const std::vector<std::vector<DetectResult>> drained = session.Drain();
+        session.AddSuspects(suspects);
+        const std::vector<std::vector<DetectResult>> drained =
+            session.DrainChecked(InterruptContext{}).verdicts;
         const std::vector<std::vector<DetectResult>> detected =
-            session.Detect(suspects);
+            session.DetectChecked(suspects, InterruptContext{}).verdicts;
         ASSERT_EQ(checked.verdicts.size(), num_suspects) << where;
         ASSERT_EQ(drained.size(), num_suspects) << where;
         for (size_t i = 0; i < num_suspects; ++i) {
@@ -157,7 +158,7 @@ TEST(BlockedDrainTest, SuspectTilesPastSixteenMatchTheSerialLoop) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, keys);
-    ASSERT_TRUE(session.TryAddSuspects(suspects).ok());
+    session.AddSuspects(suspects);
     const SessionDrainResult result = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok()) << result.status;
     for (size_t i = 0; i < suspects.size(); ++i) {
@@ -178,7 +179,7 @@ TEST(BlockedDrainTest, AlreadyCancelledContextEvaluatesNoCell) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, market.keys);
-    ASSERT_TRUE(session.TryAddSuspects(market.suspects).ok());
+    session.AddSuspects(market.suspects);
     const SessionDrainResult result =
         session.DrainChecked(InterruptContext{source.token(), Deadline()});
     EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
@@ -241,11 +242,11 @@ TEST(BlockedDrainTest, MixedSchemeColumnsMatchTheSerialLoop) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, market.keys);
-    ASSERT_TRUE(session.TryAddSuspects(market.suspects).ok());
+    session.AddSuspects(market.suspects);
     const SessionDrainResult checked = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(checked.status.ok()) << checked.status;
     const std::vector<std::vector<DetectResult>> detected =
-        session.Detect(market.suspects);
+        session.DetectChecked(market.suspects, InterruptContext{}).verdicts;
     for (size_t i = 0; i < market.suspects.size(); ++i) {
       for (size_t j = 0; j < market.keys.size(); ++j) {
         const bool registered = session.key_statuses()[j].ok();

@@ -1,8 +1,8 @@
 // Overload chaos suite (DESIGN.md §14, the ISSUE 9 acceptance
 // criterion): many producers offering ~10x the tenant's quota must
 // degrade to typed kResourceExhausted sheds with pending memory bounded
-// by the budget — never crash, never queue without bound, never change
-// the bytes of admitted work. The armed part re-runs the spike with
+// by the in-flight quota — never crash, never queue without bound, never
+// change the bytes of admitted work. The armed part re-runs the spike with
 // pseudo-random faults injected at every site at once (knob-gated, like
 // tests/exec/fault_sweep_test.cc); every failure must stay typed and
 // every evaluated cell must still match the clean reference.
@@ -59,8 +59,8 @@ struct ChaosFixture {
       if (suspect.total_count() == 0) suspect = outcome.value().watermarked;
     }
     BatchDetector::Session session(BatchDetectOptions{}, keys);
-    EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
-    auto verdicts = session.Drain();
+    session.AddSuspects({suspect});
+    auto verdicts = session.DrainChecked(InterruptContext{}).verdicts;
     EXPECT_EQ(verdicts.size(), 1u);
     if (!verdicts.empty()) reference_row = verdicts[0];
   }
@@ -95,7 +95,9 @@ void RunSpike(TenantContext& tenant, uint64_t* admitted_out,
               uint64_t* identity_violations_out) {
   constexpr int kProducers = 6;
   constexpr int kPerProducer = 30;
-  const size_t budget = tenant.quotas().max_pending_suspects;
+  // Every queued suspect holds an admission unit, so the in-flight quota
+  // bounds the queue.
+  const size_t budget = tenant.quotas().max_in_flight_suspects;
 
   auto session = tenant.OpenSession(2);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -199,8 +201,8 @@ TEST(OverloadChaosTest, TenXSpikeShedsTypedBoundedAndByteIdentical) {
   EXPECT_TRUE(all_typed);
   EXPECT_EQ(drained, admitted);
   EXPECT_EQ(violations, 0u);
-  // Bounded memory: the queue never outgrew the budget.
-  EXPECT_LE(peak_pending, SpikeQuotas().max_pending_suspects);
+  // Bounded memory: the queue never outgrew the in-flight quota.
+  EXPECT_LE(peak_pending, SpikeQuotas().max_in_flight_suspects);
 
   EngineHealthSnapshot health = tenant.Health();
   EXPECT_EQ(health.admission.in_flight, 0u);
@@ -244,7 +246,7 @@ TEST_F(ArmedOverloadChaosTest, SpikeWithFaultsArmedStaysTypedAndIdentical) {
     EXPECT_TRUE(all_typed) << "seed " << seed;
     EXPECT_EQ(violations, 0u) << "seed " << seed;
     EXPECT_EQ(drained, admitted) << "seed " << seed;
-    EXPECT_LE(peak_pending, SpikeQuotas().max_pending_suspects)
+    EXPECT_LE(peak_pending, SpikeQuotas().max_in_flight_suspects)
         << "seed " << seed;
     EXPECT_EQ(tenant.Health().admission.in_flight, 0u) << "seed " << seed;
   }

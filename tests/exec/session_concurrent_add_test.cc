@@ -1,5 +1,5 @@
 // Concurrent-producer contract of `BatchDetector::Session` (DESIGN.md §11):
-// `TryAddSuspects` is documented thread-safe — request handlers
+// `AddSuspects` is documented thread-safe — request handlers
 // enqueue while a single drainer detects — and the pending queue is guarded
 // by `pending_mutex_` (statically checked by the CI thread-safety job; this
 // test is the dynamic half, run under TSan by the thread-sanitizer CI job).
@@ -57,7 +57,7 @@ TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
+        session.AddSuspects({suspect});
       }
     });
   }
@@ -69,10 +69,11 @@ TEST(BatchSessionConcurrentAddTest, ManyProducersAllSuspectsArrive) {
   // the one-shot detection of that suspect — regardless of the order the
   // concurrent enqueues serialized in.
   const std::vector<std::vector<DetectResult>> expected =
-      session.Detect({suspect});
+      session.DetectChecked({suspect}, InterruptContext{}).verdicts;
   ASSERT_EQ(expected.size(), 1u);
 
-  const std::vector<std::vector<DetectResult>> drained = session.Drain();
+  const std::vector<std::vector<DetectResult>> drained =
+      session.DrainChecked(InterruptContext{}).verdicts;
   ASSERT_EQ(drained.size(), kProducers * kPerProducer);
   for (const std::vector<DetectResult>& row : drained) {
     ASSERT_EQ(row.size(), expected[0].size());
@@ -92,19 +93,22 @@ TEST(BatchSessionConcurrentAddTest, EnqueueDuringDrainLandsInNextDrain) {
   constexpr size_t kFirstBatch = 10;
   constexpr size_t kConcurrent = 30;
   for (size_t i = 0; i < kFirstBatch; ++i) {
-    ASSERT_TRUE(session.TryAddSuspects({suspect}).ok());
+    session.AddSuspects({suspect});
   }
 
-  // A producer races `Drain`: its suspects land either in this drain or in
-  // the pending queue for the next one, never lost and never duplicated.
+  // A producer races `DrainChecked`: its suspects land either in this
+  // drain or in the pending queue for the next one, never lost and never
+  // duplicated.
   std::thread producer([&session, &suspect] {
     for (size_t i = 0; i < kConcurrent; ++i) {
-      EXPECT_TRUE(session.TryAddSuspects({suspect}).ok());
+      session.AddSuspects({suspect});
     }
   });
-  const size_t first = session.Drain().size();
+  const size_t first =
+      session.DrainChecked(InterruptContext{}).verdicts.size();
   producer.join();
-  const size_t second = session.Drain().size();
+  const size_t second =
+      session.DrainChecked(InterruptContext{}).verdicts.size();
 
   EXPECT_GE(first, kFirstBatch);
   EXPECT_EQ(first + second, kFirstBatch + kConcurrent);
@@ -125,9 +129,7 @@ TEST(BatchSessionConcurrentAddTest, AddSuspectsBulkIsThreadSafe) {
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&session, &suspect] {
       for (size_t b = 0; b < kBatchesPerProducer; ++b) {
-        EXPECT_TRUE(
-            session.TryAddSuspects(std::vector<Histogram>(kBatchSize, suspect))
-                .ok());
+        session.AddSuspects(std::vector<Histogram>(kBatchSize, suspect));
       }
     });
   }
@@ -135,7 +137,7 @@ TEST(BatchSessionConcurrentAddTest, AddSuspectsBulkIsThreadSafe) {
 
   EXPECT_EQ(session.pending_suspects(),
             kProducers * kBatchesPerProducer * kBatchSize);
-  EXPECT_EQ(session.Drain().size(),
+  EXPECT_EQ(session.DrainChecked(InterruptContext{}).verdicts.size(),
             kProducers * kBatchesPerProducer * kBatchSize);
 }
 

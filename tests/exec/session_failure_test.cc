@@ -2,8 +2,9 @@
 // column where one key can never prepare (unregistered scheme tag), and
 // drains hitting a cancellation or an already-expired deadline — at
 // 1/2/4/8 threads. The invariant under every failure: unaffected cells
-// carry verdicts element-wise identical to a clean `Drain()`, and every
-// failure is a typed `Status`, never a crash, hang, or silent wrong answer.
+// carry verdicts element-wise identical to the serial `Detect` loop, and
+// every failure is a typed `Status`, never a crash, hang, or silent wrong
+// answer.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +41,26 @@ std::unique_ptr<WatermarkScheme> MakeScheme(const std::string& name,
   return std::move(scheme).value();
 }
 
+/// The hand-written nested `Detect` loop under each key's recommended
+/// options; a key whose scheme tag is not registered stays
+/// default-rejected.
+std::vector<std::vector<DetectResult>> SerialLoop(
+    const std::vector<Histogram>& suspects,
+    const std::vector<SchemeKey>& keys) {
+  std::vector<std::vector<DetectResult>> out(
+      suspects.size(), std::vector<DetectResult>(keys.size()));
+  for (size_t j = 0; j < keys.size(); ++j) {
+    auto scheme = SchemeFactory::Create(keys[j].scheme);
+    if (!scheme.ok()) continue;
+    const DetectOptions options =
+        scheme.value()->RecommendedDetectOptions(keys[j]);
+    for (size_t i = 0; i < suspects.size(); ++i) {
+      out[i][j] = scheme.value()->Detect(suspects[i], keys[j], options);
+    }
+  }
+  return out;
+}
+
 /// A key column mixing every registered scheme family with one key whose
 /// scheme tag is not registered — the real, knob-free way a key fails
 /// preparation — plus suspects carrying each watermark.
@@ -70,11 +91,9 @@ TEST(SessionFailureTest, UnregisteredSchemeTagPoisonsOnlyItsColumn) {
     BatchDetectOptions options;
     options.num_threads = threads;
 
-    // Clean reference verdicts from the legacy drain (which has always
-    // default-rejected unregistered tags).
-    BatchDetector::Session reference(options, fx.keys);
-    ASSERT_TRUE(reference.TryAddSuspects(fx.suspects).ok());
-    auto clean = reference.Drain();
+    // Clean reference verdicts from the serial loop (which
+    // default-rejects unregistered tags).
+    const auto clean = SerialLoop(fx.suspects, fx.keys);
 
     BatchDetector::Session session(options, fx.keys);
     const auto& statuses = session.key_statuses();
@@ -87,7 +106,7 @@ TEST(SessionFailureTest, UnregisteredSchemeTagPoisonsOnlyItsColumn) {
       }
     }
 
-    ASSERT_TRUE(session.TryAddSuspects(fx.suspects).ok());
+    session.AddSuspects(fx.suspects);
     SessionDrainResult result = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok()) << result.status;
     EXPECT_TRUE(result.cell_errors.empty());
@@ -112,7 +131,7 @@ TEST(SessionFailureTest, UnregisteredSchemeTagPoisonsOnlyItsColumn) {
 }
 
 TEST(SessionFailureTest, DrainCheckedMatchesDrainOnCleanColumn) {
-  // No failing key at all: DrainChecked must be a drop-in for Drain.
+  // No failing key at all: DrainChecked must equal the serial loop.
   Histogram original = MakeCleanHistogram(11);
   auto scheme = MakeScheme("freqywm", 7);
   auto outcome = scheme->Embed(original);
@@ -123,12 +142,10 @@ TEST(SessionFailureTest, DrainCheckedMatchesDrainOnCleanColumn) {
   for (size_t threads : {1, 2, 4, 8}) {
     BatchDetectOptions options;
     options.num_threads = threads;
-    BatchDetector::Session plain(options, keys);
-    ASSERT_TRUE(plain.TryAddSuspects(suspects).ok());
-    auto expected = plain.Drain();
+    const auto expected = SerialLoop(suspects, keys);
 
     BatchDetector::Session checked(options, keys);
-    ASSERT_TRUE(checked.TryAddSuspects(suspects).ok());
+    checked.AddSuspects(suspects);
     SessionDrainResult result = checked.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(result.verdicts == expected);
@@ -143,7 +160,7 @@ TEST(SessionFailureTest, ExpiredDeadlineYieldsPartialTypedResult) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, fx.keys);
-    ASSERT_TRUE(session.TryAddSuspects(fx.suspects).ok());
+    session.AddSuspects(fx.suspects);
     SessionDrainResult result = session.DrainChecked(
         InterruptContext{CancellationToken(), Deadline::Expired()});
     EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded)
@@ -165,7 +182,7 @@ TEST(SessionFailureTest, CancellationMidDrainReportsCancelled) {
     BatchDetectOptions options;
     options.num_threads = threads;
     BatchDetector::Session session(options, fx.keys);
-    ASSERT_TRUE(session.TryAddSuspects(fx.suspects).ok());
+    session.AddSuspects(fx.suspects);
     CancellationSource source;
     source.Cancel();
     SessionDrainResult result = session.DrainChecked(
@@ -183,7 +200,7 @@ TEST(SessionFailureTest, PoisonedColumnStableAcrossDrains) {
   options.key_cache = std::make_shared<PreparedKeyCache>();
   BatchDetector::Session session(options, fx.keys);
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(session.TryAddSuspects({fx.suspects[0]}).ok());
+    session.AddSuspects({fx.suspects[0]});
     SessionDrainResult result = session.DrainChecked(InterruptContext{});
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(result.verdicts[0][0].accepted) << "round " << round;
