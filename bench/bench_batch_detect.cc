@@ -156,8 +156,7 @@ std::vector<std::vector<DetectResult>> Pr3PreparedSerialMatrix(
   for (size_t i = 0; i < suspects.size(); ++i) {
     for (size_t j = 0; j < keys.size(); ++j) {
       if (key_scheme[j] == nullptr) continue;
-      results[i][j] = key_scheme[j]->Detect(suspects[i], *prepared[j],
-                                            key_options[j]);
+      results[i][j] = prepared[j]->Detect(suspects[i], key_options[j]);
     }
   }
   return results;

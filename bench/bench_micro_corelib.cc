@@ -371,8 +371,8 @@ void BM_DetectDense(benchmark::State& state) {
       scheme.RecommendedDetectOptions(market.keys[0]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scheme.Detect(DenseSuspectCounts{counts.data(), present.data()},
-                      ids.data(), *prepared, options));
+        prepared->Detect(DenseSuspectCounts{counts.data(), present.data()},
+                         ids.data(), options));
   }
 }
 BENCHMARK(BM_DetectDense);

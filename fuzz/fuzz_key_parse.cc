@@ -7,8 +7,10 @@
 ///  * the parsers never crash, leak or trip UB on arbitrary bytes;
 ///  * `Prepare` never returns null, malformed payloads included
 ///    (api/scheme.h contract);
-///  * prepared-path identity: `Detect(hist, *Prepare(key), opts)` equals
-///    `Detect(hist, key, opts)` bit-exactly — for hostile keys too, the
+///  * the prepared detector agrees with the scheme's independent oracle
+///    (the payload parsed by the scheme's own parser and run through the
+///    uncached detector) bit-exactly, and a payload that fails to parse
+///    rejects with a default `DetectResult` — for hostile keys too, the
 ///    contract `tests/exec/prepared_detect_test.cc` enforces on
 ///    well-formed ones.
 
@@ -16,11 +18,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/factory.h"
 #include "api/scheme.h"
+#include "api/wm_obt_scheme.h"
+#include "api/wm_rvs_scheme.h"
+#include "baselines/wm_obt.h"
+#include "baselines/wm_rvs.h"
+#include "core/detect.h"
+#include "core/secrets.h"
 #include "data/histogram.h"
 
 namespace {
@@ -38,6 +47,33 @@ const freqywm::Histogram& SuspectHistogram() {
     return new freqywm::Histogram(std::move(built).value());
   }();
   return *hist;
+}
+
+/// The scheme's detection oracle: its own payload parser, then the
+/// uncached detector; nullopt when the payload fails to parse. Aborts on
+/// a tag the harness has no oracle for.
+std::optional<freqywm::DetectResult> OracleDetect(
+    const freqywm::SchemeKey& key, const freqywm::DetectOptions& options) {
+  const freqywm::Histogram& suspect = SuspectHistogram();
+  if (key.scheme == "freqywm") {
+    auto secrets = freqywm::WatermarkSecrets::Deserialize(key.payload);
+    if (!secrets.ok()) return std::nullopt;
+    return freqywm::DetectWatermarkReference(suspect, secrets.value(),
+                                             options);
+  }
+  if (key.scheme == "wm-obt") {
+    auto payload = freqywm::WmObtScheme::ParseKeyPayload(key.payload);
+    if (!payload.ok()) return std::nullopt;
+    return freqywm::DetectWmObt(suspect, payload.value(), options);
+  }
+  if (key.scheme == "wm-rvs") {
+    auto payload = freqywm::WmRvsScheme::ParseKeyPayload(key.payload);
+    if (!payload.ok()) return std::nullopt;
+    return freqywm::DetectWmRvs(suspect, payload.value(), options);
+  }
+  std::fprintf(stderr, "no detection oracle for scheme %s\n",
+               key.scheme.c_str());
+  std::abort();
 }
 
 }  // namespace
@@ -62,12 +98,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   const freqywm::DetectOptions options =
       scheme->RecommendedDetectOptions(key);
-  const freqywm::DetectResult via_key =
-      scheme->Detect(SuspectHistogram(), key, options);
-  const freqywm::DetectResult via_prepared =
-      scheme->Detect(SuspectHistogram(), *prepared, options);
-  if (!(via_key == via_prepared)) {
-    std::fprintf(stderr, "prepared-path detection diverges for scheme %s\n",
+  // A payload that fails to parse must reject with a default result.
+  const freqywm::DetectResult expected =
+      OracleDetect(key, options).value_or(freqywm::DetectResult{});
+  if (!(prepared->Detect(SuspectHistogram(), options) == expected)) {
+    std::fprintf(stderr,
+                 "prepared detection diverges from the oracle for scheme "
+                 "%s\n",
                  key.scheme.c_str());
     std::abort();
   }

@@ -58,8 +58,8 @@ class OptionBag {
 /// The three paper schemes are pre-registered: "freqywm", "wm-obt",
 /// "wm-rvs". Out-of-tree schemes join the same sweeps by calling
 /// `Register` once at startup; everything downstream (benches, CLI,
-/// `FingerprintRegistry::Trace`, the conformance test) discovers schemes
-/// through `RegisteredNames` and never names a concrete class.
+/// `FingerprintRegistry::TraceSuspects`, the conformance test) reaches
+/// schemes through the factory and never names a concrete class.
 class SchemeFactory {
  public:
   using Builder = std::function<Result<std::unique_ptr<WatermarkScheme>>(

@@ -36,9 +36,10 @@ Result<WatermarkSecrets> ParseKey(const SchemeKey& key) {
   return WatermarkSecrets::Deserialize(key.payload);
 }
 
-/// Prepared state: the key parsed and its per-pair moduli derived once.
-/// An unparsable key leaves the table invalid, so the prepared path
-/// rejects exactly like the parse-per-call path.
+/// The prepared detector: the key parsed and its per-pair moduli derived
+/// once, so each suspect costs a count gather and the residue checks. An
+/// unparsable or foreign key leaves the table invalid, and an invalid
+/// table rejects inside `DetectWatermark`.
 class FreqyWmPreparedKey : public PreparedKey {
  public:
   explicit FreqyWmPreparedKey(const SchemeKey& key) : PreparedKey(key) {
@@ -46,7 +47,18 @@ class FreqyWmPreparedKey : public PreparedKey {
     if (secrets.ok()) table_ = PairModulusTable::Build(secrets.value());
   }
 
-  const PairModulusTable& table() const { return table_; }
+  DetectResult Detect(const Histogram& suspect,
+                      const DetectOptions& options) const override {
+    return DetectWatermark(suspect, table_, options);
+  }
+
+  /// Zero hash probes per cell (DESIGN.md §10).
+  DetectResult Detect(const DenseSuspectCounts& counts,
+                      const uint32_t* dense_ids,
+                      const DetectOptions& options) const override {
+    return DetectWatermark(table_, dense_ids, counts.counts, counts.present,
+                           options);
+  }
 
   /// Detection reads exactly the counts of the table's interned tokens, so
   /// those are the dense-gather vocabulary; an invalid table (malformed
@@ -96,41 +108,9 @@ Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
   return out;
 }
 
-DetectResult FreqyWmScheme::Detect(const Histogram& suspect,
-                                   const SchemeKey& key,
-                                   const DetectOptions& options) const {
-  auto secrets = ParseKey(key);
-  if (!secrets.ok()) return DetectResult{};
-  return DetectWatermark(suspect, secrets.value(), options);
-}
-
 std::unique_ptr<PreparedKey> FreqyWmScheme::Prepare(
     const SchemeKey& key) const {
   return std::make_unique<FreqyWmPreparedKey>(key);
-}
-
-DetectResult FreqyWmScheme::Detect(const Histogram& suspect,
-                                   const PreparedKey& prepared,
-                                   const DetectOptions& options) const {
-  const auto* own = dynamic_cast<const FreqyWmPreparedKey*>(&prepared);
-  if (own == nullptr) return Detect(suspect, prepared.key(), options);
-  // An invalid table (unparsable/foreign key) rejects inside
-  // DetectWatermark, matching the parse-per-call path bit for bit.
-  return DetectWatermark(suspect, own->table(), options);
-}
-
-DetectResult FreqyWmScheme::Detect(const DenseSuspectCounts& counts,
-                                   const uint32_t* dense_ids,
-                                   const PreparedKey& prepared,
-                                   const DetectOptions& options) const {
-  const auto* own = dynamic_cast<const FreqyWmPreparedKey*>(&prepared);
-  // The engine only routes here for a non-null vocabulary, which implies a
-  // valid own-scheme table; a foreign object rejects (base default).
-  if (own == nullptr || !own->table().valid()) {
-    return WatermarkScheme::Detect(counts, dense_ids, prepared, options);
-  }
-  return DetectWatermark(own->table(), dense_ids, counts.counts,
-                         counts.present, options);
 }
 
 DetectOptions FreqyWmScheme::RecommendedDetectOptions(

@@ -29,18 +29,10 @@ class FreqyWmScheme : public WatermarkScheme {
                              const ExecContext& exec) const override;
   Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const override;
-  DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
-                      const DetectOptions& options) const override;
   /// Parses the key and derives its `PairModulusTable` once; the prepared
-  /// `Detect` below then runs hash-free (count gather + residue checks).
+  /// key then detects hash-free (count gather + residue checks), on a
+  /// suspect histogram or on dense counts (DESIGN.md §10).
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectResult Detect(const Histogram& suspect, const PreparedKey& prepared,
-                      const DetectOptions& options) const override;
-  /// Dense-gather detection over the prepared table: zero hash probes per
-  /// cell (DESIGN.md §10); byte-identical to the histogram overload.
-  DetectResult Detect(const DenseSuspectCounts& counts,
-                      const uint32_t* dense_ids, const PreparedKey& prepared,
-                      const DetectOptions& options) const override;
   DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
   bool SupportsRefresh() const override { return true; }
   Result<EmbedOutcome> Refresh(const Histogram& drifted,

@@ -91,31 +91,32 @@ Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
   return out;
 }
 
+DetectResult PreparedKey::Detect(const DenseSuspectCounts& /*counts*/,
+                                 const uint32_t* /*dense_ids*/,
+                                 const DetectOptions& /*options*/) const {
+  // Reached only on a contract violation (a vocabulary without a dense
+  // override); reject rather than crash, matching the malformed-key
+  // convention.
+  return DetectResult{};
+}
+
+DetectResult WatermarkScheme::Detect(const Histogram& suspect,
+                                     const SchemeKey& key,
+                                     const DetectOptions& options) const {
+  return Prepare(key)->Detect(suspect, options);
+}
+
 DetectResult WatermarkScheme::Detect(const Dataset& suspect,
                                      const SchemeKey& key,
                                      const DetectOptions& options) const {
   return Detect(Histogram::FromDataset(suspect), key, options);
 }
 
-std::unique_ptr<PreparedKey> WatermarkScheme::Prepare(
-    const SchemeKey& key) const {
-  return std::make_unique<PreparedKey>(key);
-}
-
-DetectResult WatermarkScheme::Detect(const Histogram& suspect,
+DetectResult WatermarkScheme::Detect(const DenseSuspectCounts& counts,
+                                     const uint32_t* dense_ids,
                                      const PreparedKey& prepared,
                                      const DetectOptions& options) const {
-  return Detect(suspect, prepared.key(), options);
-}
-
-DetectResult WatermarkScheme::Detect(const DenseSuspectCounts& /*counts*/,
-                                     const uint32_t* /*dense_ids*/,
-                                     const PreparedKey& /*prepared*/,
-                                     const DetectOptions& /*options*/) const {
-  // Reached only on a contract violation (a scheme exposing a vocabulary
-  // without overriding the dense overload, or a foreign `prepared`);
-  // reject rather than crash, matching the malformed-key convention.
-  return DetectResult{};
+  return prepared.Detect(counts, dense_ids, options);
 }
 
 DetectOptions WatermarkScheme::RecommendedDetectOptions(

@@ -88,19 +88,18 @@ struct DenseSuspectCounts {
   const uint8_t* present = nullptr;
 };
 
-/// Opaque per-key detection state returned by `WatermarkScheme::Prepare`:
-/// everything about a key that detection reuses across suspects (parsed
-/// payload, derived moduli, ...), paid once per key instead of once per
-/// `Detect` call. The base class simply carries the key; schemes with real
-/// key-side state subclass it (DESIGN.md §8).
+/// Per-key detection state returned by `WatermarkScheme::Prepare`, and the
+/// detector itself (DESIGN.md §8): the paper's WmDetect takes a key and
+/// tests it on a suspect, so each scheme parses its key (and derives
+/// whatever it reuses across suspects) once in `Prepare`, and the prepared
+/// key then runs detection on any number of suspects.
 ///
 /// Instances are immutable after `Prepare` and safe to share across
-/// threads, matching the `Detect`-is-stateless contract. Prepared state
-/// must be a pure function of the `SchemeKey` alone — never of the
-/// preparing instance's embed-side configuration — so instances are
-/// shareable across runs, sessions and tenants through the
-/// `PreparedKeyCache` (DESIGN.md §10); every in-tree `Prepare` only parses
-/// the key payload.
+/// threads. Prepared state must be a pure function of the `SchemeKey`
+/// alone — never of the preparing instance's embed-side configuration —
+/// so instances are shareable across runs, sessions and tenants through
+/// the `PreparedKeyCache` (DESIGN.md §10); every in-tree `Prepare` only
+/// parses the key payload.
 class PreparedKey {
  public:
   explicit PreparedKey(SchemeKey key) : key_(std::move(key)) {}
@@ -109,17 +108,34 @@ class PreparedKey {
   /// The key this state was derived from.
   const SchemeKey& key() const { return key_; }
 
+  /// Runs detection of the key on a suspect histogram. `options`
+  /// semantics per scheme: `min_pairs` is always the minimum number of
+  /// verified units; `pair_threshold` is the per-unit tolerance (FreqyWM
+  /// residue bound; WM-OBT number of partitions allowed to decode wrongly;
+  /// unused by WM-RVS). Never fails: a malformed or foreign-scheme key
+  /// yields a default (rejected) `DetectResult`.
+  virtual DetectResult Detect(const Histogram& suspect,
+                              const DetectOptions& options) const = 0;
+
+  /// Dense-gather detection (DESIGN.md §10), reached only when
+  /// `TokenVocabulary()` is non-null: `dense_ids[t]` maps index `t` of
+  /// the vocabulary to an id in `counts`, which the batch engine
+  /// scattered from the suspect histogram once for all keys. Byte-identical
+  /// to `Detect(suspect, options)` whenever `counts` was scattered from
+  /// `suspect` over a vocabulary union containing the key's tokens. The
+  /// default rejects.
+  virtual DetectResult Detect(const DenseSuspectCounts& counts,
+                              const uint32_t* dense_ids,
+                              const DetectOptions& options) const;
+
   /// The key's token vocabulary: the distinct tokens whose suspect-side
   /// counts detection reads, enabling the batch engine's dense count
   /// gather (DESIGN.md §10). Returns nullptr when detection scans the
   /// whole suspect histogram instead of a key-determined token set (WM-OBT
   /// partition statistics, WM-RVS per-token digits) or when the key is
-  /// malformed — the engine then falls back to the histogram-path
-  /// `Detect`. When non-null, the owning scheme must override the
-  /// dense-counts `Detect` overload, the vector must stay valid and
-  /// unchanged for the lifetime of this object, and for counts scattered
-  /// from a suspect the dense overload must be byte-identical to
-  /// `Detect(suspect, *this, options)`.
+  /// malformed — the engine then uses the histogram `Detect`. When
+  /// non-null, the subclass must override the dense `Detect`, and the
+  /// vector must stay valid and unchanged for the lifetime of this object.
   virtual const std::vector<Token>* TokenVocabulary() const {
     return nullptr;
   }
@@ -178,58 +194,32 @@ class WatermarkScheme {
   [[nodiscard]] Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original) const;
 
-  /// Runs detection of `key` on a suspect histogram. `options` semantics
-  /// per scheme: `min_pairs` is always the minimum number of verified
-  /// units; `pair_threshold` is the per-unit tolerance (FreqyWM residue
-  /// bound; WM-OBT number of partitions allowed to decode wrongly; unused
-  /// by WM-RVS).
-  virtual DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
-                              const DetectOptions& options) const = 0;
+  /// Runs detection of `key` on a suspect histogram:
+  /// `Prepare(key)->Detect(suspect, options)`. A one-off call pays the
+  /// key's preparation; callers detecting many suspects prepare once.
+  DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
+                      const DetectOptions& options) const;
 
   /// Convenience overload building the histogram from a raw dataset.
   DetectResult Detect(const Dataset& suspect, const SchemeKey& key,
                       const DetectOptions& options) const;
 
-  /// Derives the reusable per-key detection state for `key`. The batch
-  /// engine prepares each key once and then runs the whole suspect column
-  /// against the prepared state, so key parsing and keyed-hash derivation
-  /// are paid |keys| times instead of |suspects| × |keys| times.
-  ///
-  /// Contract: `Detect(suspect, *Prepare(key), options)` is byte-identical
-  /// to `Detect(suspect, key, options)` for every input, malformed keys
-  /// included (enforced per scheme by `tests/exec/prepared_detect_test.cc`).
-  /// The default wraps the key unparsed; schemes overriding this must
-  /// override the prepared `Detect` overload too. Never returns null.
-  virtual std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const;
+  /// Dense-gather detection: `prepared.Detect(counts, dense_ids, options)`.
+  DetectResult Detect(const DenseSuspectCounts& counts,
+                      const uint32_t* dense_ids, const PreparedKey& prepared,
+                      const DetectOptions& options) const;
 
-  /// Detection against a prepared key. The default delegates to
-  /// `Detect(suspect, prepared.key(), options)`; schemes with real
-  /// key-side state override it alongside `Prepare`. A `prepared` object
-  /// from a different scheme degrades to the key-parsing path (which
-  /// rejects a foreign key), never crashes.
-  virtual DetectResult Detect(const Histogram& suspect,
-                              const PreparedKey& prepared,
-                              const DetectOptions& options) const;
-
-  /// Dense-gather detection (DESIGN.md §10): `dense_ids[t]` maps index `t`
-  /// of `prepared.TokenVocabulary()` to an id in `counts`. The batch
-  /// engine calls this only when the vocabulary is non-null, after
-  /// scattering the suspect histogram into `counts` once for all keys.
-  ///
-  /// Contract: byte-identical to `Detect(suspect, prepared, options)`
-  /// whenever `counts` was scattered from `suspect` over a vocabulary
-  /// union containing the key's tokens. Schemes returning a non-null
-  /// `TokenVocabulary` must override this; the default (for schemes whose
-  /// detection scans the whole suspect and for foreign `prepared` objects)
-  /// rejects.
-  virtual DetectResult Detect(const DenseSuspectCounts& counts,
-                              const uint32_t* dense_ids,
-                              const PreparedKey& prepared,
-                              const DetectOptions& options) const;
+  /// Derives the detector for `key`: the scheme's one detection virtual.
+  /// The batch engine prepares each key once and then runs the whole
+  /// suspect column against it, so key parsing and keyed-hash derivation
+  /// are paid |keys| times instead of |suspects| × |keys| times. A
+  /// malformed or foreign-scheme key still yields a prepared key, one that
+  /// rejects every suspect. Never returns null.
+  virtual std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const = 0;
 
   /// Detection settings that make `Detect` a sound accept/reject oracle for
   /// this scheme's `key` on un-attacked data (used by the conformance test,
-  /// the CLI default, and `FingerprintRegistry::Trace` callers).
+  /// the CLI default, and the batch engine's default per-key settings).
   virtual DetectOptions RecommendedDetectOptions(const SchemeKey& key) const;
 
   /// True when `Refresh` is implemented.

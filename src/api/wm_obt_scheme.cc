@@ -15,29 +15,30 @@ namespace {
 
 constexpr char kKeyMagic[] = "wm-obt-key v1";
 
-/// Prepared state: the key payload parsed once. An unparsable or foreign
-/// key leaves `valid` false, so the prepared path rejects exactly like the
-/// parse-per-call path.
+/// The prepared detector: the key payload parsed once. An unparsable or
+/// foreign key leaves `valid_` false and rejects every suspect. There is no
+/// `TokenVocabulary`: WM-OBT's evidence is the keyed partition statistic
+/// over *every* suspect token, so the batch engine uses the histogram
+/// `Detect` (DESIGN.md §10).
 class WmObtPreparedKey : public PreparedKey {
  public:
   explicit WmObtPreparedKey(const SchemeKey& key) : PreparedKey(key) {
     if (key.scheme != "wm-obt") return;
     auto parsed = WmObtScheme::ParseKeyPayload(key.payload);
     if (!parsed.ok()) return;
-    options = std::move(parsed).value();
-    valid = true;
+    options_ = std::move(parsed).value();
+    valid_ = true;
   }
 
-  /// Dense gather opt-out (DESIGN.md §10): WM-OBT's evidence is the keyed
-  /// partition statistic over *every* suspect token — the key names no
-  /// token set of its own — so there is no vocabulary to scatter and the
-  /// batch engine keeps the histogram-path `Detect` for this scheme.
-  const std::vector<Token>* TokenVocabulary() const override {
-    return nullptr;
+  DetectResult Detect(const Histogram& suspect,
+                      const DetectOptions& options) const override {
+    if (!valid_) return DetectResult{};
+    return DetectWmObt(suspect, options_, options);
   }
 
-  WmObtOptions options;
-  bool valid = false;
+ private:
+  WmObtOptions options_;
+  bool valid_ = false;
 };
 
 }  // namespace
@@ -144,26 +145,8 @@ Result<EmbedOutcome> WmObtScheme::Embed(const Histogram& original,
   return out;
 }
 
-DetectResult WmObtScheme::Detect(const Histogram& suspect,
-                                 const SchemeKey& key,
-                                 const DetectOptions& options) const {
-  if (key.scheme != "wm-obt") return DetectResult{};
-  auto parsed = ParseKeyPayload(key.payload);
-  if (!parsed.ok()) return DetectResult{};
-  return DetectWmObt(suspect, parsed.value(), options);
-}
-
 std::unique_ptr<PreparedKey> WmObtScheme::Prepare(const SchemeKey& key) const {
   return std::make_unique<WmObtPreparedKey>(key);
-}
-
-DetectResult WmObtScheme::Detect(const Histogram& suspect,
-                                 const PreparedKey& prepared,
-                                 const DetectOptions& options) const {
-  const auto* own = dynamic_cast<const WmObtPreparedKey*>(&prepared);
-  if (own == nullptr) return Detect(suspect, prepared.key(), options);
-  if (!own->valid) return DetectResult{};
-  return DetectWmObt(suspect, own->options, options);
 }
 
 DetectOptions WmObtScheme::RecommendedDetectOptions(

@@ -26,12 +26,9 @@ class WmObtScheme : public WatermarkScheme {
   /// §9); byte-identical output at any thread count.
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
-  DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
-                      const DetectOptions& options) const override;
-  /// Parses the key payload once; the prepared `Detect` skips re-parsing.
+  /// Parses the key payload once; the prepared key then detects without
+  /// re-parsing.
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectResult Detect(const Histogram& suspect, const PreparedKey& prepared,
-                      const DetectOptions& options) const override;
   DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
 
   const WmObtOptions& options() const { return options_; }

@@ -14,29 +14,29 @@ namespace {
 
 constexpr char kKeyMagic[] = "wm-rvs-key v1";
 
-/// Prepared state: the key payload parsed once. An unparsable or foreign
-/// key leaves `valid` false, so the prepared path rejects exactly like the
-/// parse-per-call path.
+/// The prepared detector: the key payload parsed once. An unparsable or
+/// foreign key leaves `valid_` false and rejects every suspect. There is no
+/// `TokenVocabulary`: WM-RVS re-derives a keyed digit for *every* suspect
+/// token, so the batch engine uses the histogram `Detect` (DESIGN.md §10).
 class WmRvsPreparedKey : public PreparedKey {
  public:
   explicit WmRvsPreparedKey(const SchemeKey& key) : PreparedKey(key) {
     if (key.scheme != "wm-rvs") return;
     auto parsed = WmRvsScheme::ParseKeyPayload(key.payload);
     if (!parsed.ok()) return;
-    options = std::move(parsed).value();
-    valid = true;
+    options_ = std::move(parsed).value();
+    valid_ = true;
   }
 
-  /// Dense gather opt-out (DESIGN.md §10): WM-RVS re-derives a keyed digit
-  /// for *every* suspect token — the key determines positions, not a token
-  /// set — so there is no vocabulary to scatter and the batch engine keeps
-  /// the histogram-path `Detect` for this scheme.
-  const std::vector<Token>* TokenVocabulary() const override {
-    return nullptr;
+  DetectResult Detect(const Histogram& suspect,
+                      const DetectOptions& options) const override {
+    if (!valid_) return DetectResult{};
+    return DetectWmRvs(suspect, options_, options);
   }
 
-  WmRvsOptions options;
-  bool valid = false;
+ private:
+  WmRvsOptions options_;
+  bool valid_ = false;
 };
 
 }  // namespace
@@ -134,26 +134,8 @@ Result<EmbedOutcome> WmRvsScheme::Refresh(const Histogram& drifted,
   return MakeOutcome(drifted, std::move(refreshed), side_table, keyed);
 }
 
-DetectResult WmRvsScheme::Detect(const Histogram& suspect,
-                                 const SchemeKey& key,
-                                 const DetectOptions& options) const {
-  if (key.scheme != "wm-rvs") return DetectResult{};
-  auto parsed = ParseKeyPayload(key.payload);
-  if (!parsed.ok()) return DetectResult{};
-  return DetectWmRvs(suspect, parsed.value(), options);
-}
-
 std::unique_ptr<PreparedKey> WmRvsScheme::Prepare(const SchemeKey& key) const {
   return std::make_unique<WmRvsPreparedKey>(key);
-}
-
-DetectResult WmRvsScheme::Detect(const Histogram& suspect,
-                                 const PreparedKey& prepared,
-                                 const DetectOptions& options) const {
-  const auto* own = dynamic_cast<const WmRvsPreparedKey*>(&prepared);
-  if (own == nullptr) return Detect(suspect, prepared.key(), options);
-  if (!own->valid) return DetectResult{};
-  return DetectWmRvs(suspect, own->options, options);
 }
 
 DetectOptions WmRvsScheme::RecommendedDetectOptions(

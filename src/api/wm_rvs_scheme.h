@@ -28,12 +28,9 @@ class WmRvsScheme : public WatermarkScheme {
   /// pool; byte-identical output (and side effects) at any thread count.
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
-  DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
-                      const DetectOptions& options) const override;
-  /// Parses the key payload once; the prepared `Detect` skips re-parsing.
+  /// Parses the key payload once; the prepared key then detects without
+  /// re-parsing.
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectResult Detect(const Histogram& suspect, const PreparedKey& prepared,
-                      const DetectOptions& options) const override;
   DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
 
   /// WM-RVS refresh = re-embed under the key (DESIGN.md §6 parity gap):

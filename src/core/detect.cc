@@ -57,18 +57,6 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
 
 namespace {
 
-/// The residue of the rescale path (`rescale_factor > 0`, the sampling
-/// attack's detector): the paper-era `double`/`llround` arithmetic, kept
-/// as it was so rescaled verdicts never move.
-uint64_t RescaledResidue(uint64_t ci, uint64_t cj, uint64_t s,
-                         double rescale_factor) {
-  const double fi = std::llround(static_cast<double>(ci) * rescale_factor);
-  const double fj = std::llround(static_cast<double>(cj) * rescale_factor);
-  const int64_t diff = static_cast<int64_t>(fi) - static_cast<int64_t>(fj);
-  const int64_t modulus = static_cast<int64_t>(s);
-  return static_cast<uint64_t>(((diff % modulus) + modulus) % modulus);
-}
-
 /// 1 when a pair with residue `residue` modulo `s` verifies under
 /// threshold `t` (one-sided, or within `t` of `s` too when `symmetric`),
 /// else 0 — a mask to add, not a branch: foreign keys pass at ~1/s, so a
@@ -77,6 +65,23 @@ inline size_t PairVerifies(uint64_t residue, uint64_t s, uint64_t t,
                            bool symmetric) {
   return static_cast<size_t>((residue <= t) |
                              (symmetric & (s - residue <= t)));
+}
+
+/// The rescale path (`rescale_factor > 0`, the sampling attack's
+/// detector): each count is scaled by the factor and rounded with
+/// `llround`, then the pair verifies as an unscaled one would. A scaled
+/// count that is not finite or not below 2^63 has no `int64` rounding
+/// (`llround` returns LLONG_MIN on x86), so its pair counts as found but
+/// never verifies: two such counts would otherwise share residue 0.
+size_t RescaledPairVerifies(uint64_t ci, uint64_t cj, uint64_t s,
+                            const DetectOptions& options) {
+  const double xi = static_cast<double>(ci) * options.rescale_factor;
+  const double xj = static_cast<double>(cj) * options.rescale_factor;
+  if (!(xi < 0x1p63) || !(xj < 0x1p63)) return 0;
+  const uint64_t fi = static_cast<uint64_t>(std::llround(xi));
+  const uint64_t fj = static_cast<uint64_t>(std::llround(xj));
+  return PairVerifies(PairResidue(fi, fj, s, /*magic=*/0), s,
+                      options.pair_threshold, options.symmetric_residue);
 }
 
 /// The shared pair loop of every table-backed detection path. `has(t)` /
@@ -102,23 +107,24 @@ DetectResult DetectOverTable(const PairModulusTable& table,
   // One loop per residue kind, so the integer loop carries no rescale
   // test. An attack may flip a pair's order; the residue is still taken
   // of the signed difference, reflected into [0, s).
-  auto count_pairs = [&](const auto& residue_of) {
+  auto count_pairs = [&](const auto& verifies) {
     for (const PairModulusTable::PairEntry& pair : table.pairs()) {
       if (!has(pair.token_i) || !has(pair.token_j)) continue;
       ++found;
       if (pair.s < 2) continue;  // cannot happen for honestly generated pairs
-      verified += PairVerifies(residue_of(pair), pair.s, t, symmetric);
+      verified += verifies(pair);
     }
   };
   if (options.rescale_factor > 0.0) {
     count_pairs([&](const PairModulusTable::PairEntry& pair) {
-      return RescaledResidue(count(pair.token_i), count(pair.token_j),
-                             pair.s, options.rescale_factor);
+      return RescaledPairVerifies(count(pair.token_i), count(pair.token_j),
+                                  pair.s, options);
     });
   } else {
     count_pairs([&](const PairModulusTable::PairEntry& pair) {
-      return PairResidue(count(pair.token_i), count(pair.token_j), pair.s,
-                         pair.magic);
+      return PairVerifies(PairResidue(count(pair.token_i),
+                                      count(pair.token_j), pair.s, pair.magic),
+                          pair.s, t, symmetric);
     });
   }
 
@@ -182,12 +188,11 @@ DetectResult DetectWatermark(const Histogram& suspect,
     ++found;
     const uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
     if (s < 2) continue;  // cannot happen for honestly generated pairs
-    const uint64_t residue =
-        options.rescale_factor > 0.0
-            ? RescaledResidue(*ci, *cj, s, options.rescale_factor)
-            : PairResidue(*ci, *cj, s, /*magic=*/0);  // one use: plain `%`
-    verified += PairVerifies(residue, s, options.pair_threshold,
-                             options.symmetric_residue);
+    verified += options.rescale_factor > 0.0
+                    ? RescaledPairVerifies(*ci, *cj, s, options)
+                    : PairVerifies(PairResidue(*ci, *cj, s, /*magic=*/0),
+                                   s, options.pair_threshold,
+                                   options.symmetric_residue);
   }
 
   out.pairs_found = found;
@@ -221,17 +226,22 @@ DetectResult DetectWatermarkReference(const Histogram& suspect,
     uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
     if (s < 2) continue;  // cannot happen for honestly generated pairs
 
-    // Exact integer residue of the signed difference (the hardware `%`,
-    // independent of the table path's fastmod); the rescale path keeps
-    // its paper-era floating-point arithmetic.
-    uint64_t residue = 0;
+    // The rescale path rounds the scaled counts; a scaled count with no
+    // `int64` rounding (not finite, or at least 2^63) never verifies.
+    uint64_t fi = *ci;
+    uint64_t fj = *cj;
     if (options.rescale_factor > 0.0) {
-      residue = RescaledResidue(*ci, *cj, s, options.rescale_factor);
-    } else {
-      const uint64_t mag = *ci >= *cj ? *ci - *cj : *cj - *ci;
-      const uint64_t r = mag % s;
-      residue = *ci >= *cj || r == 0 ? r : s - r;
+      const double xi = static_cast<double>(*ci) * options.rescale_factor;
+      const double xj = static_cast<double>(*cj) * options.rescale_factor;
+      if (!(xi < 0x1p63) || !(xj < 0x1p63)) continue;
+      fi = static_cast<uint64_t>(std::llround(xi));
+      fj = static_cast<uint64_t>(std::llround(xj));
     }
+    // Exact integer residue of the signed difference (the hardware `%`,
+    // independent of the table path's fastmod).
+    const uint64_t mag = fi >= fj ? fi - fj : fj - fi;
+    const uint64_t r = mag % s;
+    const uint64_t residue = fi >= fj || r == 0 ? r : s - r;
 
     bool pass = residue <= options.pair_threshold;
     if (!pass && options.symmetric_residue) {

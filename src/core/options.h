@@ -112,8 +112,10 @@ struct DetectOptions {
   /// just below s_ij, which the one-sided paper rule misses).
   bool symmetric_residue = false;
 
-  /// When > 0, every suspect count is multiplied by this factor before
-  /// checking (the §V-B sampling-attack rescale step). 0 disables.
+  /// When > 0, every suspect count is multiplied by this factor and
+  /// rounded before checking (the §V-B sampling-attack rescale step); a
+  /// pair with a scaled count of 2^63 or more is found but never
+  /// verified. 0 disables.
   double rescale_factor = 0.0;
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "api/factory.h"
 #include "common/mutex.h"
 #include "exec/fault_injection.h"
 
@@ -31,21 +32,20 @@ BatchDetector::Session::Session(BatchDetectOptions options,
 }
 
 void BatchDetector::Session::PrepareKeys() {
-  // One scheme per distinct tag (`SchemeCache`), populated on the
-  // constructing thread so a drain only reads. Per-key detection
-  // settings, prepared state and dense id maps are likewise resolved
-  // here — once per session, not per chunk — and stay deterministic
-  // regardless of scheduling. Prepared state goes through the shared
-  // cache when one is configured, so keys already prepared by an earlier
-  // session (or another tenant) cost a lookup.
-  key_scheme_.assign(keys_.size(), nullptr);
+  // One scheme per distinct tag (`SchemeCache`), needed only here: the
+  // prepared keys are the detectors a drain calls. Per-key detection
+  // settings, prepared keys and dense id maps are resolved once per
+  // session, not per chunk, and stay deterministic regardless of
+  // scheduling. Prepared keys go through the shared cache when one is
+  // configured, so keys already prepared by an earlier session (or
+  // another tenant) cost a lookup.
+  SchemeCache schemes;
   key_options_.assign(keys_.size(), DetectOptions{});
   prepared_.assign(keys_.size(), nullptr);
   key_status_.assign(keys_.size(), Status::OK());
   dense_ids_.assign(keys_.size(), {});
   for (size_t j = 0; j < keys_.size(); ++j) {
-    const WatermarkScheme* scheme = schemes_.Get(keys_[j].scheme);
-    key_scheme_[j] = scheme;
+    const WatermarkScheme* scheme = schemes.Get(keys_[j].scheme);
     if (scheme == nullptr) {
       // Unregistered tag → rejected cells, now with the reason recorded
       // per column instead of assumed.
@@ -303,7 +303,7 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
     const size_t i_end = std::min(i_begin + run.tile, suspects.size());
     for (size_t j = run.key_begin; j < run.key_end; ++j) {
       if (!key_status_[j].ok()) continue;  // poisoned column
-      const WatermarkScheme& scheme = *key_scheme_[j];
+      const PreparedKey& prepared = *prepared_[j];
       for (size_t i = i_begin; i < i_end; ++i) {
         const size_t c = i * num_keys + j;
         Status cell = FREQYWM_FAULT_STATUS_KEYED("session/detect_cell",
@@ -316,11 +316,10 @@ SessionDrainResult BatchDetector::Session::DetectChecked(
         if (!dense_ids_[j].empty()) {
           DenseSuspectCounts dense{counts.data() + i * width,
                                    present.data() + i * width};
-          out.verdicts[i][j] = scheme.Detect(dense, dense_ids_[j].data(),
-                                             *prepared_[j], key_options_[j]);
-        } else {
           out.verdicts[i][j] =
-              scheme.Detect(suspects[i], *prepared_[j], key_options_[j]);
+              prepared.Detect(dense, dense_ids_[j].data(), key_options_[j]);
+        } else {
+          out.verdicts[i][j] = prepared.Detect(suspects[i], key_options_[j]);
         }
         out.evaluated[c] = 1;
       }

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "api/factory.h"
 #include "api/scheme.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -83,11 +82,11 @@ struct BatchDetectOptions {
 /// many escrowed keys. `BatchDetector` is only the scope of `Session`,
 /// the one way in.
 ///
-/// Scheme instances are created once per distinct key tag and shared
-/// across threads (`Detect` is const and stateless for every in-tree
-/// scheme; out-of-tree schemes joining the factory must keep it so). Each
-/// key is `Prepare`d once up front — through the shared `key_cache` when
-/// one is configured — and keys exposing a `TokenVocabulary` run through
+/// Each key is `Prepare`d once up front — through the shared `key_cache`
+/// when one is configured — and every cell calls its column's
+/// `PreparedKey::Detect`, which is const and stateless for every in-tree
+/// scheme (out-of-tree schemes joining the factory must keep it so, since
+/// cells run across threads). Keys exposing a `TokenVocabulary` run through
 /// the dense count gather: the union vocabulary is interned into dense ids,
 /// each suspect histogram is scattered into a flat count vector once, and
 /// every matrix cell then reads counts by index — zero hash probes per
@@ -187,8 +186,6 @@ class BatchDetector {
 
     BatchDetectOptions options_;
     std::vector<SchemeKey> keys_;
-    SchemeCache schemes_;
-    std::vector<const WatermarkScheme*> key_scheme_;
     std::vector<DetectOptions> key_options_;
     std::vector<std::shared_ptr<const PreparedKey>> prepared_;
     std::vector<Status> key_status_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/watermark.h"
 #include "crypto/pair_modulus.h"
 #include "datagen/power_law.h"
@@ -208,6 +212,89 @@ TEST(DetectTest, RescaleFactorRecoversScaledCounts) {
   d.rescale_factor = 2.0;
   DetectResult r = DetectWatermark(halved, f.secrets, d);
   EXPECT_TRUE(r.accepted);
+}
+
+// Every detection path on one suspect: the table (histogram and dense
+// counts), the single shot and the oracle must agree; returns the oracle.
+DetectResult DetectOnEveryPath(const Histogram& suspect,
+                               const WatermarkSecrets& secrets,
+                               const DetectOptions& d) {
+  const DetectResult reference = DetectWatermarkReference(suspect, secrets, d);
+  const PairModulusTable table = PairModulusTable::Build(secrets);
+  std::vector<uint32_t> ids(table.tokens().size());
+  std::vector<uint64_t> counts(ids.size(), 0);
+  std::vector<uint8_t> present(ids.size(), 0);
+  for (size_t t = 0; t < ids.size(); ++t) {
+    ids[t] = static_cast<uint32_t>(t);
+    const auto count = suspect.CountOf(table.tokens()[t]);
+    counts[t] = count.value_or(0);
+    present[t] = count.has_value();
+  }
+  EXPECT_TRUE(DetectWatermark(suspect, table, d) == reference);
+  EXPECT_TRUE(DetectWatermark(table, ids.data(), counts.data(),
+                              present.data(), d) == reference);
+  EXPECT_TRUE(DetectWatermark(suspect, secrets, d) == reference);
+  return reference;
+}
+
+TEST(DetectTest, RescaledCountsPastInt64NeverVerify) {
+  // With factor 6e18, a count of 2 or 3 scales past 2^63, where llround
+  // has no result; a count of 1 scales to 6e18, still in range.
+  WatermarkSecrets secrets;
+  secrets.r = GenerateSecret(256, 17);
+  secrets.z = 131;
+  secrets.pairs = {{"a", "b"}, {"c", "d"}, {"e", "f"}};
+  auto suspect = Histogram::FromCounts(
+      {{"a", 2}, {"b", 1}, {"c", 3}, {"d", 2}, {"e", 1}, {"f", 1}});
+  ASSERT_TRUE(suspect.ok());
+
+  for (double factor : {6e18, std::numeric_limits<double>::infinity()}) {
+    for (uint64_t threshold : {uint64_t{0}, ~uint64_t{0}}) {
+      for (bool symmetric : {false, true}) {
+        DetectOptions d;
+        d.rescale_factor = factor;
+        d.pair_threshold = threshold;
+        d.symmetric_residue = symmetric;
+        d.min_pairs = 2;
+        const DetectResult r = DetectOnEveryPath(suspect.value(), secrets, d);
+        // Every pair is found. Only (e, f), two in-range equal counts,
+        // may verify; both overflowed counts of (c, d) must not.
+        EXPECT_EQ(r.pairs_found, 3u);
+        EXPECT_EQ(r.pairs_verified, factor == 6e18 ? 1u : 0u);
+        EXPECT_FALSE(r.accepted);
+      }
+    }
+  }
+}
+
+TEST(DetectTest, UnitRescaleEqualsIntegerPathForAnyModulus) {
+  // z = 2^64 - 1 draws moduli past 2^63; a rescale by 1 must still give
+  // the exact integer residue.
+  WatermarkSecrets secrets;
+  secrets.r = GenerateSecret(256, 18);
+  secrets.z = ~uint64_t{0};
+  std::vector<HistogramEntry> entries;
+  for (uint64_t k = 0; k < 16; ++k) {
+    const std::string i = "i" + std::to_string(k);
+    const std::string j = "j" + std::to_string(k);
+    secrets.pairs.push_back({i, j});
+    entries.push_back({i, 1000 + 37 * k});
+    entries.push_back({j, 1500 - 29 * k});
+  }
+  auto suspect = Histogram::FromCounts(std::move(entries));
+  ASSERT_TRUE(suspect.ok());
+
+  for (uint64_t threshold : {uint64_t{0}, uint64_t{1} << 40}) {
+    DetectOptions d;
+    d.pair_threshold = threshold;
+    d.symmetric_residue = true;
+    const DetectResult integer = DetectOnEveryPath(suspect.value(), secrets, d);
+    // Each |ci - cj| is below 600, far under any such modulus: the
+    // symmetric residue test passes every pair iff it tolerates 600.
+    EXPECT_EQ(integer.pairs_verified, threshold == 0 ? 0u : 16u);
+    d.rescale_factor = 1.0;
+    EXPECT_TRUE(DetectOnEveryPath(suspect.value(), secrets, d) == integer);
+  }
 }
 
 TEST(DetectTest, DatasetOverloadMatchesHistogramOverload) {

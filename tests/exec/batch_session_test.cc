@@ -4,8 +4,8 @@
 // count, any chunking of the suspect stream, and any `PreparedKeyCache`
 // state (cold, warm, mid-eviction). Also covers the dense count gather:
 // for vocabulary schemes (FreqyWM) the session's per-cell path is the
-// zero-hash-probe dense overload, so these identities are what pins it to
-// the histogram path bit for bit.
+// prepared key's zero-hash-probe dense `Detect`, so these identities are
+// what pins it to the histogram path bit for bit.
 
 #include "exec/batch_detector.h"
 

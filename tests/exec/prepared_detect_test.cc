@@ -1,10 +1,12 @@
-// Golden identity for the key-prepared detection path (ISSUE 3): for
-// every registered scheme, `Detect(suspect, *Prepare(key), options)` must
-// be byte-identical to `Detect(suspect, key, options)` — on hits, misses,
-// clean data, attacked thresholds and malformed/foreign keys — and the
-// FreqyWM `PairModulusTable` must reproduce the uncached
-// `DetectWatermarkReference` bit for bit, including keys whose pair lists
-// repeat tokens (the case the per-key inner-digest cache exists for).
+// Golden identity for the prepared detector: for every registered scheme,
+// `Prepare(key)->Detect(suspect, options)` (and, for keys with a token
+// vocabulary, the dense-count `Detect`) must equal the scheme's
+// independent oracle — the key parsed by its own payload parser and run
+// through the uncached core/baseline detector — on hits, misses, clean
+// data, attacked thresholds and malformed/foreign keys. The FreqyWM
+// `PairModulusTable` must also reproduce `DetectWatermarkReference` bit
+// for bit, including keys whose pair lists repeat tokens (the case the
+// per-key inner-digest cache exists for).
 
 #include <gtest/gtest.h>
 
@@ -14,8 +16,13 @@
 
 #include "api/factory.h"
 #include "api/scheme.h"
+#include "api/wm_obt_scheme.h"
+#include "api/wm_rvs_scheme.h"
+#include "baselines/wm_obt.h"
+#include "baselines/wm_rvs.h"
 #include "common/random.h"
 #include "core/detect.h"
+#include "core/secrets.h"
 #include "core/watermark.h"
 #include "datagen/power_law.h"
 
@@ -38,6 +45,61 @@ void ExpectSameResult(const DetectResult& a, const DetectResult& b,
                       << b.accepted << ", found " << a.pairs_found << "/"
                       << b.pairs_found << ", verified " << a.pairs_verified
                       << "/" << b.pairs_verified;
+}
+
+/// Scheme `scheme`'s detection oracle, independent of its `PreparedKey`:
+/// the payload parsed by the scheme's own parser and run through the
+/// uncached detector. A foreign tag or unparsable payload rejects.
+DetectResult OracleDetect(const std::string& scheme, const Histogram& suspect,
+                          const SchemeKey& key, const DetectOptions& options) {
+  if (key.scheme != scheme) return DetectResult{};
+  if (scheme == "freqywm") {
+    auto secrets = WatermarkSecrets::Deserialize(key.payload);
+    if (!secrets.ok()) return DetectResult{};
+    return DetectWatermarkReference(suspect, secrets.value(), options);
+  }
+  if (scheme == "wm-obt") {
+    auto parsed = WmObtScheme::ParseKeyPayload(key.payload);
+    if (!parsed.ok()) return DetectResult{};
+    return DetectWmObt(suspect, parsed.value(), options);
+  }
+  if (scheme == "wm-rvs") {
+    auto parsed = WmRvsScheme::ParseKeyPayload(key.payload);
+    if (!parsed.ok()) return DetectResult{};
+    return DetectWmRvs(suspect, parsed.value(), options);
+  }
+  ADD_FAILURE() << "no detection oracle for scheme '" << scheme << "'";
+  return DetectResult{};
+}
+
+/// Checks every way to detect with `prepared` against the oracle: the
+/// histogram `Detect`, the dense-count `Detect` when the key exposes a
+/// vocabulary, and the scheme's one-shot `Detect(suspect, key)`.
+void ExpectMatchesOracle(const WatermarkScheme& scheme,
+                         const PreparedKey& prepared, const Histogram& suspect,
+                         const DetectOptions& options,
+                         const std::string& label) {
+  const DetectResult oracle =
+      OracleDetect(scheme.name(), suspect, prepared.key(), options);
+  ExpectSameResult(oracle, prepared.Detect(suspect, options), label);
+  ExpectSameResult(oracle, scheme.Detect(suspect, prepared.key(), options),
+                   label + "/one-shot");
+  const std::vector<Token>* vocab = prepared.TokenVocabulary();
+  if (vocab == nullptr) return;
+  std::vector<uint32_t> ids(vocab->size());
+  std::vector<uint64_t> counts(vocab->size(), 0);
+  std::vector<uint8_t> present(vocab->size(), 0);
+  for (size_t t = 0; t < vocab->size(); ++t) {
+    ids[t] = static_cast<uint32_t>(t);
+    const auto count = suspect.CountOf((*vocab)[t]);
+    counts[t] = count.value_or(0);
+    present[t] = count.has_value();
+  }
+  ExpectSameResult(
+      oracle,
+      prepared.Detect(DenseSuspectCounts{counts.data(), present.data()},
+                      ids.data(), options),
+      label + "/dense");
 }
 
 class PreparedDetectSchemeTest
@@ -73,26 +135,26 @@ TEST_P(PreparedDetectSchemeTest, PreparedDetectIdenticalToKeyDetect) {
 
   for (const auto& [label, suspect] : suspects) {
     for (const DetectOptions& options : {recommended, relaxed}) {
-      ExpectSameResult(scheme.value()->Detect(suspect, key, options),
-                       scheme.value()->Detect(suspect, *prepared, options),
-                       GetParam() + "/" + label);
+      ExpectMatchesOracle(*scheme.value(), *prepared, suspect, options,
+                          GetParam() + "/" + label);
     }
   }
-  // Reusing the same prepared key many times stays stable.
-  DetectResult first =
-      scheme.value()->Detect(suspects[0].second, *prepared, recommended);
+  // The own copy verifies, and reusing the prepared key stays stable.
+  DetectResult first = prepared->Detect(suspects[0].second, recommended);
+  EXPECT_TRUE(first.accepted) << GetParam();
   for (int k = 0; k < 3; ++k) {
-    ExpectSameResult(
-        first,
-        scheme.value()->Detect(suspects[0].second, *prepared, recommended),
-        GetParam() + "/reuse");
+    ExpectSameResult(first, prepared->Detect(suspects[0].second, recommended),
+                     GetParam() + "/reuse");
   }
 }
 
 TEST_P(PreparedDetectSchemeTest, MalformedAndForeignKeysRejectIdentically) {
   auto scheme = SchemeFactory::Create(GetParam());
   ASSERT_TRUE(scheme.ok()) << scheme.status();
-  Histogram suspect = MakeCleanHistogram(73);
+  Histogram original = MakeCleanHistogram(73);
+  auto outcome = scheme.value()->Embed(original);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const Histogram& suspect = outcome.value().watermarked;
   DetectOptions options;
   options.min_pairs = 1;
 
@@ -100,25 +162,18 @@ TEST_P(PreparedDetectSchemeTest, MalformedAndForeignKeysRejectIdentically) {
       SchemeKey{GetParam(), "not a valid payload"},
       SchemeKey{GetParam(), ""},
       SchemeKey{"some-other-scheme", "payload"},
+      // The scheme's own valid payload under a foreign tag.
+      SchemeKey{"some-other-scheme", outcome.value().key.payload},
   };
   for (const SchemeKey& key : bad_keys) {
     std::unique_ptr<PreparedKey> prepared = scheme.value()->Prepare(key);
     ASSERT_NE(prepared, nullptr);
-    ExpectSameResult(scheme.value()->Detect(suspect, key, options),
-                     scheme.value()->Detect(suspect, *prepared, options),
-                     GetParam() + "/bad-key");
-    // Malformed keys reject outright.
-    EXPECT_TRUE(scheme.value()->Detect(suspect, *prepared, options) ==
-                DetectResult{});
+    ExpectMatchesOracle(*scheme.value(), *prepared, suspect, options,
+                        GetParam() + "/bad-key");
+    // Malformed keys reject outright and opt out of the dense gather.
+    EXPECT_TRUE(prepared->Detect(suspect, options) == DetectResult{});
+    EXPECT_EQ(prepared->TokenVocabulary(), nullptr);
   }
-
-  // A foreign PreparedKey instance (base-class wrapper, as another
-  // scheme's Prepare might produce) degrades to the key-parsing path.
-  PreparedKey foreign(SchemeKey{GetParam(), "still not valid"});
-  ExpectSameResult(
-      scheme.value()->Detect(suspect, foreign.key(), options),
-      scheme.value()->Detect(suspect, foreign, options),
-      GetParam() + "/foreign-prepared");
 }
 
 INSTANTIATE_TEST_SUITE_P(

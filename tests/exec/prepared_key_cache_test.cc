@@ -112,8 +112,7 @@ TEST(PreparedKeyCacheTest, EvictsLeastRecentlyUsed) {
   // detection through it equals a fresh key-path Detect.
   DetectOptions options =
       escrowed[1].scheme->RecommendedDetectOptions(escrowed[1].key);
-  DetectResult via_evicted =
-      escrowed[1].scheme->Detect(escrowed[1].copy, *p1, options);
+  DetectResult via_evicted = p1->Detect(escrowed[1].copy, options);
   DetectResult via_key =
       escrowed[1].scheme->Detect(escrowed[1].copy, escrowed[1].key, options);
   EXPECT_TRUE(via_evicted == via_key);
@@ -163,8 +162,7 @@ TEST(PreparedKeyCacheTest, CachedStateIsPureFunctionOfKey) {
 
   DetectOptions options =
       escrowed.scheme->RecommendedDetectOptions(escrowed.key);
-  DetectResult via_cache =
-      escrowed.scheme->Detect(escrowed.copy, *via_embedder, options);
+  DetectResult via_cache = via_embedder->Detect(escrowed.copy, options);
   DetectResult via_key =
       escrowed.scheme->Detect(escrowed.copy, escrowed.key, options);
   EXPECT_TRUE(via_cache == via_key);
@@ -265,7 +263,7 @@ TEST(PreparedKeyCacheTest, ConcurrentHitMissEvictUnderContention) {
           continue;
         }
         DetectOptions options = e.scheme->RecommendedDetectOptions(e.key);
-        DetectResult result = e.scheme->Detect(e.copy, *prepared, options);
+        DetectResult result = prepared->Detect(e.copy, options);
         if (!result.accepted) ++failures[t];
       }
     });
