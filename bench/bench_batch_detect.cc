@@ -1,6 +1,5 @@
 // bench_batch_detect: throughput of the batch detection engine
 // (src/exec/batch_detector.h) against the serial per-cell loop, plus the
-// sharded parallel histogram build behind the parallel embed path and the
 // key-prepared detection acceptance run (ISSUE 3).
 //
 // Workload: the paper's marketplace threat model — one owner escrowed a
@@ -39,7 +38,6 @@
 #include "api/scheme.h"
 #include "bench_common.h"
 #include "common/stopwatch.h"
-#include "datagen/power_law.h"
 #include "exec/batch_detector.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
@@ -394,44 +392,7 @@ int main() {
       bench::JsonOutputPath("BENCH_batch_detect_stream.json"),
       stream_json.str());
 
-  // ------------------------------------------ sharded histogram build
-  std::printf("\nsharded histogram build (parallel embed front end):\n");
-  Rng rng(7);
-  PowerLawSpec spec;
-  spec.num_tokens = 50000;
-  spec.sample_size = 4'000'000;
-  spec.alpha = 0.6;
-  Dataset dataset = GeneratePowerLawDataset(spec, rng);
-  Histogram serial_hist;
-  double build_serial = BestOfReps([&] {
-    serial_hist = Histogram::FromDataset(dataset);
-  });
-  std::printf("%8s  %12.4f  %10.1f Mrows/s  %9s\n", "serial", build_serial,
-              dataset.size() / build_serial / 1e6, "1.00x");
-  json << "  \"sharded_histogram\": {\"rows\": " << dataset.size()
-       << ", \"serial_seconds\": " << build_serial << ", \"parallel\": [";
-  first_row = true;
-  for (size_t threads : {2, 4, 8}) {
-    ThreadPool pool(threads - 1);
-    Histogram sharded;
-    double best = BestOfReps([&] {
-      sharded = ExecContext{&pool}.BuildHistogram(dataset);
-    });
-    bool identical = gate.Check(
-        "sharded histogram @" + std::to_string(threads) +
-            " threads vs serial",
-        sharded.entries() == serial_hist.entries() &&
-            sharded.total_count() == serial_hist.total_count());
-    std::printf("%7zut  %12.4f  %10.1f Mrows/s  %8.2fx  %s\n", threads,
-                best, dataset.size() / best / 1e6, build_serial / best,
-                identical ? "identical to serial" : "MISMATCH");
-    json << (first_row ? "" : ", ") << "{\"threads\": " << threads
-         << ", \"seconds\": " << best << ", \"speedup\": "
-         << build_serial / best << ", \"identical\": "
-         << (identical ? "true" : "false") << "}";
-    first_row = false;
-  }
-  json << "]},\n  \"all_identical\": "
+  json << "  \"all_identical\": "
        << (gate.all_identical() ? "true" : "false") << "\n}\n";
 
   bench::WriteJsonFile(bench::JsonOutputPath("BENCH_batch_detect.json"),

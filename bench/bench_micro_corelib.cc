@@ -412,12 +412,10 @@ BENCHMARK(BM_HistogramFromDataset)->Arg(100000)->Arg(1000000)
 
 // Row-level data transformation (DESIGN.md §17) on eyeWnder-like rows at
 // marketbench's vocabulary, against the target of a real optimal embed at
-// z=131. Both variants reuse the caller's histogram; `serial` runs the
-// body on one thread, `pooled` on three workers plus the caller. Inputs
-// are built once per size and shared across runs.
+// z=131: the id count, the serial drop pass, the additions' placement and
+// the row write. Inputs are built once per size and shared across runs.
 struct TransformInput {
   Dataset rows;
-  Histogram hist;
   Histogram target;
 };
 
@@ -428,38 +426,33 @@ const TransformInput& EyeWnderTransformInput(size_t rows) {
     TransformInput input;
     Rng rng(13);
     input.rows = MakeEyeWnderLikeDataset(rng, 11479, rows);
-    input.hist = Histogram::FromDataset(input.rows);
     GenerateOptions o;
     o.strategy = SelectionStrategy::kOptimal;
     o.modulus_bound = 131;
     o.seed = 14;
-    auto embedded = WatermarkGenerator(o).GenerateFromHistogram(input.hist);
+    auto embedded = WatermarkGenerator(o).GenerateFromHistogram(
+        Histogram::FromDataset(input.rows));
     if (embedded.ok()) input.target = std::move(embedded.value().watermarked);
     it = cache.emplace(rows, std::move(input)).first;
   }
   return it->second;
 }
 
-void BM_TransformDataset(benchmark::State& state, bool pooled) {
+void BM_TransformDataset(benchmark::State& state) {
   const TransformInput& input =
       EyeWnderTransformInput(static_cast<size_t>(state.range(0)));
   if (input.target.empty()) {
     state.SkipWithError("embed found no eligible pair");
     return;
   }
-  static ThreadPool pool(3);
-  const ExecContext exec = pooled ? ExecContext{&pool} : ExecContext{};
   for (auto _ : state) {
     Rng rng(15);
-    benchmark::DoNotOptimize(
-        TransformDataset(input.rows, input.hist, input.target, rng, exec));
+    benchmark::DoNotOptimize(TransformDataset(input.rows, input.target, rng));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK_CAPTURE(BM_TransformDataset, serial, false)
-    ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TransformDataset, pooled, true)
+BENCHMARK(BM_TransformDataset)
     ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
 
 // Per-loop overhead of the pool's two loops: n empty iterations on three

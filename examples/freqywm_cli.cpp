@@ -9,7 +9,7 @@
 //               [--symmetric] [--original-size N]
 //   freqywm_cli schemes
 //
-// `--threads N` (N > 1) runs the embed with the histogram build sharded
+// `--threads N` (N > 1) runs the embed with the eligible-pair scan sharded
 // across a thread pool (src/exec/); the output is bit-identical to the
 // serial run.
 //

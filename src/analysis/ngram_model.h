@@ -33,7 +33,6 @@ class BigramModel {
   size_t num_contexts() const { return best_successor_.size(); }
 
  private:
-  std::unordered_map<Token, std::unordered_map<Token, size_t>> transitions_;
   std::unordered_map<Token, Token> best_successor_;
   Token global_fallback_;
 };

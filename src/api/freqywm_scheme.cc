@@ -95,9 +95,9 @@ Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original,
 
 Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
-  // Exec-aware end to end: sharded histogram build AND sharded
-  // eligible-pair scan (byte-identical to serial at any thread count);
-  // the histogram build honors the context's cancellation/deadline.
+  // Exec-aware end to end: sharded eligible-pair scan (byte-identical to
+  // serial at any thread count); the histogram build honors the context's
+  // cancellation/deadline.
   FREQYWM_ASSIGN_OR_RETURN(DatasetGenerateResult generated,
                            WatermarkGenerator(options_).Generate(original,
                                                                  exec));

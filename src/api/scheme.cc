@@ -77,15 +77,15 @@ Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
 Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
   // The histogram build and the scheme's Embed both honor the context's
-  // cancellation/deadline. The transform reuses `hist` and runs its row
-  // passes on the pool (DESIGN.md §17); it does not poll, because once
-  // the embed succeeded its passes cost less than the histogram build.
+  // cancellation/deadline. The transform (DESIGN.md §17) does not poll:
+  // once the embed succeeded its serial row passes take tens of
+  // milliseconds.
   FREQYWM_ASSIGN_OR_RETURN(Histogram hist, exec.BuildHistogramChecked(original));
   FREQYWM_ASSIGN_OR_RETURN(EmbedOutcome outcome, Embed(hist, exec));
   Rng rng(dataset_transform_seed());
   DatasetEmbedOutcome out;
   out.watermarked =
-      TransformDataset(original, hist, outcome.watermarked, rng, exec);
+      TransformDataset(original, outcome.watermarked, rng);
   out.key = std::move(outcome.key);
   out.report = outcome.report;
   return out;

@@ -178,13 +178,12 @@ class WatermarkScheme {
   [[nodiscard]] Result<EmbedOutcome> Embed(const Histogram& original) const;
 
   /// Watermarks a dataset end-to-end. The default implementation builds
-  /// the histogram (sharded across `exec`'s pool and merged, DESIGN.md
-  /// §7), embeds it through `Embed(original, exec)` so intra-embed hot
-  /// loops parallelize too, and applies the generic data transformation
-  /// (insert or remove token instances at random positions until the
-  /// histogram matches), reusing that histogram and running its row
-  /// passes on the pool (DESIGN.md §17); schemes with a native row-level
-  /// path override it. The outcome is bit-identical for any thread
+  /// the histogram (one pass over the row ids, DESIGN.md §7), embeds it
+  /// through `Embed(original, exec)` so intra-embed hot loops
+  /// parallelize, and applies the generic data transformation (insert or
+  /// remove token instances at random positions until the histogram
+  /// matches, DESIGN.md §17); schemes with a native row-level path
+  /// override it. The outcome is bit-identical for any thread
   /// count, and cancellation/deadline surface as `kCancelled` /
   /// `kDeadlineExceeded`; overriding schemes must preserve both.
   [[nodiscard]] virtual Result<DatasetEmbedOutcome> EmbedDataset(

@@ -1,13 +1,8 @@
 #include "common/random.h"
 
-#include <numeric>
+#include <unordered_map>
 
 namespace freqywm {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t SplitMix64::Next() {
   uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
@@ -22,34 +17,6 @@ Rng::Rng(uint64_t seed) {
   // A pathological all-zero state cannot occur: SplitMix64 is a bijection and
   // emits 0 for at most one of the four draws.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ULL;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformU64(uint64_t bound) {
-  // Lemire 2019, "Fast Random Integer Generation in an Interval".
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -69,15 +36,24 @@ bool Rng::Bernoulli(double p) {
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t universe, size_t n) {
-  std::vector<size_t> pool(universe);
-  std::iota(pool.begin(), pool.end(), size_t{0});
   if (n > universe) n = universe;
+  // Step i swaps slot i with a uniform slot j in [i, universe). Slot i is
+  // never read again, so only the values moved into slots j > i are kept.
+  std::unordered_map<size_t, size_t> displaced;
+  displaced.reserve(n);
+  auto value_at = [&](size_t slot) {
+    auto it = displaced.find(slot);
+    return it == displaced.end() ? slot : it->second;
+  };
+  std::vector<size_t> out;
+  out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    size_t j = i + static_cast<size_t>(UniformU64(universe - i));
-    std::swap(pool[i], pool[j]);
+    const size_t j = i + static_cast<size_t>(UniformU64(universe - i));
+    const size_t at_i = value_at(i);
+    out.push_back(value_at(j));
+    displaced[j] = at_i;
   }
-  pool.resize(n);
-  return pool;
+  return out;
 }
 
 }  // namespace freqywm

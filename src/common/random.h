@@ -36,12 +36,37 @@ class Rng {
   /// Seeds the generator; identical seeds yield identical streams.
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit output.
-  uint64_t NextU64();
+  /// Next raw 64-bit output. Inline, like `UniformU64`: row passes
+  /// such as the dataset transform's drop pass draw millions of times.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in `[0, bound)`. Precondition: `bound > 0`.
-  /// Uses Lemire's nearly-divisionless rejection method (unbiased).
-  uint64_t UniformU64(uint64_t bound);
+  /// Uses Lemire's nearly-divisionless rejection method (unbiased;
+  /// Lemire 2019, "Fast Random Integer Generation in an Interval").
+  uint64_t UniformU64(uint64_t bound) {
+    uint64_t x = NextU64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (l < threshold) {
+        x = NextU64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in `[lo, hi]` inclusive. Precondition: `lo <= hi`.
   int64_t UniformInt(int64_t lo, int64_t hi);
@@ -61,11 +86,17 @@ class Rng {
     }
   }
 
-  /// Samples `n` indices uniformly without replacement from `[0, universe)`.
-  /// Precondition: `n <= universe`. O(universe) via partial Fisher–Yates.
+  /// Samples `n` indices uniformly without replacement from `[0, universe)`
+  /// (`n` is clamped to `universe`), in draw order. A partial Fisher–Yates
+  /// over the identity permutation that stores only the displaced slots:
+  /// O(n) time and memory whatever the universe.
   std::vector<size_t> SampleWithoutReplacement(size_t universe, size_t n);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

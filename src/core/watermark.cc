@@ -1,14 +1,14 @@
 #include "core/watermark.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <functional>
 #include <limits>
-#include <unordered_map>
+#include <memory>
+#include <optional>
 
 #include "core/select.h"
 #include "crypto/pair_modulus.h"
-#include "exec/thread_pool.h"
 #include "stats/similarity.h"
 
 namespace freqywm {
@@ -98,7 +98,7 @@ Result<DatasetGenerateResult> WatermarkGenerator::Generate(
                     hist_result.report.secrets.r.ToHex()))
               : options_.seed + 0x517cc1b727220a95ULL);
   DatasetGenerateResult out{
-      TransformDataset(original, hist, hist_result.watermarked, rng, exec),
+      TransformDataset(original, hist_result.watermarked, rng),
       std::move(hist_result.report)};
   return out;
 }
@@ -139,134 +139,123 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 
 namespace {
 
-/// Below this many rows per chunk a pool task costs more than it saves.
-constexpr size_t kMinRowsPerChunk = 1 << 14;
-
-/// Row marks of the transform: the id of the row's shrinking token, or
-/// one of these two values.
-constexpr uint32_t kUntouchedRow = std::numeric_limits<uint32_t>::max();
-constexpr uint32_t kDroppedRow = kUntouchedRow - 1;
+/// `shrink_of` value of a token the transform does not shrink.
+constexpr uint32_t kNotShrinking = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng) {
-  return TransformDataset(original, Histogram::FromDataset(original), target,
-                          rng, ExecContext{});
-}
-
-Dataset TransformDataset(const Dataset& original,
-                         const Histogram& original_hist,
-                         const Histogram& target, Rng& rng,
-                         const ExecContext& exec) {
   // Per-token count differences, in target rank order: each shrinking
-  // token gets a dense id with its occurrence and removal counts, each
-  // growing token its missing copies.
+  // token gets a dense shrink id with its occurrence and removal counts,
+  // each growing token its missing copies. A growing token the dictionary
+  // lacks is added to a copy of it.
   struct Shrink {
     uint64_t remaining;
     uint64_t drop;
   };
-  std::unordered_map<Token, uint32_t> shrink_ids;
+  const TokenDictionary& dictionary = original.dictionary();
+  const std::vector<uint64_t> have = original.IdCounts();
+  std::vector<uint32_t> shrink_of(dictionary.size(), kNotShrinking);
   std::vector<Shrink> shrinking;
-  std::vector<Token> additions;
+  std::vector<uint32_t> additions;
+  std::shared_ptr<TokenDictionary> grown;
+  uint64_t total_drop = 0;
   for (const auto& e : target.entries()) {
-    const uint64_t have = original_hist.CountOf(e.token).value_or(0);
-    if (e.count < have) {
-      shrink_ids.emplace(e.token, static_cast<uint32_t>(shrinking.size()));
-      shrinking.push_back(Shrink{have, have - e.count});
-    } else {
-      additions.insert(additions.end(), e.count - have, e.token);
-    }
-  }
-  assert(shrinking.size() < kDroppedRow);
-
-  // Contiguous row chunks, one pool task each in passes 1 and 3.
-  const size_t n = original.size();
-  size_t chunks = 1;
-  if (exec.parallel()) {
-    chunks = std::min((exec.pool->num_threads() + 1) * 4,
-                      std::max<size_t>(1, n / kMinRowsPerChunk));
-  }
-  auto chunk_begin = [&](size_t c) { return n * c / chunks; };
-  auto for_each_chunk = [&](const std::function<void(size_t)>& body) {
-    if (chunks > 1) {
-      exec.pool->ParallelFor(chunks, body);
-    } else {
-      body(0);
-    }
-  };
-
-  // Pass 1 (pooled): mark each row of a shrinking token with its id.
-  std::vector<uint32_t> marks;
-  if (!shrinking.empty()) {
-    marks.resize(n);
-    for_each_chunk([&](size_t c) {
-      for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-        auto it = shrink_ids.find(original[i]);
-        marks[i] = it == shrink_ids.end() ? kUntouchedRow : it->second;
+    std::optional<uint32_t> id = dictionary.Find(e.token);
+    const uint64_t count = id ? have[*id] : 0;
+    if (e.count < count) {
+      shrink_of[*id] = static_cast<uint32_t>(shrinking.size());
+      shrinking.push_back(Shrink{count, count - e.count});
+      total_drop += count - e.count;
+    } else if (e.count > count) {
+      if (!id) {
+        if (!grown) grown = std::make_shared<TokenDictionary>(dictionary);
+        id = grown->Intern(e.token);
       }
-    });
+      additions.insert(additions.end(), e.count - count, *id);
+    }
   }
 
-  // Pass 2 (serial, row order): drop a uniformly random subset of each
+  // Drop pass (row order): drop a uniformly random subset of each
   // shrinking token's occurrences. Occurrence r of a token with
   // `remaining` occurrences left and `drop` removals left is dropped with
-  // probability drop/remaining. Also counts the kept rows before each
-  // chunk, which places that chunk's rows in pass 3.
-  std::vector<size_t> kept_before(chunks + 1, 0);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t kept = chunk_begin(c + 1) - chunk_begin(c);
-    if (!marks.empty()) {
-      for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-        if (marks[i] == kUntouchedRow) continue;
-        Shrink& s = shrinking[marks[i]];
-        assert(s.remaining > 0);  // original_hist counts match the rows
-        if (s.drop > 0 && rng.UniformU64(s.remaining) < s.drop) {
-          --s.drop;
-          marks[i] = kDroppedRow;
-          --kept;
-        }
-        --s.remaining;
-      }
+  // probability drop/remaining, so its last `drop` occurrences always go.
+  // A token leaves the pass with its last removal, and the pass ends with
+  // the last removal overall: no further row draws.
+  //
+  // The rows go in blocks: a branch-free scan first collects the block's
+  // rows of tokens still shrinking, then only those draw. A per-row branch
+  // on "shrinking?" would mispredict on most rows of a mixed dataset. The
+  // draws come from a local copy of `rng` that the compiler can keep in
+  // registers (the `Shrink` counters could otherwise alias its state).
+  constexpr size_t kBlockRows = 1024;
+  const std::vector<uint32_t>& ids = original.ids();
+  std::vector<size_t> dropped;
+  dropped.reserve(total_drop);
+  Rng local = rng;
+  std::array<uint32_t, kBlockRows> candidates{};
+  for (size_t begin = 0; begin < ids.size() && dropped.size() < total_drop;
+       begin += kBlockRows) {
+    const size_t end = std::min(ids.size(), begin + kBlockRows);
+    size_t num_candidates = 0;
+    for (size_t i = begin; i < end; ++i) {
+      candidates[num_candidates] = static_cast<uint32_t>(i - begin);
+      num_candidates += shrink_of[ids[i]] != kNotShrinking;
     }
-    kept_before[c + 1] = kept_before[c] + kept;
+    for (size_t c = 0; c < num_candidates; ++c) {
+      const size_t i = begin + candidates[c];
+      uint32_t& shrink_id = shrink_of[ids[i]];
+      if (shrink_id == kNotShrinking) continue;  // left earlier in the block
+      Shrink& s = shrinking[shrink_id];
+      if (local.UniformU64(s.remaining) < s.drop) {
+        dropped.push_back(i);
+        if (--s.drop == 0) shrink_id = kNotShrinking;
+      }
+      --s.remaining;
+    }
   }
-  const size_t num_kept = kept_before[chunks];
+  rng = local;
 
   // Insert additions at uniformly random final positions: choose |adds|
-  // distinct slots among the final length and fill them with a shuffled
-  // copy of the additions. `gaps[j] = slots[j] - j` is the number of kept
-  // rows before addition j, so kept row k lands at k + #{j : gaps[j] <= k}.
+  // distinct slots among the final length and fill them, in slot order,
+  // with a shuffled copy of the additions.
   const size_t num_adds = additions.size();
-  std::vector<size_t> gaps;
+  const size_t final_size = ids.size() - dropped.size() + num_adds;
+  std::vector<size_t> slots;
   if (num_adds > 0) {
     rng.Shuffle(additions);
-    gaps = rng.SampleWithoutReplacement(num_kept + num_adds, num_adds);
-    std::sort(gaps.begin(), gaps.end());
-    for (size_t j = 0; j < num_adds; ++j) gaps[j] -= j;
+    slots = rng.SampleWithoutReplacement(final_size, num_adds);
+    std::sort(slots.begin(), slots.end());
   }
 
-  // Pass 3 (pooled): each chunk writes its kept rows, and the additions
-  // placed before them, straight into their final positions. The last
-  // chunk also writes the additions after the last kept row.
-  std::vector<Token> out(num_kept + num_adds);
-  for_each_chunk([&](size_t c) {
-    size_t k = kept_before[c];
-    size_t j = static_cast<size_t>(
-        std::lower_bound(gaps.begin(), gaps.end(), k) - gaps.begin());
-    for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-      if (!marks.empty() && marks[i] == kDroppedRow) continue;
-      for (; j < num_adds && gaps[j] <= k; ++j) {
-        out[gaps[j] + j] = std::move(additions[j]);
+  // Write pass: append the runs of kept rows between dropped rows until
+  // the output reaches the next addition's slot, then the addition.
+  std::vector<uint32_t> out;
+  out.reserve(final_size);
+  size_t src = 0;
+  size_t next_drop = 0;
+  auto append_kept_rows_until = [&](size_t size) {
+    while (out.size() < size) {
+      const size_t drop_at =
+          next_drop < dropped.size() ? dropped[next_drop] : ids.size();
+      const size_t run = std::min(size - out.size(), drop_at - src);
+      out.insert(out.end(), ids.begin() + static_cast<ptrdiff_t>(src),
+                 ids.begin() + static_cast<ptrdiff_t>(src + run));
+      src += run;
+      if (src == drop_at && next_drop < dropped.size()) {
+        ++src;
+        ++next_drop;
       }
-      out[k + j] = original[i];
-      ++k;
     }
-    if (c + 1 == chunks) {
-      for (; j < num_adds; ++j) out[gaps[j] + j] = std::move(additions[j]);
-    }
-  });
-  return Dataset(std::move(out));
+  };
+  for (size_t j = 0; j < num_adds; ++j) {
+    append_kept_rows_until(slots[j]);
+    out.push_back(additions[j]);
+  }
+  append_kept_rows_until(final_size);
+  if (grown) return Dataset(std::move(grown), std::move(out));
+  return Dataset(original.shared_dictionary(), std::move(out));
 }
 
 }  // namespace freqywm

@@ -77,11 +77,9 @@ class WatermarkGenerator {
       const Histogram& original, const ExecContext& exec = ExecContext{}) const;
 
   /// Watermarks a dataset end-to-end (histogram + data transformation).
-  /// The histogram build, eligible-pair scan and the data
-  /// transformation's row passes run through `exec`; output is
-  /// byte-identical at any thread count. The histogram build honors the
-  /// context's cancellation/deadline (`kCancelled` /
-  /// `kDeadlineExceeded`).
+  /// The eligible-pair scan runs through `exec`; output is byte-identical
+  /// at any thread count. The histogram build honors the context's
+  /// cancellation/deadline (`kCancelled` / `kDeadlineExceeded`).
   Result<DatasetGenerateResult> Generate(
       const Dataset& original, const ExecContext& exec = ExecContext{}) const;
 
@@ -106,20 +104,12 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 
 /// Rewrites `original` so its histogram matches `target`: removes surplus
 /// token instances at random positions and inserts missing ones at random
-/// positions. Tokens absent from `target` are left untouched. Builds the
-/// histogram of `original` itself and runs serially.
+/// positions. Tokens absent from `target` are left untouched. The result
+/// shares `original`'s dictionary unless `target` brings tokens it lacks.
+/// Runs serially over the row ids (DESIGN.md §17) and does not poll for
+/// interruption.
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng);
-
-/// Like the overload above, with the caller's histogram of `original` and
-/// the row passes run on `exec`'s pool (DESIGN.md §17). Precondition:
-/// `original_hist` has the counts of `Histogram::FromDataset(original)`.
-/// Draws the same values from `rng` and returns the same rows at any
-/// thread count. Does not poll `exec` for interruption.
-Dataset TransformDataset(const Dataset& original,
-                         const Histogram& original_hist,
-                         const Histogram& target, Rng& rng,
-                         const ExecContext& exec);
 
 }  // namespace freqywm
 

@@ -1,21 +1,103 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 namespace freqywm {
 
-void Dataset::InsertAtRandomPosition(Token token, Rng& rng) {
-  size_t pos = static_cast<size_t>(rng.UniformU64(tokens_.size() + 1));
-  tokens_.insert(tokens_.begin() + static_cast<ptrdiff_t>(pos),
-                 std::move(token));
+TokenDictionary::TokenDictionary(std::vector<Token> tokens)
+    : tokens_(std::move(tokens)) {
+  assert(tokens_.size() < std::numeric_limits<uint32_t>::max());
+  ids_.reserve(tokens_.size());
+  for (size_t id = 0; id < tokens_.size(); ++id) {
+    const bool inserted =
+        ids_.emplace(tokens_[id], static_cast<uint32_t>(id)).second;
+    assert(inserted);
+    (void)inserted;
+  }
+}
+
+std::optional<uint32_t> TokenDictionary::Find(const Token& token) const {
+  auto it = ids_.find(token);
+  if (it == ids_.end()) return std::nullopt;
+  return it->second;
+}
+
+uint32_t TokenDictionary::Intern(const Token& token) {
+  auto [it, inserted] =
+      ids_.try_emplace(token, static_cast<uint32_t>(tokens_.size()));
+  if (inserted) {
+    assert(tokens_.size() < std::numeric_limits<uint32_t>::max());
+    tokens_.push_back(token);
+  }
+  return it->second;
+}
+
+namespace {
+
+const std::shared_ptr<const TokenDictionary>& EmptyDictionary() {
+  static const std::shared_ptr<const TokenDictionary> kEmpty =
+      std::make_shared<const TokenDictionary>();
+  return kEmpty;
+}
+
+}  // namespace
+
+Dataset::Dataset() : dictionary_(EmptyDictionary()) {}
+
+Dataset::Dataset(std::vector<Token> tokens) {
+  auto dictionary = std::make_shared<TokenDictionary>();
+  ids_.reserve(tokens.size());
+  for (const Token& token : tokens) ids_.push_back(dictionary->Intern(token));
+  dictionary_ = std::move(dictionary);
+}
+
+Dataset::Dataset(std::shared_ptr<const TokenDictionary> dictionary,
+                 std::vector<uint32_t> ids)
+    : dictionary_(std::move(dictionary)), ids_(std::move(ids)) {
+  assert(dictionary_ != nullptr);
+}
+
+std::vector<Token> Dataset::tokens() const {
+  std::vector<Token> out;
+  out.reserve(ids_.size());
+  for (uint32_t id : ids_) out.push_back(dictionary_->token(id));
+  return out;
+}
+
+std::vector<uint64_t> Dataset::IdCounts() const {
+  std::vector<uint64_t> counts(dictionary_->size(), 0);
+  for (uint32_t id : ids_) ++counts[id];
+  return counts;
+}
+
+uint32_t Dataset::InternForWrite(const Token& token) {
+  if (std::optional<uint32_t> id = dictionary_->Find(token)) return *id;
+  auto copy = std::make_shared<TokenDictionary>(*dictionary_);
+  const uint32_t id = copy->Intern(token);
+  dictionary_ = std::move(copy);
+  return id;
+}
+
+void Dataset::Append(const Token& token) {
+  ids_.push_back(InternForWrite(token));
+}
+
+void Dataset::InsertAtRandomPosition(const Token& token, Rng& rng) {
+  const uint32_t id = InternForWrite(token);
+  size_t pos = static_cast<size_t>(rng.UniformU64(ids_.size() + 1));
+  ids_.insert(ids_.begin() + static_cast<ptrdiff_t>(pos), id);
 }
 
 size_t Dataset::RemoveRandomOccurrences(const Token& token, size_t count,
                                         Rng& rng) {
   if (count == 0) return 0;
+  const std::optional<uint32_t> id = dictionary_->Find(token);
+  if (!id) return 0;
   std::vector<size_t> positions;
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    if (tokens_[i] == token) positions.push_back(i);
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    if (ids_[i] == *id) positions.push_back(i);
   }
   if (positions.empty()) return 0;
   size_t n = std::min(count, positions.size());
@@ -24,25 +106,26 @@ size_t Dataset::RemoveRandomOccurrences(const Token& token, size_t count,
   std::sort(positions.begin(), positions.end());
   // Erase from the back so earlier indices stay valid.
   for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
-    tokens_.erase(tokens_.begin() + static_cast<ptrdiff_t>(*it));
+    ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(*it));
   }
   return n;
 }
 
 size_t Dataset::CountOf(const Token& token) const {
-  return static_cast<size_t>(
-      std::count(tokens_.begin(), tokens_.end(), token));
+  const std::optional<uint32_t> id = dictionary_->Find(token);
+  if (!id) return 0;
+  return static_cast<size_t>(std::count(ids_.begin(), ids_.end(), *id));
 }
 
 Dataset Dataset::SampleRows(size_t sample_size, Rng& rng) const {
-  if (sample_size >= tokens_.size()) return *this;
+  if (sample_size >= ids_.size()) return *this;
   std::vector<size_t> picked =
-      rng.SampleWithoutReplacement(tokens_.size(), sample_size);
+      rng.SampleWithoutReplacement(ids_.size(), sample_size);
   std::sort(picked.begin(), picked.end());
-  std::vector<Token> out;
+  std::vector<uint32_t> out;
   out.reserve(picked.size());
-  for (size_t idx : picked) out.push_back(tokens_[idx]);
-  return Dataset(std::move(out));
+  for (size_t idx : picked) out.push_back(ids_[idx]);
+  return Dataset(dictionary_, std::move(out));
 }
 
 Status TableDataset::AppendRow(std::vector<std::string> row) {

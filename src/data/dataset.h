@@ -2,7 +2,10 @@
 #define FREQYWM_DATA_DATASET_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -11,32 +14,90 @@
 
 namespace freqywm {
 
+/// The distinct tokens of one or more `Dataset`s, each named by a dense
+/// `uint32_t` id: `token(id)` is the token, `Find(token)` its id.
+/// Datasets derived from one another (copies, samples, transforms) share
+/// a dictionary by pointer, so it may hold tokens that no row of a given
+/// dataset uses.
+class TokenDictionary {
+ public:
+  TokenDictionary() = default;
+
+  /// A dictionary whose ids are the positions in `tokens`. Precondition:
+  /// the tokens are distinct.
+  explicit TokenDictionary(std::vector<Token> tokens);
+
+  /// Number of distinct tokens; ids are `[0, size())`.
+  size_t size() const { return tokens_.size(); }
+
+  const Token& token(uint32_t id) const { return tokens_[id]; }
+
+  /// The id of `token`, or nullopt if absent.
+  std::optional<uint32_t> Find(const Token& token) const;
+
+  /// The id of `token`, adding it with the next free id when absent.
+  uint32_t Intern(const Token& token);
+
+ private:
+  std::vector<Token> tokens_;
+  std::unordered_map<Token, uint32_t> ids_;
+};
+
 /// The dataset `Do`/`Dw` from the paper: an ordered multiset of tokens.
 ///
 /// Order matters to FreqyWM only for security (added tokens must land at
 /// random positions, §III-B1) and for the sequence-analysis experiments in
 /// §VI; the watermark itself depends only on the frequency histogram.
+///
+/// Rows are stored as `uint32_t` ids into a shared, immutable
+/// `TokenDictionary` (DESIGN.md §7), so copying, counting and
+/// transforming rows never hashes or copies a string. A mutation that
+/// needs a token the dictionary lacks gives this dataset its own copy of
+/// the dictionary (copy on write); other datasets are unaffected.
 class Dataset {
  public:
-  Dataset() = default;
+  /// An empty dataset over an empty dictionary.
+  Dataset();
 
-  /// Wraps an existing token sequence.
-  explicit Dataset(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  /// Interns `tokens` (one hash per row) into a new dictionary, ids in
+  /// order of first occurrence.
+  explicit Dataset(std::vector<Token> tokens);
+
+  /// Rows `ids` over `dictionary`. Precondition: every id is below
+  /// `dictionary->size()`.
+  Dataset(std::shared_ptr<const TokenDictionary> dictionary,
+          std::vector<uint32_t> ids);
 
   /// Number of rows (token occurrences), i.e. the paper's sample size.
-  size_t size() const { return tokens_.size(); }
-  bool empty() const { return tokens_.empty(); }
+  size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
-  /// Read access to the token sequence.
-  const std::vector<Token>& tokens() const { return tokens_; }
-  const Token& operator[](size_t i) const { return tokens_[i]; }
+  /// The token of row `i`.
+  const Token& operator[](size_t i) const {
+    return dictionary_->token(ids_[i]);
+  }
+
+  /// The rows as tokens. Materializes every row: O(n) time and a string
+  /// per row, so row passes use `ids()` and `dictionary()` instead.
+  std::vector<Token> tokens() const;
+
+  /// The rows as dictionary ids.
+  const std::vector<uint32_t>& ids() const { return ids_; }
+  const TokenDictionary& dictionary() const { return *dictionary_; }
+  const std::shared_ptr<const TokenDictionary>& shared_dictionary() const {
+    return dictionary_;
+  }
+
+  /// Occurrences of each dictionary id, indexed by id (zero for tokens
+  /// no row uses). One pass over the rows.
+  std::vector<uint64_t> IdCounts() const;
 
   /// Appends one token occurrence at the end.
-  void Append(Token token) { tokens_.push_back(std::move(token)); }
+  void Append(const Token& token);
 
   /// Inserts one occurrence of `token` at a uniformly random position.
   /// Random placement is part of the scheme's guess-attack resistance.
-  void InsertAtRandomPosition(Token token, Rng& rng);
+  void InsertAtRandomPosition(const Token& token, Rng& rng);
 
   /// Removes up to `count` occurrences of `token`, chosen at uniformly
   /// random positions. Returns the number actually removed.
@@ -46,12 +107,18 @@ class Dataset {
   size_t CountOf(const Token& token) const;
 
   /// Returns a uniformly random sample (without replacement) of
-  /// `sample_size` rows, preserving the original relative order.
-  /// Used by the sampling attack (§V-B).
+  /// `sample_size` rows, preserving the original relative order. The
+  /// sample shares this dataset's dictionary. Used by the sampling attack
+  /// (§V-B).
   Dataset SampleRows(size_t sample_size, Rng& rng) const;
 
  private:
-  std::vector<Token> tokens_;
+  /// The id of `token`, first copying the dictionary with `token` added
+  /// when it is absent.
+  uint32_t InternForWrite(const Token& token);
+
+  std::shared_ptr<const TokenDictionary> dictionary_;
+  std::vector<uint32_t> ids_;
 };
 
 /// A multi-dimensional (relational) dataset: rows of attribute values with a

@@ -17,14 +17,12 @@ void SortDescending(std::vector<HistogramEntry>& entries) {
 }  // namespace
 
 Histogram Histogram::FromDataset(const Dataset& dataset) {
-  std::unordered_map<Token, uint64_t> counts;
-  counts.reserve(dataset.size());
-  for (const Token& t : dataset.tokens()) ++counts[t];
-
+  const std::vector<uint64_t> counts = dataset.IdCounts();
+  const TokenDictionary& dictionary = dataset.dictionary();
   Histogram h;
-  h.entries_.reserve(counts.size());
-  for (auto& [token, count] : counts) {
-    h.entries_.push_back(HistogramEntry{token, count});
+  for (uint32_t id = 0; id < counts.size(); ++id) {
+    if (counts[id] == 0) continue;  // a shared dictionary's unused token
+    h.entries_.push_back(HistogramEntry{dictionary.token(id), counts[id]});
   }
   SortDescending(h.entries_);
   h.total_ = dataset.size();

@@ -37,7 +37,9 @@ class Histogram {
  public:
   Histogram() = default;
 
-  /// Builds the histogram of `dataset`, sorted descending.
+  /// Builds the histogram of `dataset`, sorted descending: one pass
+  /// counting the rows' dictionary ids, then one entry per id that
+  /// occurs (DESIGN.md §7).
   static Histogram FromDataset(const Dataset& dataset);
 
   /// Builds a histogram from explicit (token, count) pairs. Fails with

@@ -22,7 +22,8 @@ Result<Dataset> ReadTokenFile(const std::string& path) {
 Status WriteTokenFile(const Dataset& dataset, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::NotFound("cannot open '" + path + "' for write");
-  for (const Token& t : dataset.tokens()) out << t << '\n';
+  const TokenDictionary& dictionary = dataset.dictionary();
+  for (uint32_t id : dataset.ids()) out << dictionary.token(id) << '\n';
   out.close();  // flush, so a full disk is reported here
   if (!out) return Status::Internal("write failed for '" + path + "'");
   return Status::OK();

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <memory>
 
 namespace freqywm {
 
@@ -74,14 +75,12 @@ std::vector<Token> MakeTokenNames(const PowerLawSpec& spec) {
 }  // namespace
 
 Dataset GeneratePowerLawDataset(const PowerLawSpec& spec, Rng& rng) {
-  std::vector<Token> names = MakeTokenNames(spec);
   AliasSampler sampler(PowerLawProbabilities(spec.num_tokens, spec.alpha));
-  std::vector<Token> rows;
-  rows.reserve(spec.sample_size);
-  for (size_t i = 0; i < spec.sample_size; ++i) {
-    rows.push_back(names[sampler.Sample(rng)]);
-  }
-  return Dataset(std::move(rows));
+  // Row ids are the sampler's indices into the token names.
+  std::vector<uint32_t> rows(spec.sample_size);
+  for (uint32_t& row : rows) row = static_cast<uint32_t>(sampler.Sample(rng));
+  return Dataset(std::make_shared<const TokenDictionary>(MakeTokenNames(spec)),
+                 std::move(rows));
 }
 
 Histogram GeneratePowerLawHistogram(const PowerLawSpec& spec, Rng& rng) {

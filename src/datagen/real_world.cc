@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,13 @@ Dataset MakeEyeWnderLikeDataset(Rng& rng, size_t num_urls,
                                 size_t sample_size) {
   std::vector<double> w = EyeWnderWeights(num_urls, rng);
   AliasSampler sampler(w);
-  std::vector<Token> rows;
-  rows.reserve(sample_size);
-  for (size_t i = 0; i < sample_size; ++i) {
-    rows.push_back("url" + std::to_string(sampler.Sample(rng)));
-  }
-  return Dataset(std::move(rows));
+  // Row ids are the sampler's indices into a dictionary of every url.
+  std::vector<Token> urls(num_urls);
+  for (size_t i = 0; i < num_urls; ++i) urls[i] = "url" + std::to_string(i);
+  std::vector<uint32_t> rows(sample_size);
+  for (uint32_t& row : rows) row = static_cast<uint32_t>(sampler.Sample(rng));
+  return Dataset(std::make_shared<const TokenDictionary>(std::move(urls)),
+                 std::move(rows));
 }
 
 TableDataset MakeAdultLikeTable(Rng& rng, size_t num_rows) {

@@ -13,8 +13,8 @@ class ThreadPool;
 
 /// Execution resources threaded through dataset-level API calls
 /// (DESIGN.md §7). A default-constructed context means "serial"; attach a
-/// `ThreadPool` to opt into the sharded parallel paths. The context never
-/// owns the pool.
+/// `ThreadPool` to opt into the parallel paths (the eligible-pair scan,
+/// batch detection). The context never owns the pool.
 ///
 /// Determinism contract: every operation taking an `ExecContext` produces
 /// output identical to its serial counterpart — parallelism changes wall
@@ -55,15 +55,14 @@ struct ExecContext {
   /// The interruption pair as the bundled form shard loops consume.
   InterruptContext interrupt() const { return InterruptContext{cancel, deadline}; }
 
-  /// Builds the frequency histogram of `dataset`: sharded across the pool
-  /// when `parallel()`, `Histogram::FromDataset` otherwise. Both paths
-  /// return the identical histogram. Ignores interruption (kept for the
-  /// pre-PR-8 callers that cannot fail); new code uses the checked form.
+  /// `Histogram::FromDataset(dataset)`. Ignores interruption (kept for
+  /// callers that cannot fail); new code uses the checked form.
   Histogram BuildHistogram(const Dataset& dataset) const;
 
-  /// Like `BuildHistogram` but honors cancellation/deadline at shard
-  /// boundaries, returning `kCancelled`/`kDeadlineExceeded` instead of a
-  /// partial histogram.
+  /// `Histogram::FromDataset(dataset)` after one interruption check:
+  /// `kCancelled`/`kDeadlineExceeded` instead of a histogram once the
+  /// context is interrupted. The build is one serial pass over the row
+  /// ids (DESIGN.md §7), too short to poll inside.
   Result<Histogram> BuildHistogramChecked(const Dataset& dataset) const;
 };
 

@@ -16,8 +16,8 @@
 namespace freqywm {
 
 /// A small thread pool with one shared FIFO of tasks — the execution
-/// substrate of the batch detection engine, the sharded histogram build,
-/// the pooled data transform and the WM-OBT GA (DESIGN.md §7).
+/// substrate of the batch detection engine, the sharded eligible-pair
+/// scan and the WM-OBT GA (DESIGN.md §7).
 ///
 /// `ParallelFor` and `ParallelForChecked` are the entry points for data
 /// parallelism and share one claim loop: the calling thread and at most

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace freqywm {
 namespace {
@@ -119,6 +121,62 @@ TEST(RngTest, SampleRequestLargerThanUniverseClamps) {
   Rng rng(43);
   auto sample = rng.SampleWithoutReplacement(5, 100);
   EXPECT_EQ(sample.size(), 5u);
+}
+
+// The stream itself, recorded from the out-of-line generator: the first
+// raw outputs of Rng(42) and a UniformU64 sequence over mixed bounds
+// (including ones that need Lemire's rejection step).
+TEST(RngTest, StreamMatchesRecordedValues) {
+  Rng a(42);
+  EXPECT_EQ(a.NextU64(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(a.NextU64(), 0x6104d9866d113a7eULL);
+  EXPECT_EQ(a.NextU64(), 0xae17533239e499a1ULL);
+  EXPECT_EQ(a.NextU64(), 0xecb8ad4703b360a1ULL);
+
+  Rng b(7);
+  const std::vector<std::pair<uint64_t, uint64_t>> bounded = {
+      {1, 0},
+      {2, 0},
+      {3, 2},
+      {10, 9},
+      {1000, 990},
+      {1ULL << 40, 959625094070ULL},
+      {(1ULL << 63) + 1, 1400256439129669809ULL},
+      {~0ULL, 9986469540036305302ULL}};
+  for (const auto& [bound, expected] : bounded) {
+    EXPECT_EQ(b.UniformU64(bound), expected) << "bound " << bound;
+  }
+}
+
+/// The dense partial Fisher–Yates: swap through a full identity array.
+std::vector<size_t> DenseSampleWithoutReplacement(Rng& rng, size_t universe,
+                                                  size_t n) {
+  std::vector<size_t> pool(universe);
+  for (size_t i = 0; i < universe; ++i) pool[i] = i;
+  if (n > universe) n = universe;
+  for (size_t i = 0; i < n; ++i) {
+    size_t j = i + static_cast<size_t>(rng.UniformU64(universe - i));
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(n);
+  return pool;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesDenseFisherYates) {
+  for (size_t universe : {0, 1, 2, 3, 7, 64, 1000, 100000}) {
+    for (size_t n : {size_t{0}, size_t{1}, universe / 2, universe,
+                     universe + 5}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng sparse_rng(seed * 1000 + universe);
+        Rng dense_rng(seed * 1000 + universe);
+        EXPECT_EQ(sparse_rng.SampleWithoutReplacement(universe, n),
+                  DenseSampleWithoutReplacement(dense_rng, universe, n))
+            << "universe " << universe << " n " << n;
+        EXPECT_EQ(sparse_rng.NextU64(), dense_rng.NextU64())
+            << "universe " << universe << " n " << n;
+      }
+    }
+  }
 }
 
 // Distribution sanity: chi-square-ish check that UniformU64(10) buckets are

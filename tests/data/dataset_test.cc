@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/watermark.h"
+#include "data/histogram.h"
 
 namespace freqywm {
 namespace {
@@ -87,6 +92,117 @@ TEST(DatasetTest, SampleLargerThanDatasetReturnsAll) {
   Rng rng(7);
   Dataset d = MakeAbc();
   EXPECT_EQ(d.SampleRows(100, rng).size(), 6u);
+}
+
+TEST(DatasetDictionaryTest, TokensRoundTripTheInput) {
+  const std::vector<Token> input = {"b", "a", "b", "", "c", "a", "b"};
+  Dataset d(input);
+  EXPECT_EQ(d.tokens(), input);
+  // Ids follow first occurrence; the dictionary holds each token once.
+  EXPECT_EQ(d.ids(), (std::vector<uint32_t>{0, 1, 0, 2, 3, 1, 0}));
+  ASSERT_EQ(d.dictionary().size(), 4u);
+  EXPECT_EQ(d.dictionary().token(2), "");
+  EXPECT_EQ(d.dictionary().Find("c"), 3u);
+  EXPECT_FALSE(d.dictionary().Find("zz").has_value());
+  for (size_t i = 0; i < input.size(); ++i) EXPECT_EQ(d[i], input[i]);
+}
+
+TEST(DatasetDictionaryTest, CopiesShareTheDictionary) {
+  Dataset d = MakeAbc();
+  Dataset copy = d;
+  EXPECT_EQ(copy.shared_dictionary().get(), d.shared_dictionary().get());
+  Rng rng(9);
+  EXPECT_EQ(d.SampleRows(3, rng).shared_dictionary().get(),
+            d.shared_dictionary().get());
+  // Writing a token the dictionary already holds keeps sharing it.
+  copy.Append("c");
+  EXPECT_EQ(copy.shared_dictionary().get(), d.shared_dictionary().get());
+}
+
+TEST(DatasetDictionaryTest, UnseenTokenCopiesTheDictionaryOnWrite) {
+  Dataset d = MakeAbc();
+  Dataset copy = d;
+  const TokenDictionary* shared = d.shared_dictionary().get();
+  copy.Append("new");
+  EXPECT_NE(copy.shared_dictionary().get(), shared);
+  EXPECT_EQ(d.shared_dictionary().get(), shared);
+  EXPECT_EQ(d.dictionary().size(), 3u);
+  EXPECT_FALSE(d.dictionary().Find("new").has_value());
+  EXPECT_EQ(d.tokens(), MakeAbc().tokens());
+  EXPECT_EQ(copy.tokens(), (std::vector<Token>{"a", "b", "a", "c", "a", "b",
+                                               "new"}));
+
+  Rng rng(10);
+  Dataset inserted = d;
+  inserted.InsertAtRandomPosition("other", rng);
+  EXPECT_NE(inserted.shared_dictionary().get(), shared);
+  EXPECT_EQ(inserted.CountOf("other"), 1u);
+  EXPECT_EQ(d.CountOf("other"), 0u);
+}
+
+// Rows after each mutation for a fixed seed, recorded from the dataset as
+// a vector of token strings, before rows became dictionary ids.
+TEST(DatasetDictionaryTest, InsertAtRandomPositionMatchesRecordedRows) {
+  Rng rng(101);
+  Dataset d({"a", "b", "a", "c", "a", "b"});
+  d.InsertAtRandomPosition("z", rng);
+  d.InsertAtRandomPosition("a", rng);
+  d.InsertAtRandomPosition("z", rng);
+  EXPECT_EQ(d.tokens(), (std::vector<Token>{"z", "a", "b", "a", "z", "c",
+                                            "a", "a", "b"}));
+}
+
+TEST(DatasetDictionaryTest, RemoveRandomOccurrencesMatchesRecordedRows) {
+  Rng rng(102);
+  Dataset d({"a", "b", "a", "c", "a", "b", "a", "c", "a"});
+  EXPECT_EQ(d.RemoveRandomOccurrences("a", 3, rng), 3u);
+  EXPECT_EQ(d.tokens(),
+            (std::vector<Token>{"b", "c", "b", "a", "c", "a"}));
+}
+
+TEST(DatasetDictionaryTest, SampleRowsMatchesRecordedRows) {
+  Rng rng(103);
+  std::vector<Token> tokens;
+  for (int i = 0; i < 20; ++i) tokens.push_back("t" + std::to_string(i));
+  Dataset d(tokens);
+  EXPECT_EQ(d.SampleRows(6, rng).tokens(),
+            (std::vector<Token>{"t0", "t2", "t5", "t6", "t13", "t17"}));
+}
+
+TEST(DatasetDictionaryTest, HistogramSkipsUnusedDictionaryEntries) {
+  auto dictionary = std::make_shared<const TokenDictionary>(
+      std::vector<Token>{"unused", "b", "a", "never"});
+  Dataset d(dictionary, {2, 1, 2, 2});
+  Histogram h = Histogram::FromDataset(d);
+  ASSERT_EQ(h.num_tokens(), 2u);
+  EXPECT_EQ(h.entry(0), (HistogramEntry{"a", 3}));
+  EXPECT_EQ(h.entry(1), (HistogramEntry{"b", 1}));
+  EXPECT_EQ(h.total_count(), 4u);
+  EXPECT_FALSE(h.CountOf("unused").has_value());
+  EXPECT_EQ(d.IdCounts(), (std::vector<uint64_t>{0, 1, 3, 0}));
+}
+
+TEST(DatasetDictionaryTest, TransformAddsATokenAbsentFromTheDictionary) {
+  Dataset original({"a", "b", "a", "a", "c"});
+  auto target = Histogram::FromCounts({{"a", 2}, {"b", 1}, {"c", 1},
+                                       {"fresh", 3}});
+  ASSERT_TRUE(target.ok()) << target.status();
+  Rng rng(11);
+  Dataset out = TransformDataset(original, target.value(), rng);
+  EXPECT_EQ(out.size(), 7u);
+  EXPECT_EQ(out.CountOf("fresh"), 3u);
+  EXPECT_EQ(out.CountOf("a"), 2u);
+  EXPECT_NE(out.shared_dictionary().get(), original.shared_dictionary().get());
+  // The original's dictionary is left as it was.
+  EXPECT_FALSE(original.dictionary().Find("fresh").has_value());
+
+  // Without new tokens the output shares the original's dictionary.
+  auto shrink = Histogram::FromCounts({{"a", 1}, {"b", 1}, {"c", 1}});
+  ASSERT_TRUE(shrink.ok()) << shrink.status();
+  Dataset shrunk = TransformDataset(original, shrink.value(), rng);
+  EXPECT_EQ(shrunk.size(), 3u);
+  EXPECT_EQ(shrunk.shared_dictionary().get(),
+            original.shared_dictionary().get());
 }
 
 TEST(TableDatasetTest, SchemaEnforced) {

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "common/random.h"
 #include "datagen/power_law.h"
 #include "exec/exec_context.h"
-#include "exec/parallel_histogram.h"
 #include "exec/thread_pool.h"
 
 namespace freqywm {
@@ -290,6 +290,24 @@ TEST(CancellationTest, BuildHistogramCheckedHonorsCancellation) {
   Result<Histogram> cancelled = exec.BuildHistogramChecked(dataset);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+}
+
+TEST(CancellationTest, BuildHistogramCheckedHonorsExpiredDeadline) {
+  Rng rng(79);
+  PowerLawSpec spec;
+  spec.num_tokens = 100;
+  spec.sample_size = 50000;
+  Dataset dataset = GeneratePowerLawDataset(spec, rng);
+
+  for (size_t workers : {0, 3}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    ExecContext exec{pool.get()};
+    exec.deadline = Deadline::Expired();
+    Result<Histogram> late = exec.BuildHistogramChecked(dataset);
+    ASSERT_FALSE(late.ok()) << "workers=" << workers;
+    EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  }
 }
 
 }  // namespace

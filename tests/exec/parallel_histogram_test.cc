@@ -1,7 +1,10 @@
-#include "exec/parallel_histogram.h"
+// `ExecContext::BuildHistogram` against `Histogram::FromDataset` with no
+// pool and with pools of 1 and 3 workers, and the parallel embed
+// determinism contract (DESIGN.md §7).
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "common/random.h"
 #include "datagen/power_law.h"
 #include "exec/exec_context.h"
+#include "exec/thread_pool.h"
 
 namespace freqywm {
 namespace {
@@ -33,14 +37,23 @@ void ExpectIdentical(const Histogram& a, const Histogram& b) {
   }
 }
 
-TEST(ParallelHistogramTest, MatchesSerialBuildOnLargeDataset) {
-  Dataset dataset = MakeDataset(400, 200000, 11);
-  Histogram serial = Histogram::FromDataset(dataset);
-  for (size_t threads : {1, 2, 4, 7}) {
-    ThreadPool pool(threads);
-    Histogram sharded = ExecContext{&pool}.BuildHistogram(dataset);
-    ExpectIdentical(serial, sharded);
+/// `ExecContext::BuildHistogram` and `BuildHistogramChecked` at pool
+/// sizes 0, 1 and 3 all equal `Histogram::FromDataset(dataset)`.
+void ExpectBuildsMatchFromDataset(const Dataset& dataset) {
+  const Histogram serial = Histogram::FromDataset(dataset);
+  for (size_t workers : {0, 1, 3}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    const ExecContext exec{pool.get()};
+    ExpectIdentical(serial, exec.BuildHistogram(dataset));
+    Result<Histogram> checked = exec.BuildHistogramChecked(dataset);
+    ASSERT_TRUE(checked.ok()) << checked.status();
+    ExpectIdentical(serial, checked.value());
   }
+}
+
+TEST(ParallelHistogramTest, MatchesSerialBuildOnLargeDataset) {
+  ExpectBuildsMatchFromDataset(MakeDataset(400, 200000, 11));
 }
 
 TEST(ParallelHistogramTest, ManyTiedCountsKeepDeterministicOrder) {
@@ -50,29 +63,21 @@ TEST(ParallelHistogramTest, ManyTiedCountsKeepDeterministicOrder) {
   for (int i = 0; i < 40000; ++i) {
     tokens.push_back("tok" + std::to_string(i % 20000));
   }
-  Dataset dataset(std::move(tokens));
-  Histogram serial = Histogram::FromDataset(dataset);
-  ThreadPool pool(4);
-  ExpectIdentical(serial, ExecContext{&pool}.BuildHistogram(dataset));
+  ExpectBuildsMatchFromDataset(Dataset(std::move(tokens)));
 }
 
 TEST(ParallelHistogramTest, SmallAndEmptyDatasetsFallBackToSerial) {
   ThreadPool pool(4);
   Histogram empty = ExecContext{&pool}.BuildHistogram(Dataset());
   EXPECT_TRUE(empty.empty());
-
-  Dataset tiny(std::vector<Token>{"a", "b", "a"});
-  ExpectIdentical(Histogram::FromDataset(tiny),
-                  ExecContext{&pool}.BuildHistogram(tiny));
+  ExpectBuildsMatchFromDataset(Dataset(std::vector<Token>{"a", "b", "a"}));
 }
 
 TEST(ParallelHistogramTest, ExecContextDispatchesSerialAndParallel) {
-  Dataset dataset = MakeDataset(200, 100000, 5);
-  Histogram serial = ExecContext{}.BuildHistogram(dataset);
   ThreadPool pool(3);
-  ExecContext parallel{&pool};
-  EXPECT_TRUE(parallel.parallel());
-  ExpectIdentical(serial, parallel.BuildHistogram(dataset));
+  EXPECT_TRUE(ExecContext{&pool}.parallel());
+  EXPECT_FALSE(ExecContext{}.parallel());
+  ExpectBuildsMatchFromDataset(MakeDataset(200, 100000, 5));
 }
 
 // The parallel embed determinism contract (DESIGN.md §7): for every
