@@ -122,6 +122,9 @@ void BM_PairModulusInnerLoop_Rehash(benchmark::State& state) {
 }
 BENCHMARK(BM_PairModulusInnerLoop_Rehash);
 
+// The argument is the outer token's length: up to 23 bytes its tail,
+// the inner digest and the padding fit one block (one compression per
+// pair), from 24 bytes they take two.
 void BM_PairModulusInnerLoop_Midstate(benchmark::State& state) {
   WatermarkSecret secret = GenerateSecret(256, 1);
   PairModulus pm(secret, 1031);
@@ -129,13 +132,14 @@ void BM_PairModulusInnerLoop_Midstate(benchmark::State& state) {
   for (int j = 0; j < 64; ++j) {
     inner.push_back(pm.InnerDigest("token" + std::to_string(j)));
   }
-  PairModulus::OuterState outer = pm.OuterFor("outer-token");
+  PairModulus::OuterState outer =
+      pm.OuterFor(std::string(static_cast<size_t>(state.range(0)), 'o'));
   size_t j = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(outer.Reduce(inner[j++ % inner.size()]));
   }
 }
-BENCHMARK(BM_PairModulusInnerLoop_Midstate);
+BENCHMARK(BM_PairModulusInnerLoop_Midstate)->Arg(11)->Arg(40);
 
 // "Before": the unpruned one-hash-per-pair scan shipped by PR 2.
 void BM_BuildEligiblePairs_Reference(benchmark::State& state) {
@@ -224,6 +228,31 @@ void BM_SelectOptimal(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectOptimal)->Arg(20'000'000)->Arg(23'100'000)
     ->Unit(benchmark::kMillisecond);
+
+// Applying an optimal selection at marketbench's sell_rows scale: the
+// 11,479-token histogram of 4M eyeWnder-like samples, z=131. Each chosen
+// pair is checked at its two ranks (DESIGN.md §5).
+void BM_ApplyPairDeltas(benchmark::State& state) {
+  Rng rng(13);
+  const Histogram hist = MakeEyeWnderLikeHistogram(rng, 11479, 4'000'000);
+  PairModulus pm(GenerateSecret(256, 14), 131);
+  const std::vector<EligiblePair> eligible =
+      BuildEligiblePairs(hist, pm, EligibilityRule::kPaper, 2, 1);
+  GenerateOptions o;
+  o.strategy = SelectionStrategy::kOptimal;
+  o.modulus_bound = 131;
+  Rng select_rng(15);
+  const SelectionResult selection =
+      SelectPairs(hist, eligible, o, select_rng);
+  std::vector<size_t> applied;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ApplyPairDeltas(hist, eligible, selection.chosen, &applied));
+  }
+  state.counters["chosen_pairs"] =
+      static_cast<double>(selection.chosen.size());
+}
+BENCHMARK(BM_ApplyPairDeltas)->Unit(benchmark::kMicrosecond);
 
 void BM_WmGenerate(benchmark::State& state) {
   const size_t tokens = static_cast<size_t>(state.range(0));

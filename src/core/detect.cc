@@ -36,8 +36,8 @@ PairModulusTable PairModulusTable::Build(const WatermarkSecrets& secrets) {
   }
   table.tokens_.assign(views.begin(), views.end());
 
-  // One inner digest per distinct token_j and one outer-hash midstate per
-  // distinct token_i, then one cloned finish per pair.
+  // One inner digest per distinct token_j and one prepared outer hash per
+  // distinct token_i, then one or two bare compressions per pair.
   PairModulus modulus(secrets.r, secrets.z);
   std::vector<std::optional<Sha256::Digest>> inner(views.size());
   std::vector<std::optional<PairModulus::OuterState>> outer(views.size());

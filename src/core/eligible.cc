@@ -60,8 +60,8 @@ void PairScan::ScanRow(uint32_t i, std::vector<EligiblePair>* out) const {
   }
   if (it == candidates.end()) return;
 
-  // One outer-hash midstate per row: every pair below is a cloned finish
-  // over the 32-byte inner digest.
+  // One prepared outer hash per row: every pair below copies its 32-byte
+  // inner digest into the pre-padded final block and compresses it.
   const PairModulus::OuterState outer = modulus.OuterFor(entries[i].token);
 
   for (; it != candidates.end(); ++it) {

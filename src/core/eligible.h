@@ -63,9 +63,9 @@ EligiblePair MakePairPlan(size_t rank_i, size_t rank_j, uint64_t freq_diff,
 ///
 /// This is the Gen hot path (O(n^2) keyed-hash evaluations; Table II's
 /// generation cost), so the scan is engineered (DESIGN.md §8):
-///  * one inner digest `H(R || tk_j)` per token and one outer-hash
-///    midstate per row `i` — each pair costs a single cloned finish over
-///    32 bytes (`PairModulus::OuterState`);
+///  * one inner digest `H(R || tk_j)` per token and one prepared outer
+///    hash per row `i` — each pair costs one or two bare SHA-256
+///    compressions of a pre-padded final block (`PairModulus::OuterState`);
 ///  * pairs that cannot pass the filters for ANY modulus value are pruned
 ///    before hashing: tokens whose boundary slack can never admit
 ///    `s >= min_modulus` or afford `cost >= min_pair_cost` (kPaper rule),

@@ -1,7 +1,6 @@
 #include "core/watermark.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -103,10 +102,25 @@ Result<DatasetGenerateResult> WatermarkGenerator::Generate(
   return out;
 }
 
+namespace {
+
+/// True when the count at `rank` lies between its neighbours' counts:
+/// `count[rank-1] >= count[rank] >= count[rank+1]`, for the neighbours
+/// that exist.
+bool RankInOrder(const Histogram& hist, size_t rank) {
+  const uint64_t count = hist.entry(rank).count;
+  return (rank == 0 || hist.entry(rank - 1).count >= count) &&
+         (rank + 1 == hist.num_tokens() ||
+          count >= hist.entry(rank + 1).count);
+}
+
+}  // namespace
+
 Histogram ApplyPairDeltas(const Histogram& hist,
                           const std::vector<EligiblePair>& eligible,
                           const std::vector<size_t>& chosen,
                           std::vector<size_t>* applied) {
+  assert(hist.IsSortedDescending());
   Histogram out = hist;
   if (applied) applied->clear();
 
@@ -115,14 +129,16 @@ Histogram ApplyPairDeltas(const Histogram& hist,
     const Token& token_i = hist.entry(p.rank_i).token;
     const Token& token_j = hist.entry(p.rank_j).token;
 
-    // Tentatively apply, then verify the local ordering did not break.
+    // Tentatively apply, then verify the ordering did not break. `out` is
+    // sorted before the pair, and only ranks i and j change, so it stays
+    // sorted exactly when both sit between their neighbours.
     Status si = out.AddDelta(token_i, p.delta_i);
     Status sj = out.AddDelta(token_j, p.delta_j);
     assert(si.ok() && sj.ok());
     (void)si;
     (void)sj;
 
-    if (!out.IsSortedDescending()) {
+    if (!RankInOrder(out, p.rank_i) || !RankInOrder(out, p.rank_j)) {
       // Rare shared-gap collision under the paper's eligibility rule:
       // revert this pair to keep the Ranking Constraint hard.
       Status ri = out.AddDelta(token_i, -p.delta_i);
@@ -139,35 +155,46 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 
 namespace {
 
-/// `shrink_of` value of a token the transform does not shrink.
-constexpr uint32_t kNotShrinking = std::numeric_limits<uint32_t>::max();
+/// Countdown of a token with no drop left: more occurrences than any
+/// dataset has.
+constexpr uint64_t kNoDrop = std::numeric_limits<uint64_t>::max();
 
 }  // namespace
 
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng) {
-  // Per-token count differences, in target rank order: each shrinking
-  // token gets a dense shrink id with its occurrence and removal counts,
-  // each growing token its missing copies. A growing token the dictionary
-  // lacks is added to a copy of it.
-  struct Shrink {
-    uint64_t remaining;
-    uint64_t drop;
-  };
+  // Per-token count differences, in target rank order. Each shrinking
+  // token draws the occurrence ranks it drops, a uniform subset of
+  // [0, count) (paper §III-B1), and lists them in `gaps` as ascending
+  // runs of kept occurrences before each drop, then a `kNoDrop`
+  // sentinel. `gap_at[id]` indexes the token's current gap, and
+  // `countdown[id]` holds how many of its occurrences are still kept
+  // before the next drop. Each growing token gets its missing copies. A
+  // growing token the dictionary lacks is added to a copy of it.
   const TokenDictionary& dictionary = original.dictionary();
   const std::vector<uint64_t> have = original.IdCounts();
-  std::vector<uint32_t> shrink_of(dictionary.size(), kNotShrinking);
-  std::vector<Shrink> shrinking;
+  std::vector<uint64_t> countdown(dictionary.size(), kNoDrop);
+  std::vector<size_t> gap_at(dictionary.size());
+  std::vector<uint64_t> gaps;
   std::vector<uint32_t> additions;
   std::shared_ptr<TokenDictionary> grown;
-  uint64_t total_drop = 0;
+  size_t drops_left = 0;
   for (const auto& e : target.entries()) {
     std::optional<uint32_t> id = dictionary.Find(e.token);
     const uint64_t count = id ? have[*id] : 0;
     if (e.count < count) {
-      shrink_of[*id] = static_cast<uint32_t>(shrinking.size());
-      shrinking.push_back(Shrink{count, count - e.count});
-      total_drop += count - e.count;
+      std::vector<size_t> ranks =
+          rng.SampleWithoutReplacement(count, count - e.count);
+      std::sort(ranks.begin(), ranks.end());
+      gap_at[*id] = gaps.size();
+      uint64_t next_rank = 0;
+      for (size_t rank : ranks) {
+        gaps.push_back(rank - next_rank);
+        next_rank = rank + 1;
+      }
+      gaps.push_back(kNoDrop);
+      countdown[*id] = gaps[gap_at[*id]];
+      drops_left += ranks.size();
     } else if (e.count > count) {
       if (!id) {
         if (!grown) grown = std::make_shared<TokenDictionary>(dictionary);
@@ -177,45 +204,20 @@ Dataset TransformDataset(const Dataset& original, const Histogram& target,
     }
   }
 
-  // Drop pass (row order): drop a uniformly random subset of each
-  // shrinking token's occurrences. Occurrence r of a token with
-  // `remaining` occurrences left and `drop` removals left is dropped with
-  // probability drop/remaining, so its last `drop` occurrences always go.
-  // A token leaves the pass with its last removal, and the pass ends with
-  // the last removal overall: no further row draws.
-  //
-  // The rows go in blocks: a branch-free scan first collects the block's
-  // rows of tokens still shrinking, then only those draw. A per-row branch
-  // on "shrinking?" would mispredict on most rows of a mixed dataset. The
-  // draws come from a local copy of `rng` that the compiler can keep in
-  // registers (the `Shrink` counters could otherwise alias its state).
-  constexpr size_t kBlockRows = 1024;
+  // Rank-match pass (row order): count down each row's token and drop
+  // the row that reaches zero. That happens once per dropped row, so the
+  // branch is nearly always predicted. The pass ends with the last drop.
   const std::vector<uint32_t>& ids = original.ids();
   std::vector<size_t> dropped;
-  dropped.reserve(total_drop);
-  Rng local = rng;
-  std::array<uint32_t, kBlockRows> candidates{};
-  for (size_t begin = 0; begin < ids.size() && dropped.size() < total_drop;
-       begin += kBlockRows) {
-    const size_t end = std::min(ids.size(), begin + kBlockRows);
-    size_t num_candidates = 0;
-    for (size_t i = begin; i < end; ++i) {
-      candidates[num_candidates] = static_cast<uint32_t>(i - begin);
-      num_candidates += shrink_of[ids[i]] != kNotShrinking;
-    }
-    for (size_t c = 0; c < num_candidates; ++c) {
-      const size_t i = begin + candidates[c];
-      uint32_t& shrink_id = shrink_of[ids[i]];
-      if (shrink_id == kNotShrinking) continue;  // left earlier in the block
-      Shrink& s = shrinking[shrink_id];
-      if (local.UniformU64(s.remaining) < s.drop) {
-        dropped.push_back(i);
-        if (--s.drop == 0) shrink_id = kNotShrinking;
-      }
-      --s.remaining;
+  dropped.reserve(drops_left);
+  for (size_t i = 0; i < ids.size() && drops_left > 0; ++i) {
+    const uint32_t id = ids[i];
+    if (countdown[id]-- == 0) {
+      dropped.push_back(i);
+      countdown[id] = gaps[++gap_at[id]];
+      --drops_left;
     }
   }
-  rng = local;
 
   // Insert additions at uniformly random final positions: choose |adds|
   // distinct slots among the final length and fill them, in slot order,

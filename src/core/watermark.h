@@ -97,6 +97,11 @@ class WatermarkGenerator {
 /// in rare shared-gap corner cases under `EligibilityRule::kPaper`; see
 /// DESIGN.md §5). Returns the watermarked histogram; `applied` receives the
 /// indices actually applied.
+///
+/// Precondition (asserted): `hist.IsSortedDescending()`, as for
+/// `BuildEligiblePairs`. The copy then stays sorted after every applied
+/// pair, so each pair is checked only at its two ranks and their
+/// neighbours: O(1) per pair, not a scan of the histogram.
 Histogram ApplyPairDeltas(const Histogram& hist,
                           const std::vector<EligiblePair>& eligible,
                           const std::vector<size_t>& chosen,
@@ -106,8 +111,13 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 /// token instances at random positions and inserts missing ones at random
 /// positions. Tokens absent from `target` are left untouched. The result
 /// shares `original`'s dictionary unless `target` brings tokens it lacks.
-/// Runs serially over the row ids (DESIGN.md §17) and does not poll for
-/// interruption.
+///
+/// Each shrinking token draws the occurrence ranks it drops once, a
+/// uniform subset (`Rng::SampleWithoutReplacement`); one row pass then
+/// counts each token's occurrences down to its next dropped rank, ending
+/// with the last drop. So `rng` draws per changed occurrence, not per
+/// row. Runs serially over the row ids (DESIGN.md §17) and does not poll
+/// for interruption.
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng);
 

@@ -1,8 +1,10 @@
 #include "crypto/pair_modulus.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 
 namespace freqywm {
 
@@ -34,13 +36,38 @@ uint64_t PairModulus::ComputeWithInner(std::string_view token_i,
 
 PairModulus::OuterState::OuterState(std::string_view token_i, uint64_t z)
     : z_(z) {
-  midstate_.Update(token_i);
+  // The midstate after tk_i's full blocks.
+  std::memcpy(midstate_, sha256_internal::kInitialState, sizeof(midstate_));
+  const auto* bytes = reinterpret_cast<const uint8_t*>(token_i.data());
+  const size_t full = token_i.size() / 64 * 64;
+  for (size_t off = 0; off < full; off += 64) {
+    sha256_internal::Compress(midstate_, bytes + off);
+  }
+
+  // The final block(s): tail | inner digest | 0x80 | zeros | bit length.
+  const size_t tail = token_i.size() - full;
+  hole_ = tail;
+  tail_size_ = tail + Sha256::kDigestSize + 1 + 8 <= 64 ? 64 : 128;
+  std::memset(tail_, 0, sizeof(tail_));
+  if (tail > 0) std::memcpy(tail_, bytes + full, tail);
+  tail_[hole_ + Sha256::kDigestSize] = 0x80;
+  const uint64_t bits =
+      (static_cast<uint64_t>(token_i.size()) + Sha256::kDigestSize) * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail_[tail_size_ - 8 + i] = static_cast<uint8_t>(bits >> (56 - i * 8));
+  }
 }
 
 uint64_t PairModulus::OuterState::Reduce(const Sha256::Digest& inner_j) const {
-  Sha256 outer = midstate_;  // clone-after-absorb
-  outer.Update(inner_j.data(), inner_j.size());
-  return DigestPrefixU64(outer.Finish()) % z_;
+  uint32_t state[8];
+  std::memcpy(state, midstate_, sizeof(state));
+  uint8_t block[128];
+  std::memcpy(block, tail_, tail_size_);
+  std::memcpy(block + hole_, inner_j.data(), inner_j.size());
+  sha256_internal::Compress(state, block);
+  if (tail_size_ == 128) sha256_internal::Compress(state, block + 64);
+  // The digest's first 8 bytes, big-endian, are state words 0 and 1.
+  return ((static_cast<uint64_t>(state[0]) << 32) | state[1]) % z_;
 }
 
 }  // namespace freqywm

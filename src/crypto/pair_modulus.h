@@ -41,10 +41,13 @@ class PairModulus {
   uint64_t ComputeWithInner(std::string_view token_i,
                             const Sha256::Digest& inner_j) const;
 
-  /// Midstate of the outer hash `H(tk_i || ·)` with `tk_i` already
-  /// absorbed. The O(n^2) eligible-pair scan keeps one per outer token:
-  /// each pair then costs a cloned finish over the 32-byte inner digest
-  /// (clone-after-absorb) instead of re-buffering `tk_i` per pair.
+  /// The outer hash `H(tk_i || ·)` prepared for one `tk_i`. The O(n^2)
+  /// eligible-pair scan keeps one per outer token. Construction absorbs
+  /// `tk_i`'s full 64-byte blocks into a midstate and pre-pads the final
+  /// block(s): `tk_i`'s tail bytes, a 32-byte hole for the inner digest,
+  /// 0x80, zeros and the message bit length. That is one block when
+  /// `len(tk_i) mod 64 <= 23`, otherwise two. Each pair then costs a copy
+  /// of the inner digest into the hole and one or two bare compressions.
   /// Copyable and immutable after construction; safe to share across
   /// threads.
   class OuterState {
@@ -57,7 +60,13 @@ class PairModulus {
     friend class PairModulus;
     OuterState(std::string_view token_i, uint64_t z);
 
-    Sha256 midstate_;
+    uint32_t midstate_[8];
+    /// The padded final block(s), the inner digest's bytes left as zeros.
+    uint8_t tail_[128];
+    /// Offset of the inner digest in `tail_`.
+    size_t hole_;
+    /// 64 or 128: the bytes of `tail_` to compress.
+    size_t tail_size_;
     uint64_t z_;
   };
 

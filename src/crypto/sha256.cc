@@ -8,14 +8,7 @@
 namespace freqywm {
 
 Sha256::Sha256() : bit_count_(0), buffer_len_(0) {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+  std::memcpy(state_, sha256_internal::kInitialState, sizeof(state_));
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {

@@ -29,9 +29,10 @@ namespace freqywm {
 ///
 /// The state is a copyable *midstate*: copying a `Sha256` snapshots the
 /// absorbed prefix, and the copy can absorb more data and finish
-/// independently of the original (clone-after-absorb). Bulk keyed-hash
-/// scans exploit this — absorb a shared prefix once, then pay only a
-/// cloned finish per suffix (see `PairModulus::OuterState`).
+/// independently of the original (clone-after-absorb). The eligible-pair
+/// scan's per-pair outer hash does not use this object: its 32-byte
+/// suffix has a fixed place, so `PairModulus::OuterState` pre-pads the
+/// final block and pays only bare compressions per pair.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;

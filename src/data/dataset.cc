@@ -72,43 +72,14 @@ std::vector<uint64_t> Dataset::IdCounts() const {
   return counts;
 }
 
-uint32_t Dataset::InternForWrite(const Token& token) {
-  if (std::optional<uint32_t> id = dictionary_->Find(token)) return *id;
-  auto copy = std::make_shared<TokenDictionary>(*dictionary_);
-  const uint32_t id = copy->Intern(token);
-  dictionary_ = std::move(copy);
-  return id;
-}
-
 void Dataset::Append(const Token& token) {
-  ids_.push_back(InternForWrite(token));
-}
-
-void Dataset::InsertAtRandomPosition(const Token& token, Rng& rng) {
-  const uint32_t id = InternForWrite(token);
-  size_t pos = static_cast<size_t>(rng.UniformU64(ids_.size() + 1));
-  ids_.insert(ids_.begin() + static_cast<ptrdiff_t>(pos), id);
-}
-
-size_t Dataset::RemoveRandomOccurrences(const Token& token, size_t count,
-                                        Rng& rng) {
-  if (count == 0) return 0;
-  const std::optional<uint32_t> id = dictionary_->Find(token);
-  if (!id) return 0;
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == *id) positions.push_back(i);
+  if (std::optional<uint32_t> id = dictionary_->Find(token)) {
+    ids_.push_back(*id);
+    return;
   }
-  if (positions.empty()) return 0;
-  size_t n = std::min(count, positions.size());
-  rng.Shuffle(positions);
-  positions.resize(n);
-  std::sort(positions.begin(), positions.end());
-  // Erase from the back so earlier indices stay valid.
-  for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
-    ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(*it));
-  }
-  return n;
+  auto copy = std::make_shared<TokenDictionary>(*dictionary_);
+  ids_.push_back(copy->Intern(token));
+  dictionary_ = std::move(copy);
 }
 
 size_t Dataset::CountOf(const Token& token) const {

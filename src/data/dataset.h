@@ -92,16 +92,9 @@ class Dataset {
   /// no row uses). One pass over the rows.
   std::vector<uint64_t> IdCounts() const;
 
-  /// Appends one token occurrence at the end.
+  /// Appends one token occurrence at the end. A token the dictionary
+  /// lacks is added to a copy of it.
   void Append(const Token& token);
-
-  /// Inserts one occurrence of `token` at a uniformly random position.
-  /// Random placement is part of the scheme's guess-attack resistance.
-  void InsertAtRandomPosition(const Token& token, Rng& rng);
-
-  /// Removes up to `count` occurrences of `token`, chosen at uniformly
-  /// random positions. Returns the number actually removed.
-  size_t RemoveRandomOccurrences(const Token& token, size_t count, Rng& rng);
 
   /// Counts occurrences of `token` (O(n); use Histogram for bulk queries).
   size_t CountOf(const Token& token) const;
@@ -113,10 +106,6 @@ class Dataset {
   Dataset SampleRows(size_t sample_size, Rng& rng) const;
 
  private:
-  /// The id of `token`, first copying the dictionary with `token` added
-  /// when it is absent.
-  uint32_t InternForWrite(const Token& token);
-
   std::shared_ptr<const TokenDictionary> dictionary_;
   std::vector<uint32_t> ids_;
 };

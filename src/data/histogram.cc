@@ -6,6 +6,13 @@
 namespace freqywm {
 namespace {
 
+const std::shared_ptr<const std::unordered_map<Token, size_t>>&
+EmptyIndex() {
+  static const std::shared_ptr<const std::unordered_map<Token, size_t>>
+      kEmpty = std::make_shared<const std::unordered_map<Token, size_t>>();
+  return kEmpty;
+}
+
 void SortDescending(std::vector<HistogramEntry>& entries) {
   std::sort(entries.begin(), entries.end(),
             [](const HistogramEntry& a, const HistogramEntry& b) {
@@ -15,6 +22,8 @@ void SortDescending(std::vector<HistogramEntry>& entries) {
 }
 
 }  // namespace
+
+Histogram::Histogram() : index_(EmptyIndex()) {}
 
 Histogram Histogram::FromDataset(const Dataset& dataset) {
   const std::vector<uint64_t> counts = dataset.IdCounts();
@@ -54,26 +63,29 @@ Result<Histogram> Histogram::FromCounts(std::vector<HistogramEntry> entries) {
 }
 
 void Histogram::RebuildIndex() {
-  index_.clear();
-  index_.reserve(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].token] = i;
+  auto index = std::make_shared<Index>();
+  index->reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    (*index)[entries_[i].token] = i;
+  }
+  index_ = std::move(index);
 }
 
 std::optional<uint64_t> Histogram::CountOf(const Token& token) const {
-  auto it = index_.find(token);
-  if (it == index_.end()) return std::nullopt;
+  auto it = index_->find(token);
+  if (it == index_->end()) return std::nullopt;
   return entries_[it->second].count;
 }
 
 std::optional<size_t> Histogram::RankOf(const Token& token) const {
-  auto it = index_.find(token);
-  if (it == index_.end()) return std::nullopt;
+  auto it = index_->find(token);
+  if (it == index_->end()) return std::nullopt;
   return it->second;
 }
 
 Status Histogram::SetCount(const Token& token, uint64_t count) {
-  auto it = index_.find(token);
-  if (it == index_.end()) {
+  auto it = index_->find(token);
+  if (it == index_->end()) {
     return Status::NotFound("token not in histogram: " + token);
   }
   total_ -= entries_[it->second].count;
@@ -83,8 +95,8 @@ Status Histogram::SetCount(const Token& token, uint64_t count) {
 }
 
 Status Histogram::AddDelta(const Token& token, int64_t delta) {
-  auto it = index_.find(token);
-  if (it == index_.end()) {
+  auto it = index_->find(token);
+  if (it == index_->end()) {
     return Status::NotFound("token not in histogram: " + token);
   }
   // All arithmetic in uint64: |delta| is well defined even for INT64_MIN,

@@ -2,6 +2,7 @@
 #define FREQYWM_DATA_HISTOGRAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -33,9 +34,13 @@ struct HistogramEntry {
 /// the watermark generator proves it preserves ranking, while attack code
 /// deliberately breaks it; `IsSortedDescending()` and `Resorted()` let
 /// callers check or restore the invariant explicitly.
+///
+/// Since count mutations never move an entry, the token→rank index is
+/// immutable once built and copies share it: copying a histogram copies
+/// its entries only.
 class Histogram {
  public:
-  Histogram() = default;
+  Histogram();
 
   /// Builds the histogram of `dataset`, sorted descending: one pass
   /// counting the rows' dictionary ids, then one entry per id that
@@ -81,10 +86,14 @@ class Histogram {
   Histogram Resorted() const;
 
  private:
+  using Index = std::unordered_map<Token, size_t>;
+
+  /// Replaces the index with a new one built from `entries_`.
   void RebuildIndex();
 
   std::vector<HistogramEntry> entries_;
-  std::unordered_map<Token, size_t> index_;
+  /// Token → rank, shared by copies. Never null.
+  std::shared_ptr<const Index> index_;
   uint64_t total_ = 0;
 };
 

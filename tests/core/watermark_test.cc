@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -271,13 +272,15 @@ INSTANTIATE_TEST_SUITE_P(
                                                                  : "_greedy");
     });
 
-// Row-level transform identity goldens. The expected values were recorded
-// from the serial transform over token strings that rebuilt the histogram
-// and copied the kept rows into an intermediate vector; the transform over
-// dictionary ids must reproduce them byte for byte at any pool size (the
-// pool runs the embed's eligible-pair scan). Each case runs
-// `EmbedDataset` on one ~300k-row eyeWnder-like dataset and pins the row
-// count and the SHA-256 of the rows, one token per line.
+// Row-level transform identity goldens. The row counts date from the
+// transform over token strings; the digests were re-recorded when the
+// transform began drawing each shrinking token's dropped occurrence ranks
+// up front (`SampleWithoutReplacement`) instead of one draw per
+// occurrence, which moves the dropped rows. Every pool size must
+// reproduce them byte for byte (the pool runs the embed's eligible-pair
+// scan). Each case runs `EmbedDataset` on one ~300k-row eyeWnder-like
+// dataset and pins the row count and the SHA-256 of the rows, one token
+// per line.
 std::string RowsDigest(const Dataset& d) {
   Sha256 sha;
   for (const Token& t : d.tokens()) {
@@ -334,17 +337,17 @@ INSTANTIATE_TEST_SUITE_P(
     ParentCommit, EmbedDatasetGoldenTest,
     ::testing::Values(
         RowsGolden{"freqywm_optimal", 299963,
-                   "05747d86952f62d0d686b7bd756b614856eab421c6d892c3cfd4d100"
-                   "054c3be8"},
+                   "68025ec08de75ee1c80d3a3a65d6ac1a01b7c3cd6c6dea05b53d55d3"
+                   "70cdd4ee"},
         RowsGolden{"freqywm_greedy", 299961,
-                   "681e57f48255391c2b7983731da89dadc66a5a376c27dd432bda76cf"
-                   "79028182"},
+                   "5fe38ddde65c9867d013e840dcfcf9d99ee33f92b5dba302fbb52c11"
+                   "a0049e7d"},
         RowsGolden{"wm-obt", 1228833,
-                   "b52bb28dfba1769d37dd3611b21b0d97b43d1a4f5323afd06cdec87f"
-                   "ba8254a3"},
+                   "ea634e75b29a3c80f04368f2e4e62a22c1086462b4d13401d64c12c1"
+                   "6b34c9c4"},
         RowsGolden{"wm-rvs", 340621,
-                   "26b018fcc33bae1edec292f79b3f2807c5b5d6d7544aad9d7b77a364"
-                   "fb31568d"}),
+                   "21420aa99a6d3ed498c80b350e55b63c4d2f4457c21bd889630d6f64"
+                   "8fbba4a0"}),
     [](const ::testing::TestParamInfo<RowsGolden>& info) {
       std::string name = info.param.scheme;
       for (char& c : name) {
@@ -384,6 +387,93 @@ TEST(ApplyPairDeltasTest, RevertsRankBreakingPair) {
   EXPECT_TRUE(applied.empty());
   EXPECT_EQ(out.CountOf("a"), 100u);
   EXPECT_EQ(out.CountOf("c"), 10u);
+}
+
+// `ApplyPairDeltas` as it stood with a whole-histogram ranking check:
+// apply each pair, then revert it unless every count is still
+// non-increasing in rank. Oracle for the test below.
+Histogram WholeScanApplyPairDeltas(const Histogram& hist,
+                                   const std::vector<EligiblePair>& eligible,
+                                   const std::vector<size_t>& chosen,
+                                   std::vector<size_t>* applied) {
+  Histogram out = hist;
+  applied->clear();
+  for (size_t idx : chosen) {
+    const EligiblePair& p = eligible[idx];
+    const Token& token_i = hist.entry(p.rank_i).token;
+    const Token& token_j = hist.entry(p.rank_j).token;
+    EXPECT_TRUE(out.AddDelta(token_i, p.delta_i).ok());
+    EXPECT_TRUE(out.AddDelta(token_j, p.delta_j).ok());
+    if (!out.IsSortedDescending()) {
+      EXPECT_TRUE(out.AddDelta(token_i, -p.delta_i).ok());
+      EXPECT_TRUE(out.AddDelta(token_j, -p.delta_j).ok());
+      continue;
+    }
+    applied->push_back(idx);
+  }
+  return out;
+}
+
+TEST(ApplyPairDeltasTest, TouchedRankCheckMatchesWholeScan) {
+  // Sorted histograms with long tie runs; pairs at the extreme ranks, at
+  // adjacent ranks and sharing tokens or gaps with earlier pairs, with
+  // deltas about as wide as the gaps so that both outcomes are common.
+  size_t applied_total = 0;
+  size_t reverted_total = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const size_t n = 2 + rng.UniformU64(60);
+    std::vector<HistogramEntry> entries;
+    uint64_t count = 40 + rng.UniformU64(1000);
+    for (size_t r = 0; r < n; ++r) {
+      entries.push_back(HistogramEntry{"t" + std::to_string(r), count});
+      const uint64_t step = rng.UniformU64(3) == 0 ? 0 : rng.UniformU64(20);
+      count = std::max<uint64_t>(1, count - std::min(count, step));
+    }
+    auto hist = Histogram::FromCounts(std::move(entries));
+    ASSERT_TRUE(hist.ok()) << hist.status();
+    ASSERT_TRUE(hist.value().IsSortedDescending());
+
+    // `room[r]` bounds the decreases still to hand out at rank r, so no
+    // subset of the pairs takes a count below zero.
+    std::vector<uint64_t> room(n);
+    for (size_t r = 0; r < n; ++r) room[r] = hist.value().entry(r).count;
+    const auto delta = [&](size_t rank) {
+      const int64_t d = rng.UniformInt(
+          -static_cast<int64_t>(std::min<uint64_t>(room[rank], 6)), 6);
+      if (d < 0) room[rank] -= static_cast<uint64_t>(-d);
+      return d;
+    };
+    std::vector<EligiblePair> eligible;
+    for (size_t k = 0; k < 3 * n; ++k) {
+      EligiblePair p;
+      p.rank_i = rng.UniformU64(n - 1);
+      p.rank_j = rng.UniformU64(4) == 0
+                     ? p.rank_i + 1
+                     : p.rank_i + 1 + rng.UniformU64(n - 1 - p.rank_i);
+      p.delta_i = delta(p.rank_i);
+      p.delta_j = delta(p.rank_j);
+      eligible.push_back(p);
+    }
+    // Half of the pairs, each at most once, in random order.
+    std::vector<size_t> chosen(eligible.size());
+    for (size_t k = 0; k < chosen.size(); ++k) chosen[k] = k;
+    rng.Shuffle(chosen);
+    chosen.resize(chosen.size() / 2);
+
+    std::vector<size_t> want_applied;
+    const Histogram want = WholeScanApplyPairDeltas(hist.value(), eligible,
+                                                    chosen, &want_applied);
+    std::vector<size_t> got_applied;
+    const Histogram got =
+        ApplyPairDeltas(hist.value(), eligible, chosen, &got_applied);
+    EXPECT_EQ(got.entries(), want.entries()) << seed;
+    EXPECT_EQ(got_applied, want_applied) << seed;
+    applied_total += got_applied.size();
+    reverted_total += chosen.size() - got_applied.size();
+  }
+  EXPECT_GT(applied_total, 1000u);
+  EXPECT_GT(reverted_total, 1000u);
 }
 
 TEST(TransformDatasetTest, MatchesTargetHistogram) {
@@ -430,48 +520,36 @@ TEST(TransformDatasetTest, InsertionsLandAtVariedPositions) {
   EXPECT_EQ(out.size(), 2050u);
 }
 
-// The transform over token strings as it stood before rows became
-// dictionary ids and before the drop pass recorded only the dropped rows:
-// a histogram rebuild, a `kept` copy, then the merge with the additions.
-// Oracle for the tests below.
-Dataset ParentTransformDataset(const Dataset& original,
+// The transform over token strings, written without the id passes: a
+// histogram rebuild; for each shrinking token, in target rank order, its
+// dropped occurrence ranks drawn with `SampleWithoutReplacement`; a `kept`
+// copy of the rows whose occurrence rank was not drawn; then the merge
+// with the shuffled additions. Oracle for the tests below.
+Dataset OracleTransformDataset(const Dataset& original,
                                const Histogram& target, Rng& rng) {
   Histogram current = Histogram::FromDataset(original);
-  std::unordered_map<Token, int64_t> to_remove;
+  std::unordered_map<Token, std::set<size_t>> drop_ranks;
   std::vector<Token> additions;
   for (const auto& e : target.entries()) {
     auto cur = current.CountOf(e.token);
-    int64_t have = cur ? static_cast<int64_t>(*cur) : 0;
-    int64_t want = static_cast<int64_t>(e.count);
-    if (want < have) {
-      to_remove[e.token] = have - want;
+    const uint64_t have = cur ? *cur : 0;
+    if (e.count < have) {
+      std::vector<size_t> ranks =
+          rng.SampleWithoutReplacement(have, have - e.count);
+      drop_ranks[e.token].insert(ranks.begin(), ranks.end());
     } else {
-      for (int64_t k = 0; k < want - have; ++k) additions.push_back(e.token);
+      additions.insert(additions.end(), e.count - have, e.token);
     }
   }
-  std::unordered_map<Token, std::pair<int64_t, int64_t>> removal_state;
-  for (const auto& [token, drop] : to_remove) {
-    removal_state[token] = {static_cast<int64_t>(*current.CountOf(token)),
-                            drop};
-  }
+  std::unordered_map<Token, size_t> seen;
   std::vector<Token> kept;
   kept.reserve(original.size());
   for (const Token& t : original.tokens()) {
-    auto it = removal_state.find(t);
-    if (it == removal_state.end()) {
-      kept.push_back(t);
-      continue;
-    }
-    auto& [remaining, drop] = it->second;
-    bool dropped =
-        drop > 0 && static_cast<int64_t>(rng.UniformU64(
-                        static_cast<uint64_t>(remaining))) < drop;
-    if (dropped) {
-      --drop;
-    } else {
+    const size_t rank = seen[t]++;
+    auto it = drop_ranks.find(t);
+    if (it == drop_ranks.end() || it->second.count(rank) == 0) {
       kept.push_back(t);
     }
-    --remaining;
   }
   if (additions.empty()) return Dataset(std::move(kept));
   rng.Shuffle(additions);
@@ -524,19 +602,19 @@ Histogram ShiftedTarget(const Histogram& hist,
   return out;
 }
 
-/// Runs the parent body and `TransformDataset`; both must return the same
-/// rows and leave `rng` in the same state. Returns the parent's rows for
+/// Runs the oracle and `TransformDataset`; both must return the same rows
+/// and leave `rng` in the same state. Returns the oracle's rows for
 /// case-specific checks.
-Dataset ExpectSameAsParent(const Dataset& original, const Histogram& target,
+Dataset ExpectSameAsOracle(const Dataset& original, const Histogram& target,
                            uint64_t seed) {
-  Rng parent_rng(seed);
-  Dataset expected = ParentTransformDataset(original, target, parent_rng);
-  const uint64_t parent_next = parent_rng.NextU64();
+  Rng oracle_rng(seed);
+  Dataset expected = OracleTransformDataset(original, target, oracle_rng);
+  const uint64_t oracle_next = oracle_rng.NextU64();
 
   Rng rng(seed);
   EXPECT_EQ(TransformDataset(original, target, rng).tokens(),
             expected.tokens());
-  EXPECT_EQ(rng.NextU64(), parent_next);
+  EXPECT_EQ(rng.NextU64(), oracle_next);
   return expected;
 }
 
@@ -550,6 +628,63 @@ Dataset PowerLawRows(uint64_t seed, size_t tokens, size_t n) {
   return GeneratePowerLawDataset(spec, rng);
 }
 
+TEST(TransformDatasetTest, RemovalPreservesOrderOfSurvivors) {
+  Dataset original({"a", "x", "a", "y", "a", "z"});
+  Histogram target =
+      ShiftedTarget(Histogram::FromDataset(original), {{"a", -3}});
+  Rng rng(5);
+  EXPECT_EQ(TransformDataset(original, target, rng).tokens(),
+            (std::vector<Token>{"x", "y", "z"}));
+}
+
+TEST(TransformDatasetTest, DroppedOccurrenceRanksAreUniform) {
+  // Rows x m0 x m1 ... x m19: occurrence k of "x" is dropped exactly when
+  // no "x" precedes "m<k>" in the output. Dropping 5 of the 20 over 4,000
+  // transforms puts an expected 1,000 drops on every rank; the
+  // chi-square statistic over the 20 ranks (19 degrees of freedom) must
+  // stay below 43.82, its 0.999 quantile.
+  constexpr size_t kCount = 20;
+  constexpr size_t kDrop = 5;
+  constexpr size_t kTrials = 4'000;
+  std::vector<Token> rows;
+  for (size_t k = 0; k < kCount; ++k) {
+    rows.push_back("x");
+    rows.push_back("m" + std::to_string(k));
+  }
+  const Dataset original(std::move(rows));
+  const Histogram target = ShiftedTarget(
+      Histogram::FromDataset(original), {{"x", -static_cast<int64_t>(kDrop)}});
+
+  std::vector<size_t> drops_at(kCount, 0);
+  Rng rng(2024);
+  for (size_t trial = 0; trial < kTrials; ++trial) {
+    const Dataset out = TransformDataset(original, target, rng);
+    ASSERT_EQ(out.size(), 2 * kCount - kDrop);
+    size_t k = 0;
+    bool x_before = false;
+    for (const Token& t : out.tokens()) {
+      if (t == "x") {
+        x_before = true;
+        continue;
+      }
+      if (!x_before) ++drops_at[k];
+      x_before = false;
+      ++k;
+    }
+    ASSERT_EQ(k, kCount);
+  }
+  const double expected = static_cast<double>(kTrials * kDrop) / kCount;
+  double chi_square = 0;
+  for (size_t n : drops_at) {
+    const double diff = static_cast<double>(n) - expected;
+    chi_square += diff * diff / expected;
+  }
+  EXPECT_LT(chi_square, 43.82);
+}
+
+// The TransformDatasetParentTest cases keep their names from when the
+// oracle was the previous transform; their data and edge cases are
+// unchanged.
 TEST(TransformDatasetParentTest, RandomTargetsMatchParent) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const Dataset original = PowerLawRows(seed, 60, 100'000);
@@ -570,7 +705,7 @@ TEST(TransformDatasetParentTest, RandomTargetsMatchParent) {
       }
     }
     deltas.push_back({"absent-" + std::to_string(seed), 777});
-    ExpectSameAsParent(original, ShiftedTarget(hist, deltas), seed);
+    ExpectSameAsOracle(original, ShiftedTarget(hist, deltas), seed);
   }
 }
 
@@ -579,7 +714,7 @@ TEST(TransformDatasetParentTest, AdditionsStraddleChunkBoundaries) {
   // chunk boundary, next to rows that are dropped and rows that are kept.
   const Dataset original = PowerLawRows(21, 20, 80'000);
   const Histogram hist = Histogram::FromDataset(original);
-  ExpectSameAsParent(original,
+  ExpectSameAsOracle(original,
                      ShiftedTarget(hist, {{hist.entry(0).token, -5'000},
                                           {hist.entry(1).token, 150'000},
                                           {hist.entry(2).token, 90'000}}),
@@ -596,7 +731,7 @@ TEST(TransformDatasetParentTest, ChunkWithEveryRowDropped) {
   }
   const Dataset original(std::move(rows));
   const Histogram hist = Histogram::FromDataset(original);
-  const Dataset expected = ExpectSameAsParent(
+  const Dataset expected = ExpectSameAsOracle(
       original,
       ShiftedTarget(hist, {{"gone", -40'000}, {"t3", 3'000}, {"t5", -900}}),
       23);
@@ -610,7 +745,7 @@ TEST(TransformDatasetParentTest, AdditionInTheLastSlot) {
       ShiftedTarget(hist, {{hist.entry(0).token, -2'000}, {"fresh", 120'000}});
   size_t last_slot_additions = 0;
   for (uint64_t seed = 25; seed < 28; ++seed) {
-    const Dataset expected = ExpectSameAsParent(original, target, seed);
+    const Dataset expected = ExpectSameAsOracle(original, target, seed);
     if (expected.tokens().back() == "fresh") ++last_slot_additions;
   }
   EXPECT_GT(last_slot_additions, 0u);
@@ -619,7 +754,7 @@ TEST(TransformDatasetParentTest, AdditionInTheLastSlot) {
 TEST(TransformDatasetParentTest, TargetTokenAbsentFromOriginal) {
   const Dataset original = PowerLawRows(31, 25, 60'000);
   const Histogram hist = Histogram::FromDataset(original);
-  const Dataset expected = ExpectSameAsParent(
+  const Dataset expected = ExpectSameAsOracle(
       original,
       ShiftedTarget(hist, {{"new-a", 1'234},
                            {"new-b", 1},
@@ -632,7 +767,7 @@ TEST(TransformDatasetParentTest, TargetTokenAbsentFromOriginal) {
 TEST(TransformDatasetParentTest, NoRemovals) {
   const Dataset original = PowerLawRows(41, 30, 90'000);
   const Histogram hist = Histogram::FromDataset(original);
-  ExpectSameAsParent(original,
+  ExpectSameAsOracle(original,
                      ShiftedTarget(hist, {{hist.entry(0).token, 500},
                                           {hist.entry(9).token, 3}}),
                      42);
@@ -641,7 +776,7 @@ TEST(TransformDatasetParentTest, NoRemovals) {
 TEST(TransformDatasetParentTest, NoAdditions) {
   const Dataset original = PowerLawRows(43, 30, 90'000);
   const Histogram hist = Histogram::FromDataset(original);
-  ExpectSameAsParent(original,
+  ExpectSameAsOracle(original,
                      ShiftedTarget(hist, {{hist.entry(0).token, -700},
                                           {hist.entry(4).token, -80}}),
                      44);
@@ -650,7 +785,7 @@ TEST(TransformDatasetParentTest, NoAdditions) {
 TEST(TransformDatasetParentTest, BelowChunkThreshold) {
   const Dataset original = PowerLawRows(51, 12, 3'000);
   const Histogram hist = Histogram::FromDataset(original);
-  ExpectSameAsParent(original,
+  ExpectSameAsOracle(original,
                      ShiftedTarget(hist, {{hist.entry(0).token, -40},
                                           {hist.entry(2).token, 25},
                                           {"tiny-new", 6}}),

@@ -55,22 +55,31 @@ TEST(PairModulusTest, InnerDigestCacheMatchesDirectComputation) {
 }
 
 TEST(PairModulusTest, OuterStateReduceMatchesComputeWithInner) {
-  // The midstate path of the O(n^2) scan: one OuterState per token_i, one
-  // cloned finish per pair — must agree with both slower derivations for
-  // tokens of every size class (empty, short, buffer-straddling, multi-
-  // block).
+  // The pre-padded path of the O(n^2) scan: one OuterState per token_i,
+  // one or two bare compressions per pair. It must agree with both slower
+  // derivations at every token_i length from 0 to 200, which crosses the
+  // one/two-block tail edge (tail of 23 vs 24 bytes) and the full-block
+  // midstate edges (64, 128, 192 bytes), and for moduli up to 2^64 - 1.
   WatermarkSecret s = GenerateSecret(256, 31);
-  for (uint64_t z : {2ull, 131ull, 1031ull}) {
+  const std::vector<std::string> inner_tokens = {
+      "", "youtube.com", std::string(64, 'r'), std::string(200, 'm')};
+  for (uint64_t z : {2ull, 131ull, 1031ull, ~0ull}) {
     PairModulus pm(s, z);
-    std::vector<std::string> tokens = {
-        "", "a", "youtube.com", std::string(63, 'q'), std::string(64, 'r'),
-        std::string(200, 'm')};
-    for (const std::string& ti : tokens) {
+    std::vector<Sha256::Digest> inners;
+    for (const std::string& tj : inner_tokens) {
+      inners.push_back(pm.InnerDigest(tj));
+    }
+    for (size_t len = 0; len <= 200; ++len) {
+      std::string ti(len, '\0');
+      for (size_t k = 0; k < len; ++k) {
+        ti[k] = static_cast<char>(k * 37 + len);
+      }
       PairModulus::OuterState outer = pm.OuterFor(ti);
-      for (const std::string& tj : tokens) {
-        Sha256::Digest inner = pm.InnerDigest(tj);
-        EXPECT_EQ(outer.Reduce(inner), pm.ComputeWithInner(ti, inner));
-        EXPECT_EQ(outer.Reduce(inner), pm.Compute(ti, tj));
+      for (size_t j = 0; j < inner_tokens.size(); ++j) {
+        EXPECT_EQ(outer.Reduce(inners[j]), pm.ComputeWithInner(ti, inners[j]))
+            << "z=" << z << " len=" << len;
+        EXPECT_EQ(outer.Reduce(inners[j]), pm.Compute(ti, inner_tokens[j]))
+            << "z=" << z << " len=" << len;
       }
     }
   }

@@ -32,44 +32,15 @@ TEST(DatasetTest, CountOf) {
   EXPECT_EQ(d.CountOf("missing"), 0u);
 }
 
-TEST(DatasetTest, AppendAndInsertAtRandomPosition) {
-  Rng rng(1);
+TEST(DatasetTest, Append) {
   Dataset d = MakeAbc();
   d.Append("z");
+  d.Append("a");
   EXPECT_EQ(d.CountOf("z"), 1u);
-  d.InsertAtRandomPosition("z", rng);
-  d.InsertAtRandomPosition("z", rng);
-  EXPECT_EQ(d.CountOf("z"), 3u);
-  EXPECT_EQ(d.size(), 9u);
-}
-
-TEST(DatasetTest, RemoveRandomOccurrences) {
-  Rng rng(2);
-  Dataset d = MakeAbc();
-  EXPECT_EQ(d.RemoveRandomOccurrences("a", 2, rng), 2u);
-  EXPECT_EQ(d.CountOf("a"), 1u);
-  EXPECT_EQ(d.size(), 4u);
-}
-
-TEST(DatasetTest, RemoveMoreThanPresentRemovesAll) {
-  Rng rng(3);
-  Dataset d = MakeAbc();
-  EXPECT_EQ(d.RemoveRandomOccurrences("b", 10, rng), 2u);
-  EXPECT_EQ(d.CountOf("b"), 0u);
-}
-
-TEST(DatasetTest, RemoveMissingTokenIsNoop) {
-  Rng rng(4);
-  Dataset d = MakeAbc();
-  EXPECT_EQ(d.RemoveRandomOccurrences("zz", 3, rng), 0u);
-  EXPECT_EQ(d.size(), 6u);
-}
-
-TEST(DatasetTest, RemovePreservesOrderOfSurvivors) {
-  Rng rng(5);
-  Dataset d({"a", "x", "a", "y", "a", "z"});
-  d.RemoveRandomOccurrences("a", 3, rng);
-  EXPECT_EQ(d.tokens(), (std::vector<Token>{"x", "y", "z"}));
+  EXPECT_EQ(d.CountOf("a"), 4u);
+  EXPECT_EQ(d.size(), 8u);
+  EXPECT_EQ(d[6], "z");
+  EXPECT_EQ(d[7], "a");
 }
 
 TEST(DatasetTest, SampleRowsKeepsRelativeOrder) {
@@ -131,35 +102,10 @@ TEST(DatasetDictionaryTest, UnseenTokenCopiesTheDictionaryOnWrite) {
   EXPECT_EQ(d.tokens(), MakeAbc().tokens());
   EXPECT_EQ(copy.tokens(), (std::vector<Token>{"a", "b", "a", "c", "a", "b",
                                                "new"}));
-
-  Rng rng(10);
-  Dataset inserted = d;
-  inserted.InsertAtRandomPosition("other", rng);
-  EXPECT_NE(inserted.shared_dictionary().get(), shared);
-  EXPECT_EQ(inserted.CountOf("other"), 1u);
-  EXPECT_EQ(d.CountOf("other"), 0u);
 }
 
-// Rows after each mutation for a fixed seed, recorded from the dataset as
-// a vector of token strings, before rows became dictionary ids.
-TEST(DatasetDictionaryTest, InsertAtRandomPositionMatchesRecordedRows) {
-  Rng rng(101);
-  Dataset d({"a", "b", "a", "c", "a", "b"});
-  d.InsertAtRandomPosition("z", rng);
-  d.InsertAtRandomPosition("a", rng);
-  d.InsertAtRandomPosition("z", rng);
-  EXPECT_EQ(d.tokens(), (std::vector<Token>{"z", "a", "b", "a", "z", "c",
-                                            "a", "a", "b"}));
-}
-
-TEST(DatasetDictionaryTest, RemoveRandomOccurrencesMatchesRecordedRows) {
-  Rng rng(102);
-  Dataset d({"a", "b", "a", "c", "a", "b", "a", "c", "a"});
-  EXPECT_EQ(d.RemoveRandomOccurrences("a", 3, rng), 3u);
-  EXPECT_EQ(d.tokens(),
-            (std::vector<Token>{"b", "c", "b", "a", "c", "a"}));
-}
-
+// Rows for a fixed seed, recorded from the dataset as a vector of token
+// strings, before rows became dictionary ids.
 TEST(DatasetDictionaryTest, SampleRowsMatchesRecordedRows) {
   Rng rng(103);
   std::vector<Token> tokens;
