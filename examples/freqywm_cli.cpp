@@ -22,7 +22,6 @@
 //
 // Token files are one token per line (data/io.h).
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,17 +65,17 @@ bool ParseFlag(int argc, char** argv, int& i, const char* name,
   return true;
 }
 
-/// Strict numeric flag parsing: the whole token must be digits ("12abc",
-/// " -5" and overflowing values are rejected instead of silently wrapped).
+/// Strict numeric flag parsing through `ParseU64`: the whole token must
+/// be digits ("12abc", " -5" and overflowing values are rejected instead
+/// of silently wrapped).
 uint64_t ParseU64Value(const char* flag, const std::string& text) {
-  errno = 0;
-  unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-  if (!IsInteger(text) || text[0] == '-' || errno == ERANGE) {
+  Result<uint64_t> value = ParseU64(text);
+  if (!value.ok()) {
     std::fprintf(stderr, "%s: '%s' is not a non-negative integer\n", flag,
                  text.c_str());
     std::exit(2);
   }
-  return v;
+  return value.value();
 }
 
 int RunGenerate(int argc, char** argv) {

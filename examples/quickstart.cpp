@@ -1,5 +1,5 @@
 // Quickstart: watermark a click-stream-style token dataset, store the
-// owner's secrets, and verify a suspected copy.
+// owner's key, and verify a suspected copy.
 //
 //   $ ./examples/quickstart
 //
@@ -9,10 +9,8 @@
 
 #include <cstdio>
 
-#include "core/detect.h"
-#include "core/watermark.h"
+#include "api/freqywm_scheme.h"
 #include "datagen/power_law.h"
-#include "stats/similarity.h"
 
 using namespace freqywm;
 
@@ -37,48 +35,48 @@ int main() {
   options.budget_percent = 2.0;
   options.modulus_bound = 131;
   options.seed = 42;
-  WatermarkGenerator generator(options);
-  auto generated = generator.Generate(original);
+  FreqyWmScheme scheme(options);
+  auto generated = scheme.EmbedDataset(original);
   if (!generated.ok()) {
     std::printf("generation failed: %s\n",
                 generated.status().ToString().c_str());
     return 1;
   }
-  const GenerateReport& report = generated.value().report;
+  const EmbedReport& report = generated.value().report;
   std::printf("watermarked: %zu pairs embedded (of %zu eligible), "
               "similarity %.4f%%, %llu rows churned\n",
-              report.chosen_pairs, report.eligible_pairs,
+              report.embedded_units, report.eligible_units,
               report.similarity_percent,
               static_cast<unsigned long long>(report.total_churn));
 
-  // 3. Persist the secrets (Lsc). This file IS the proof of ownership —
-  //    store it like a private key.
-  const std::string secrets_path = "/tmp/freqywm_quickstart_secrets.txt";
-  if (Status s = report.secrets.SaveToFile(secrets_path); !s.ok()) {
-    std::printf("cannot save secrets: %s\n", s.ToString().c_str());
+  // 3. Persist the key (the secrets Lsc). This file IS the proof of
+  //    ownership — store it like a private key.
+  const std::string key_path = "/tmp/freqywm_quickstart_key.txt";
+  if (Status s = generated.value().key.SaveToFile(key_path); !s.ok()) {
+    std::printf("cannot save key: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("secrets saved to %s\n", secrets_path.c_str());
+  std::printf("key saved to %s\n", key_path.c_str());
 
-  // 4. Later: a suspected copy appears. Reload the secrets and detect.
-  auto secrets = WatermarkSecrets::LoadFromFile(secrets_path);
-  if (!secrets.ok()) return 1;
+  // 4. Later: a suspected copy appears. Reload the key and detect.
+  auto key = SchemeKey::LoadFromFile(key_path);
+  if (!key.ok()) return 1;
 
   DetectOptions detect;
   detect.pair_threshold = 0;  // strict: exact modular matches only
-  detect.min_pairs = report.chosen_pairs / 2;
+  detect.min_pairs = report.embedded_units / 2;
   DetectResult verdict =
-      DetectWatermark(generated.value().watermarked, secrets.value(), detect);
+      scheme.Detect(generated.value().watermarked, key.value(), detect);
   std::printf("suspect copy: %zu/%zu pairs verified -> %s\n",
-              verdict.pairs_verified, report.chosen_pairs,
+              verdict.pairs_verified, report.embedded_units,
               verdict.accepted ? "WATERMARK DETECTED" : "not detected");
 
   // 5. Sanity: an unrelated dataset does not trip detection.
   Rng other_rng(99);
   Dataset unrelated = GeneratePowerLawDataset(spec, other_rng);
-  DetectResult innocent = DetectWatermark(unrelated, secrets.value(), detect);
+  DetectResult innocent = scheme.Detect(unrelated, key.value(), detect);
   std::printf("unrelated data: %zu/%zu pairs verified -> %s\n",
-              innocent.pairs_verified, report.chosen_pairs,
+              innocent.pairs_verified, report.embedded_units,
               innocent.accepted ? "FALSE POSITIVE?!" : "correctly rejected");
   return verdict.accepted && !innocent.accepted ? 0 : 1;
 }

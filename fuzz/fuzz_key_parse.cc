@@ -7,6 +7,8 @@
 ///  * the parsers never crash, leak or trip UB on arbitrary bytes;
 ///  * `Prepare` never returns null, malformed payloads included
 ///    (api/scheme.h contract);
+///  * a FreqyWM payload that parses has no self-pair and no repeated
+///    pair — either one verifies without any watermark in the data;
 ///  * the prepared detector agrees with the scheme's independent oracle
 ///    (the payload parsed by the scheme's own parser and run through the
 ///    uncached detector) bit-exactly, and a payload that fails to parse
@@ -19,7 +21,9 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/factory.h"
@@ -58,6 +62,14 @@ std::optional<freqywm::DetectResult> OracleDetect(
   if (key.scheme == "freqywm") {
     auto secrets = freqywm::WatermarkSecrets::Deserialize(key.payload);
     if (!secrets.ok()) return std::nullopt;
+    std::set<std::pair<std::string, std::string>> seen;
+    for (const freqywm::SecretPair& p : secrets.value().pairs) {
+      if (p.token_i == p.token_j ||
+          !seen.emplace(p.token_i, p.token_j).second) {
+        std::fprintf(stderr, "parsed key holds a self-pair or a repeat\n");
+        std::abort();
+      }
+    }
     return freqywm::DetectWatermarkReference(suspect, secrets.value(),
                                              options);
   }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -16,22 +13,6 @@ namespace freqywm {
 namespace {
 constexpr char kMagicV1[] = "freqywm-registry v1";
 constexpr char kMagicV2[] = "freqywm-registry v2";
-
-/// Overflow-safe parse of a size field. The previous `std::stoull` threw
-/// an uncaught `std::out_of_range` on a 20+-digit count — malformed
-/// registry text could terminate the process instead of returning a
-/// status. Expects `text` to be digits-only (pre-checked by `IsInteger`
-/// plus a sign rejection).
-Result<size_t> ParseSizeField(const std::string& text, const char* what) {
-  errno = 0;
-  uint64_t value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE ||
-      value > std::numeric_limits<size_t>::max()) {  // 32-bit size_t
-    return Status::InvalidArgument(std::string(what) + " '" + text +
-                                   "' overflows this build's size_t");
-  }
-  return static_cast<size_t>(value);
-}
 
 void SortStrongestFirst(std::vector<TraceMatch>& matches) {
   std::stable_sort(matches.begin(), matches.end(),
@@ -130,15 +111,13 @@ Result<FingerprintRegistry> FingerprintRegistry::Deserialize(
   }
   std::vector<std::string> head =
       Split(std::string(StripWhitespace(line)), ' ');
-  if (head.size() != 2 || head[0] != "records" || !IsInteger(head[1]) ||
-      head[1][0] == '-' || head[1][0] == '+') {
+  Result<uint64_t> n = ParseU64(head.size() == 2 ? head[1] : "");
+  if (head.size() != 2 || head[0] != "records" || !n.ok()) {
     return Status::Corruption("malformed records line");
   }
-  FREQYWM_ASSIGN_OR_RETURN(size_t n,
-                           ParseSizeField(head[1], "records count"));
 
   FingerprintRegistry registry;
-  for (size_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n.value(); ++i) {
     if (!std::getline(in, line)) {
       return Status::Corruption("truncated registry");
     }
@@ -146,12 +125,11 @@ Result<FingerprintRegistry> FingerprintRegistry::Deserialize(
     // v1: "buyer <payload-lines> <buyer id...>" (implicitly freqywm)
     std::vector<std::string> parts = Split(line, ' ');
     size_t min_parts = v1 ? 3 : 4;
-    if (parts.size() < min_parts || parts[0] != "buyer" ||
-        !IsInteger(parts[1]) || parts[1][0] == '-' || parts[1][0] == '+') {
+    Result<uint64_t> size_field = ParseU64(parts.size() > 1 ? parts[1] : "");
+    if (parts.size() < min_parts || parts[0] != "buyer" || !size_field.ok()) {
       return Status::Corruption("malformed buyer line");
     }
-    FREQYWM_ASSIGN_OR_RETURN(size_t payload_size,
-                             ParseSizeField(parts[1], "payload size"));
+    const uint64_t payload_size = size_field.value();
     std::string scheme = v1 ? "freqywm" : parts[2];
     size_t id_offset = parts[0].size() + 1 + parts[1].size() + 1;
     if (!v1) id_offset += parts[2].size() + 1;
@@ -159,7 +137,7 @@ Result<FingerprintRegistry> FingerprintRegistry::Deserialize(
 
     std::string payload;
     if (v1) {
-      for (size_t l = 0; l < payload_size; ++l) {
+      for (uint64_t l = 0; l < payload_size; ++l) {
         if (!std::getline(in, line)) {
           return Status::Corruption("truncated key for '" + buyer_id + "'");
         }

@@ -1,9 +1,6 @@
 #include "api/factory.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 
 #include "api/freqywm_scheme.h"
 #include "api/key_util.h"
@@ -47,42 +44,33 @@ Result<std::string> OptionBag::GetString(const std::string& key,
   return it == entries_.end() ? std::move(fallback) : it->second;
 }
 
+namespace {
+
+/// Parses the value of option `key` through `parse`, naming the key in
+/// the error.
+template <typename T>
+Result<T> ParseOption(const std::string& key, const std::string& text,
+                      Result<T> (*parse)(std::string_view)) {
+  Result<T> value = parse(text);
+  if (value.ok()) return value;
+  return Status::InvalidArgument("option '" + key +
+                                 "': " + value.status().message());
+}
+
+}  // namespace
+
 Result<double> OptionBag::GetDouble(const std::string& key,
                                     double fallback) const {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  const char* begin = it->second.c_str();
-  char* end = nullptr;
-  double value = std::strtod(begin, &end);
-  // The whole token must parse ("1.5abc" is garbage, not 1.5) and the
-  // value must be finite — "inf"/"nan" and overflowing literals like
-  // "1e999" would poison every downstream budget/threshold computation.
-  if (end == begin || *end != '\0') {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' is not a number");
-  }
-  if (!std::isfinite(value)) {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' is not a finite number");
-  }
-  return value;
+  return it == entries_.end() ? fallback
+                              : ParseOption(key, it->second, ParseFiniteDouble);
 }
 
 Result<uint64_t> OptionBag::GetU64(const std::string& key,
                                    uint64_t fallback) const {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  if (!IsInteger(it->second) || it->second[0] == '-') {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' is not a non-negative integer");
-  }
-  errno = 0;
-  uint64_t value = std::strtoull(it->second.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' overflows uint64");
-  }
-  return value;
+  return it == entries_.end() ? fallback
+                              : ParseOption(key, it->second, ParseU64);
 }
 
 Status OptionBag::ExpectOnly(

@@ -7,6 +7,7 @@
 #include "core/detect.h"
 #include "core/secrets.h"
 #include "core/watermark.h"
+#include "crypto/sha256.h"
 #include "stats/similarity.h"
 
 namespace freqywm {
@@ -93,21 +94,6 @@ Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original,
   return out;
 }
 
-Result<DatasetEmbedOutcome> FreqyWmScheme::EmbedDataset(
-    const Dataset& original, const ExecContext& exec) const {
-  // Exec-aware end to end: sharded eligible-pair scan (byte-identical to
-  // serial at any thread count); the histogram build honors the context's
-  // cancellation/deadline.
-  FREQYWM_ASSIGN_OR_RETURN(DatasetGenerateResult generated,
-                           WatermarkGenerator(options_).Generate(original,
-                                                                 exec));
-  DatasetEmbedOutcome out;
-  out.key = MakeKey(generated.report.secrets);
-  out.report = MakeReport(generated.report);
-  out.watermarked = std::move(generated.watermarked);
-  return out;
-}
-
 std::unique_ptr<PreparedKey> FreqyWmScheme::Prepare(
     const SchemeKey& key) const {
   return std::make_unique<FreqyWmPreparedKey>(key);
@@ -122,6 +108,11 @@ DetectOptions FreqyWmScheme::RecommendedDetectOptions(
       secrets.ok() ? std::max<size_t>(1, secrets.value().pairs.size() / 2)
                    : 1;
   return options;
+}
+
+uint64_t FreqyWmScheme::dataset_transform_seed(const SchemeKey& key) const {
+  return options_.seed == 0 ? DigestPrefixU64(Sha256::Hash(key.payload))
+                            : options_.seed + 0x517cc1b727220a95ULL;
 }
 
 Result<EmbedOutcome> FreqyWmScheme::Refresh(const Histogram& drifted,

@@ -22,13 +22,10 @@ class FreqyWmScheme : public WatermarkScheme {
 
   std::string name() const override;
   using WatermarkScheme::Embed;
-  using WatermarkScheme::EmbedDataset;
   /// Exec-aware embed: the eligible-pair scan shards across the pool
   /// (DESIGN.md §8); byte-identical output at any thread count.
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
-  Result<DatasetEmbedOutcome> EmbedDataset(
-      const Dataset& original, const ExecContext& exec) const override;
   /// Parses the key and derives its `PairModulusTable` once; the prepared
   /// key then detects hash-free (count gather + residue checks), on a
   /// suspect histogram or on dense counts (DESIGN.md §10).
@@ -41,7 +38,9 @@ class FreqyWmScheme : public WatermarkScheme {
   const GenerateOptions& options() const { return options_; }
 
  protected:
-  uint64_t dataset_transform_seed() const override { return options_.seed; }
+  /// `seed + 0x517cc1b727220a95` when seeded; unseeded, a digest of the
+  /// key payload, which holds the fresh secret R.
+  uint64_t dataset_transform_seed(const SchemeKey& key) const override;
 
  private:
   GenerateOptions options_;

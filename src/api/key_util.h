@@ -106,6 +106,18 @@ inline Result<std::string> RequireField(
   return it->second;
 }
 
+/// Fetches a required numeric field through `parse` (`ParseU64` or
+/// `ParseFiniteDouble`); a value that does not parse is "bad <name>".
+template <typename T>
+Result<T> RequireNumericField(const std::map<std::string, std::string>& fields,
+                              const std::string& name,
+                              Result<T> (*parse)(std::string_view)) {
+  FREQYWM_ASSIGN_OR_RETURN(std::string text, RequireField(fields, name));
+  Result<T> value = parse(text);
+  if (!value.ok()) return Status::Corruption("bad " + name);
+  return value;
+}
+
 }  // namespace freqywm
 
 #endif  // FREQYWM_API_KEY_UTIL_H_

@@ -82,7 +82,7 @@ Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
   // on 4M rows.
   FREQYWM_ASSIGN_OR_RETURN(Histogram hist, exec.BuildHistogramChecked(original));
   FREQYWM_ASSIGN_OR_RETURN(EmbedOutcome outcome, Embed(hist, exec));
-  Rng rng(dataset_transform_seed());
+  Rng rng(dataset_transform_seed(outcome.key));
   DatasetEmbedOutcome out;
   out.watermarked =
       TransformDataset(original, outcome.watermarked, rng);

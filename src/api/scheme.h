@@ -177,16 +177,13 @@ class WatermarkScheme {
   /// Serial `Embed`: forwards with a default `ExecContext`.
   [[nodiscard]] Result<EmbedOutcome> Embed(const Histogram& original) const;
 
-  /// Watermarks a dataset end-to-end. The default implementation builds
-  /// the histogram (one pass over the row ids, DESIGN.md §7), embeds it
-  /// through `Embed(original, exec)` so intra-embed hot loops
-  /// parallelize, and applies the generic data transformation (insert or
-  /// remove token instances at random positions until the histogram
-  /// matches, DESIGN.md §17); schemes with a native row-level path
-  /// override it. The outcome is bit-identical for any thread
-  /// count, and cancellation/deadline surface as `kCancelled` /
-  /// `kDeadlineExceeded`; overriding schemes must preserve both.
-  [[nodiscard]] virtual Result<DatasetEmbedOutcome> EmbedDataset(
+  /// Watermarks a dataset end-to-end, the one row-level embed of every
+  /// scheme: the histogram (one pass over the row ids, DESIGN.md §7),
+  /// `Embed(original, exec)`, then `TransformDataset` (DESIGN.md §17)
+  /// drawing from `dataset_transform_seed(key)`. Bit-identical for any
+  /// thread count; cancellation/deadline surface as `kCancelled` /
+  /// `kDeadlineExceeded`.
+  [[nodiscard]] Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const;
 
   /// Serial `EmbedDataset`: forwards with a default `ExecContext`.
@@ -230,9 +227,11 @@ class WatermarkScheme {
       const Histogram& drifted, const SchemeKey& key) const;
 
  protected:
-  /// Seed for the default `EmbedDataset` row-placement randomness; schemes
-  /// return their configured secret seed so runs stay reproducible.
-  virtual uint64_t dataset_transform_seed() const { return 0x7ab5eedULL; }
+  /// Seed for `EmbedDataset`'s row placement, from the scheme's secret
+  /// seed or the key the embed just produced, so runs are reproducible.
+  virtual uint64_t dataset_transform_seed(const SchemeKey& /*key*/) const {
+    return 0x7ab5eedULL;
+  }
 };
 
 }  // namespace freqywm

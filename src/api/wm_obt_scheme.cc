@@ -1,7 +1,6 @@
 #include "api/wm_obt_scheme.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -63,28 +62,22 @@ Result<WmObtOptions> WmObtScheme::ParseKeyPayload(
     const std::string& payload) {
   FREQYWM_ASSIGN_OR_RETURN(auto fields, ParseKeyFields(payload, kKeyMagic));
   WmObtOptions options;  // GA parameters keep defaults: detect never embeds
-  FREQYWM_ASSIGN_OR_RETURN(std::string seed, RequireField(fields, "key_seed"));
-  if (!IsInteger(seed) || seed[0] == '-') {
-    return Status::Corruption("bad key_seed");
-  }
-  options.key_seed = std::strtoull(seed.c_str(), nullptr, 10);
-  FREQYWM_ASSIGN_OR_RETURN(std::string parts,
-                           RequireField(fields, "num_partitions"));
-  if (!IsInteger(parts) || parts[0] == '-') {
-    return Status::Corruption("bad num_partitions");
-  }
-  options.num_partitions = std::strtoull(parts.c_str(), nullptr, 10);
+  FREQYWM_ASSIGN_OR_RETURN(
+      options.key_seed, RequireNumericField(fields, "key_seed", ParseU64));
+  FREQYWM_ASSIGN_OR_RETURN(
+      options.num_partitions,
+      RequireNumericField(fields, "num_partitions", ParseU64));
   // Upper bound keeps a corrupt key from driving a giant allocation in
   // WmObtPartitionStatistics (Detect must reject, never crash).
   if (options.num_partitions == 0 || options.num_partitions > (1u << 20)) {
     return Status::Corruption("num_partitions out of range");
   }
-  FREQYWM_ASSIGN_OR_RETURN(std::string condition,
-                           RequireField(fields, "condition"));
-  options.condition = std::strtod(condition.c_str(), nullptr);
-  FREQYWM_ASSIGN_OR_RETURN(std::string threshold,
-                           RequireField(fields, "decode_threshold"));
-  options.decode_threshold = std::strtod(threshold.c_str(), nullptr);
+  FREQYWM_ASSIGN_OR_RETURN(
+      options.condition,
+      RequireNumericField(fields, "condition", ParseFiniteDouble));
+  FREQYWM_ASSIGN_OR_RETURN(
+      options.decode_threshold,
+      RequireNumericField(fields, "decode_threshold", ParseFiniteDouble));
   FREQYWM_ASSIGN_OR_RETURN(std::string bits, RequireField(fields, "bits"));
   FREQYWM_ASSIGN_OR_RETURN(options.watermark_bits, ParseBitString(bits));
   return options;

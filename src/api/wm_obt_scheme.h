@@ -38,7 +38,7 @@ class WmObtScheme : public WatermarkScheme {
   static Result<WmObtOptions> ParseKeyPayload(const std::string& payload);
 
  protected:
-  uint64_t dataset_transform_seed() const override {
+  uint64_t dataset_transform_seed(const SchemeKey& /*key*/) const override {
     return options_.key_seed;
   }
 

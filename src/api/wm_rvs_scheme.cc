@@ -1,6 +1,5 @@
 #include "api/wm_rvs_scheme.h"
 
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -58,20 +57,15 @@ Result<WmRvsOptions> WmRvsScheme::ParseKeyPayload(
     const std::string& payload) {
   FREQYWM_ASSIGN_OR_RETURN(auto fields, ParseKeyFields(payload, kKeyMagic));
   WmRvsOptions options;
-  FREQYWM_ASSIGN_OR_RETURN(std::string seed, RequireField(fields, "key_seed"));
-  if (!IsInteger(seed) || seed[0] == '-') {
-    return Status::Corruption("bad key_seed");
-  }
-  options.key_seed = std::strtoull(seed.c_str(), nullptr, 10);
-  FREQYWM_ASSIGN_OR_RETURN(std::string pos,
-                           RequireField(fields, "max_digit_position"));
-  if (!IsInteger(pos) || pos[0] == '-') {
-    return Status::Corruption("bad max_digit_position");
-  }
-  options.max_digit_position = static_cast<int>(std::atoll(pos.c_str()));
-  if (options.max_digit_position < 0 || options.max_digit_position > 18) {
+  FREQYWM_ASSIGN_OR_RETURN(
+      options.key_seed, RequireNumericField(fields, "key_seed", ParseU64));
+  FREQYWM_ASSIGN_OR_RETURN(
+      uint64_t position,
+      RequireNumericField(fields, "max_digit_position", ParseU64));
+  if (position > 18) {
     return Status::Corruption("max_digit_position out of range");
   }
+  options.max_digit_position = static_cast<int>(position);
   FREQYWM_ASSIGN_OR_RETURN(std::string bits, RequireField(fields, "bits"));
   FREQYWM_ASSIGN_OR_RETURN(options.watermark_bits, ParseBitString(bits));
   return options;

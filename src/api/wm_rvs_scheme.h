@@ -49,7 +49,7 @@ class WmRvsScheme : public WatermarkScheme {
   static Result<WmRvsOptions> ParseKeyPayload(const std::string& payload);
 
  protected:
-  uint64_t dataset_transform_seed() const override {
+  uint64_t dataset_transform_seed(const SchemeKey& /*key*/) const override {
     return options_.key_seed;
   }
 

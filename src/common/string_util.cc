@@ -1,5 +1,8 @@
 #include "common/string_util.h"
 
+#include <charconv>
+#include <cmath>
+
 namespace freqywm {
 
 std::vector<std::string> Split(std::string_view text, char sep) {
@@ -40,14 +43,37 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(b, e - b);
 }
 
-bool IsInteger(std::string_view text) {
-  if (text.empty()) return false;
-  size_t i = (text[0] == '+' || text[0] == '-') ? 1 : 0;
-  if (i == text.size()) return false;
-  for (; i < text.size(); ++i) {
-    if (text[i] < '0' || text[i] > '9') return false;
+Result<uint64_t> ParseU64(std::string_view text) {
+  // Unsigned from_chars takes digits only: no sign, space or prefix.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::invalid_argument || stop != end) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not a non-negative integer");
   }
-  return true;
+  if (error == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' overflows uint64");
+  }
+  return value;
+}
+
+Result<double> ParseFiniteDouble(std::string_view text) {
+  // from_chars takes no whitespace and no '+', reads '.' in any locale,
+  // and reports a value beyond double's range as out of range.
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::invalid_argument || stop != end) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not a number");
+  }
+  if (error == std::errc::result_out_of_range || !std::isfinite(value)) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not a finite number");
+  }
+  return value;
 }
 
 }  // namespace freqywm

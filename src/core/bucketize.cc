@@ -1,7 +1,6 @@
 #include "core/bucketize.h"
 
-#include <cmath>
-#include <cstdlib>
+#include "common/string_util.h"
 
 namespace freqywm {
 
@@ -19,12 +18,11 @@ Result<Dataset> BucketizeNumericStrings(
   std::vector<Token> tokens;
   tokens.reserve(values.size());
   for (const auto& v : values) {
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    Result<double> parsed = ParseFiniteDouble(v);
+    if (!parsed.ok()) {
       return Status::InvalidArgument("non-numeric value: '" + v + "'");
     }
-    tokens.push_back(BucketToken(parsed, spec));
+    tokens.push_back(BucketToken(parsed.value(), spec));
   }
   return Dataset(std::move(tokens));
 }
@@ -42,13 +40,12 @@ Result<std::pair<double, double>> BucketRange(const Token& token,
   if (token.rfind(spec.token_prefix, 0) != 0) {
     return Status::InvalidArgument("token does not carry bucket prefix");
   }
-  std::string index_part = token.substr(spec.token_prefix.size());
-  char* end = nullptr;
-  long long bucket = std::strtoll(index_part.c_str(), &end, 10);
-  if (end == index_part.c_str() || *end != '\0' || bucket < 0) {
+  Result<uint64_t> bucket =
+      ParseU64(std::string_view(token).substr(spec.token_prefix.size()));
+  if (!bucket.ok()) {
     return Status::InvalidArgument("malformed bucket token: '" + token + "'");
   }
-  double lo = spec.origin + static_cast<double>(bucket) * spec.width;
+  double lo = spec.origin + static_cast<double>(bucket.value()) * spec.width;
   return std::make_pair(lo, lo + spec.width);
 }
 

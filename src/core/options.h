@@ -36,9 +36,10 @@ enum class EligibilityRule {
 /// How the budget `b` limits selection.
 enum class BudgetMode {
   /// Exact semantics: keep `similarity(original, watermarked) >=
-  /// (100 - b)%` under `GenerateOptions::metric`, checked incrementally
-  /// per candidate pair. With realistic head-heavy histograms this bound
-  /// is loose — watermark churn barely moves a cosine.
+  /// (100 - b)%` under `GenerateOptions::metric`, checked per candidate
+  /// pair by an `IncrementalSimilarity` tracker of that same metric (O(1)
+  /// per probe). With realistic head-heavy histograms this bound is
+  /// loose — watermark churn barely moves a cosine.
   kSimilarity,
   /// The additive QKP reading of §III-B2: the summed token churn of the
   /// selected pairs may not exceed `b%` of the dataset's total row count.
@@ -59,7 +60,7 @@ enum class WeightFormula {
 /// All knobs of watermark generation. Field names follow Table I.
 struct GenerateOptions {
   /// Budget `b`: the watermarked histogram must stay at least
-  /// (100 - budget_percent)% similar to the original.
+  /// (100 - budget_percent)% similar to the original (see `BudgetMode`).
   double budget_percent = 2.0;
 
   /// Modulus bound `z` (per-pair moduli are in [0, z)); must be >= 2.
@@ -87,6 +88,7 @@ struct GenerateOptions {
   BudgetMode budget_mode = BudgetMode::kSimilarity;
   EligibilityRule eligibility = EligibilityRule::kPaper;
   WeightFormula weight_formula = WeightFormula::kPaperRemainder;
+  /// The similarity the budget is held under and the report measures.
   SimilarityMetric metric = SimilarityMetric::kCosine;
 
   /// Security parameter λ (bits of the secret R).

@@ -1,7 +1,10 @@
 #include "core/secrets.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/hex.h"
 #include "common/string_util.h"
@@ -42,10 +45,11 @@ Result<WatermarkSecrets> WatermarkSecrets::Deserialize(
   if (!std::getline(in, line)) return Status::Corruption("missing z line");
   {
     std::vector<std::string> parts = Split(std::string(StripWhitespace(line)), ' ');
-    if (parts.size() != 2 || parts[0] != "z" || !IsInteger(parts[1])) {
+    Result<uint64_t> z = ParseU64(parts.size() == 2 ? parts[1] : "");
+    if (parts.size() != 2 || parts[0] != "z" || !z.ok()) {
       return Status::Corruption("malformed z line");
     }
-    out.z = std::stoull(parts[1]);
+    out.z = z.value();
     if (out.z < 2) return Status::Corruption("z must be >= 2");
   }
   if (!std::getline(in, line)) return Status::Corruption("missing r line");
@@ -57,16 +61,17 @@ Result<WatermarkSecrets> WatermarkSecrets::Deserialize(
     FREQYWM_ASSIGN_OR_RETURN(out.r, WatermarkSecret::FromHex(parts[1]));
   }
   if (!std::getline(in, line)) return Status::Corruption("missing pairs line");
-  size_t n_pairs = 0;
+  uint64_t n_pairs = 0;
   {
     std::vector<std::string> parts = Split(std::string(StripWhitespace(line)), ' ');
-    if (parts.size() != 2 || parts[0] != "pairs" || !IsInteger(parts[1])) {
+    Result<uint64_t> n = ParseU64(parts.size() == 2 ? parts[1] : "");
+    if (parts.size() != 2 || parts[0] != "pairs" || !n.ok()) {
       return Status::Corruption("malformed pairs line");
     }
-    n_pairs = std::stoull(parts[1]);
+    n_pairs = n.value();
   }
-  out.pairs.reserve(n_pairs);
-  for (size_t i = 0; i < n_pairs; ++i) {
+  // No reserve: the count is untrusted until that many lines are read.
+  for (uint64_t i = 0; i < n_pairs; ++i) {
     if (!std::getline(in, line)) {
       return Status::Corruption("truncated pair list");
     }
@@ -76,6 +81,17 @@ Result<WatermarkSecrets> WatermarkSecrets::Deserialize(
     FREQYWM_ASSIGN_OR_RETURN(std::vector<uint8_t> tj, HexDecode(parts[1]));
     out.pairs.push_back(SecretPair{Token(ti.begin(), ti.end()),
                                    Token(tj.begin(), tj.end())});
+  }
+  // A self-pair passes every modulus (f_i - f_i = 0) and a repeat counts
+  // one residue twice. (a, b) and (b, a) have distinct moduli.
+  std::vector<std::pair<std::string_view, std::string_view>> sorted;
+  for (const SecretPair& p : out.pairs) {
+    if (p.token_i == p.token_j) return Status::Corruption("self-pair in key");
+    sorted.emplace_back(p.token_i, p.token_j);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Status::Corruption("repeated pair in key");
   }
   return out;
 }

@@ -37,7 +37,9 @@ struct WatermarkSecrets {
   std::string Serialize() const;
 
   /// Parses the output of `Serialize`. Fails with `Corruption` on malformed
-  /// input.
+  /// input, which includes a self-pair (`token_i == token_j`) and an exact
+  /// repeat of an earlier `(token_i, token_j)`: both would verify without
+  /// any watermark in the data.
   static Result<WatermarkSecrets> Deserialize(const std::string& text);
 
   /// Saves to / loads from a file.

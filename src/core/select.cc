@@ -12,13 +12,14 @@ namespace {
 
 /// Scans `candidate_order` (indices into `eligible`), committing every pair
 /// that keeps tokens disjoint and stays within the budget (similarity
-/// floor or additive churn capacity, per `options.budget_mode`).
+/// floor under `options.metric`, or additive churn capacity, per
+/// `options.budget_mode`).
 SelectionResult FillBudget(const Histogram& hist,
                            const std::vector<EligiblePair>& eligible,
                            const std::vector<size_t>& candidate_order,
                            const GenerateOptions& options) {
   SelectionResult out;
-  IncrementalCosine cosine(hist);
+  IncrementalSimilarity similarity(hist, options.metric);
   const double floor_percent = 100.0 - options.budget_percent;
   const uint64_t churn_capacity = static_cast<uint64_t>(
       options.budget_percent / 100.0 *
@@ -30,21 +31,21 @@ SelectionResult FillBudget(const Histogram& hist,
     const EligiblePair& p = eligible[idx];
     if (token_used[p.rank_i] || token_used[p.rank_j]) continue;
     if (options.budget_mode == BudgetMode::kSimilarity) {
-      double prospective =
-          cosine.ProbePairDelta(p.rank_i, p.delta_i, p.rank_j, p.delta_j) *
-          100.0;
+      double prospective = similarity.ProbePairDelta(p.rank_i, p.delta_i,
+                                                     p.rank_j, p.delta_j) *
+                           100.0;
       if (prospective < floor_percent) continue;
     } else {
       if (churn_used + p.cost > churn_capacity) continue;
       churn_used += p.cost;
     }
-    cosine.ApplyDelta(p.rank_i, p.delta_i);
-    cosine.ApplyDelta(p.rank_j, p.delta_j);
+    similarity.ApplyDelta(p.rank_i, p.delta_i);
+    similarity.ApplyDelta(p.rank_j, p.delta_j);
     token_used[p.rank_i] = 1;
     token_used[p.rank_j] = 1;
     out.chosen.push_back(idx);
   }
-  out.similarity_percent = cosine.SimilarityPercent();
+  out.similarity_percent = similarity.SimilarityPercent();
   return out;
 }
 

@@ -86,22 +86,6 @@ Result<HistogramGenerateResult> WatermarkGenerator::GenerateFromHistogram(
   return out;
 }
 
-Result<DatasetGenerateResult> WatermarkGenerator::Generate(
-    const Dataset& original, const ExecContext& exec) const {
-  FREQYWM_ASSIGN_OR_RETURN(Histogram hist,
-                           exec.BuildHistogramChecked(original));
-  FREQYWM_ASSIGN_OR_RETURN(HistogramGenerateResult hist_result,
-                           GenerateFromHistogram(hist, exec));
-  Rng rng(options_.seed == 0
-              ? DigestPrefixU64(Sha256::Hash(
-                    hist_result.report.secrets.r.ToHex()))
-              : options_.seed + 0x517cc1b727220a95ULL);
-  DatasetGenerateResult out{
-      TransformDataset(original, hist_result.watermarked, rng),
-      std::move(hist_result.report)};
-  return out;
-}
-
 namespace {
 
 /// True when the count at `rank` lies between its neighbours' counts:

@@ -35,12 +35,6 @@ struct HistogramGenerateResult {
   GenerateReport report;
 };
 
-/// Result of watermarking a full dataset (row-level API).
-struct DatasetGenerateResult {
-  Dataset watermarked;
-  GenerateReport report;
-};
-
 /// The FreqyWM watermark generator (Algorithm I).
 ///
 /// Typical histogram-level use:
@@ -56,10 +50,10 @@ struct DatasetGenerateResult {
 ///   // result.value().report.secrets — Lsc, keep it safe
 /// \endcode
 ///
-/// The dataset-level `Generate` additionally performs the Data
-/// Transformation step: it inserts new token instances at uniformly random
-/// positions and removes surplus instances at random positions (random
-/// placement is part of the guess-attack story, §III-B1).
+/// The Data Transformation step (§III-B1) is `TransformDataset`, which
+/// `WatermarkScheme::EmbedDataset` runs after the histogram embed: it
+/// removes surplus token instances and inserts new ones at uniformly
+/// random positions (random placement is part of the guess-attack story).
 class WatermarkGenerator {
  public:
   explicit WatermarkGenerator(GenerateOptions options);
@@ -75,13 +69,6 @@ class WatermarkGenerator {
   /// byte-identical at any thread count (DESIGN.md §8).
   Result<HistogramGenerateResult> GenerateFromHistogram(
       const Histogram& original, const ExecContext& exec = ExecContext{}) const;
-
-  /// Watermarks a dataset end-to-end (histogram + data transformation).
-  /// The eligible-pair scan runs through `exec`; output is byte-identical
-  /// at any thread count. The histogram build honors the context's
-  /// cancellation/deadline (`kCancelled` / `kDeadlineExceeded`).
-  Result<DatasetGenerateResult> Generate(
-      const Dataset& original, const ExecContext& exec = ExecContext{}) const;
 
   const GenerateOptions& options() const { return options_; }
 

@@ -60,11 +60,6 @@ Sha256::Digest Sha256::Finish() {
   return out;
 }
 
-Sha256::Digest Sha256::FinishedCopy() const {
-  Sha256 clone = *this;
-  return clone.Finish();
-}
-
 Sha256::Digest Sha256::Hash(std::string_view data) {
   Sha256 h;
   h.Update(data);

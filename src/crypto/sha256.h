@@ -53,11 +53,6 @@ class Sha256 {
   /// copy taken before the call).
   Digest Finish();
 
-  /// Finishes a *clone* of the current midstate, leaving this object
-  /// untouched and reusable: `h.FinishedCopy()` equals
-  /// `Sha256(h).Finish()` and may be called repeatedly between Updates.
-  Digest FinishedCopy() const;
-
   /// One-shot digest of `data`.
   static Digest Hash(std::string_view data);
 

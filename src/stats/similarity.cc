@@ -77,49 +77,62 @@ double HistogramSimilarityPercent(const Histogram& a, const Histogram& b,
   return HistogramSimilarity(a, b, metric) * 100.0;
 }
 
-IncrementalCosine::IncrementalCosine(const Histogram& original) {
+IncrementalSimilarity::IncrementalSimilarity(const Histogram& original,
+                                             SimilarityMetric metric)
+    : metric_(metric) {
   original_.reserve(original.num_tokens());
   for (const auto& e : original.entries()) {
     original_.push_back(static_cast<double>(e.count));
   }
   current_ = original_;
   for (double v : original_) {
-    dot_ += v * v;
+    sums_.dot += v * v;
     norm_orig_sq_ += v * v;
+    sum_orig_ += v;
   }
-  norm_cur_sq_ = norm_orig_sq_;
+  sums_.norm_cur_sq = norm_orig_sq_;
+  sums_.sum_cur = sum_orig_;
 }
 
-double IncrementalCosine::Similarity() const {
-  if (norm_orig_sq_ == 0 && norm_cur_sq_ == 0) return 1.0;
-  if (norm_orig_sq_ == 0 || norm_cur_sq_ == 0) return 0.0;
-  return dot_ / (std::sqrt(norm_orig_sq_) * std::sqrt(norm_cur_sq_));
+void IncrementalSimilarity::Shift(Sums& sums, size_t rank,
+                                  int64_t delta) const {
+  const double orig = original_[rank];
+  const double old_v = current_[rank];
+  const double new_v = old_v + static_cast<double>(delta);
+  sums.dot += orig * (new_v - old_v);
+  sums.norm_cur_sq += new_v * new_v - old_v * old_v;
+  sums.l1 += std::abs(new_v - orig) - std::abs(old_v - orig);
+  sums.sum_cur += new_v - old_v;
 }
 
-void IncrementalCosine::ApplyDelta(size_t rank, int64_t delta) {
-  double old_v = current_[rank];
-  double new_v = old_v + static_cast<double>(delta);
-  dot_ += original_[rank] * (new_v - old_v);
-  norm_cur_sq_ += new_v * new_v - old_v * old_v;
-  current_[rank] = new_v;
-}
-
-double IncrementalCosine::ProbePairDelta(size_t rank_i, int64_t delta_i,
-                                         size_t rank_j,
-                                         int64_t delta_j) const {
-  double dot = dot_;
-  double ncur = norm_cur_sq_;
-  const size_t ranks[2] = {rank_i, rank_j};
-  const int64_t deltas[2] = {delta_i, delta_j};
-  for (int s = 0; s < 2; ++s) {
-    double old_v = current_[ranks[s]];
-    double new_v = old_v + static_cast<double>(deltas[s]);
-    dot += original_[ranks[s]] * (new_v - old_v);
-    ncur += new_v * new_v - old_v * old_v;
+double IncrementalSimilarity::Of(const Sums& sums) const {
+  const double total = sum_orig_ + sums.sum_cur;
+  switch (metric_) {
+    case SimilarityMetric::kCosine:
+      if (norm_orig_sq_ == 0 && sums.norm_cur_sq == 0) return 1.0;
+      if (norm_orig_sq_ == 0 || sums.norm_cur_sq == 0) return 0.0;
+      return sums.dot /
+             (std::sqrt(norm_orig_sq_) * std::sqrt(sums.norm_cur_sq));
+    case SimilarityMetric::kNormalizedL1:
+      return total == 0 ? 1.0 : 1.0 - sums.l1 / total;
+    case SimilarityMetric::kMinMaxRatio:
+      return total == 0 ? 1.0 : (total - sums.l1) / (total + sums.l1);
   }
-  if (norm_orig_sq_ == 0 && ncur == 0) return 1.0;
-  if (norm_orig_sq_ == 0 || ncur == 0) return 0.0;
-  return dot / (std::sqrt(norm_orig_sq_) * std::sqrt(ncur));
+  return 0.0;
+}
+
+void IncrementalSimilarity::ApplyDelta(size_t rank, int64_t delta) {
+  Shift(sums_, rank, delta);
+  current_[rank] += static_cast<double>(delta);
+}
+
+double IncrementalSimilarity::ProbePairDelta(size_t rank_i, int64_t delta_i,
+                                             size_t rank_j,
+                                             int64_t delta_j) const {
+  Sums sums = sums_;
+  Shift(sums, rank_i, delta_i);
+  Shift(sums, rank_j, delta_j);
+  return Of(sums);
 }
 
 }  // namespace freqywm

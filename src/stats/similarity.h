@@ -32,19 +32,23 @@ double HistogramSimilarityPercent(
     const Histogram& a, const Histogram& b,
     SimilarityMetric metric = SimilarityMetric::kCosine);
 
-/// Incremental cosine tracker for the original histogram vs a mutated copy.
+/// Incremental similarity tracker for the original histogram vs a mutated
+/// copy, under one `SimilarityMetric`.
 ///
-/// The QKP/greedy selection loop repeatedly asks "what is the similarity if
-/// I also apply this pair's deltas?". Recomputing the full dot product each
-/// time is O(n) per probe; this tracker answers in O(1) because each
-/// FreqyWM pair touches exactly two disjoint entries.
-class IncrementalCosine {
+/// Selection asks "what is the similarity if I also apply this pair's
+/// deltas?" per candidate; each FreqyWM pair touches two disjoint entries,
+/// so running sums answer in O(1): dot product and squared norm (cosine),
+/// L1 = Σ|cur - orig| and Σcur (normalized L1, and min/max since
+/// Σmin = (Σorig + Σcur - L1) / 2 and Σmax = (Σorig + Σcur + L1) / 2).
+class IncrementalSimilarity {
  public:
   /// Starts from `original` compared against itself (similarity 1).
-  explicit IncrementalCosine(const Histogram& original);
+  explicit IncrementalSimilarity(
+      const Histogram& original,
+      SimilarityMetric metric = SimilarityMetric::kCosine);
 
   /// Similarity after the deltas applied so far.
-  double Similarity() const;
+  double Similarity() const { return Of(sums_); }
   /// Similarity in percent.
   double SimilarityPercent() const { return Similarity() * 100.0; }
 
@@ -57,11 +61,23 @@ class IncrementalCosine {
                         int64_t delta_j) const;
 
  private:
+  /// The sums that move with the mutated copy.
+  struct Sums {
+    double dot = 0, norm_cur_sq = 0;  // cosine
+    double l1 = 0, sum_cur = 0;       // normalized L1 and min/max
+  };
+
+  /// Moves `sums` as if the entry at `rank` went from `current_[rank]` to
+  /// `current_[rank] + delta`.
+  void Shift(Sums& sums, size_t rank, int64_t delta) const;
+  double Of(const Sums& sums) const;
+
+  SimilarityMetric metric_;
   std::vector<double> original_;
   std::vector<double> current_;
-  double dot_ = 0;
   double norm_orig_sq_ = 0;
-  double norm_cur_sq_ = 0;
+  double sum_orig_ = 0;
+  Sums sums_;
 };
 
 }  // namespace freqywm

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/watermark.h"
+#include "api/freqywm_scheme.h"
 #include "datagen/clickstream.h"
 
 namespace freqywm {
@@ -73,7 +73,7 @@ TEST(TrainTestAccuracyTest, WatermarkingLeavesAccuracyUnchanged) {
   o.budget_percent = 2.0;
   o.modulus_bound = 131;
   o.seed = 99;
-  auto wm = WatermarkGenerator(o).Generate(original);
+  auto wm = FreqyWmScheme(o).EmbedDataset(original);
   ASSERT_TRUE(wm.ok()) << wm.status();
 
   double acc_original = TrainTestAccuracy(original, 0.8);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "api/wm_obt_scheme.h"
 #include "api/wm_rvs_scheme.h"
@@ -166,6 +169,62 @@ TEST(WmRvsKeyPayloadTest, RejectsMalformedFields) {
       WmRvsScheme::ParseKeyPayload(
           "wm-rvs-key v1\nkey_seed 1\nmax_digit_position 1\nbits 12\n")
           .ok());
+}
+
+/// A well-formed WM-OBT payload with one field replaced by `value`.
+std::string WmObtPayloadWith(const std::string& field,
+                             const std::string& value) {
+  std::map<std::string, std::string> fields = {
+      {"key_seed", "7"},       {"num_partitions", "4"},
+      {"condition", "0.7"},    {"decode_threshold", "0.1"},
+      {"bits", "101"}};
+  fields[field] = value;
+  std::string payload = "wm-obt-key v1\n";
+  for (const auto& [name, text] : fields) payload += name + " " + text + "\n";
+  return payload;
+}
+
+// Each hostile field used to parse into a value: a 23-digit seed saturated
+// to 2^64 - 1 (aliasing the key that has that seed), "nan" was accepted as
+// a condition and "1.5abc" read as 1.5. All are typed corruption now.
+TEST(WmObtKeyPayloadTest, HostileNumbersAreTypedCorruption) {
+  ASSERT_TRUE(WmObtScheme::ParseKeyPayload(WmObtPayloadWith("key_seed", "7"))
+                  .ok());
+  const std::pair<std::string, std::string> hostile[] = {
+      {"key_seed", "99999999999999999999999"},
+      {"key_seed", "+7"},
+      {"num_partitions", "18446744073709551620"},
+      {"condition", "nan"},
+      {"condition", "inf"},
+      {"condition", "0.7x"},
+      {"decode_threshold", "1.5abc"},
+      {"decode_threshold", "1e999"},
+  };
+  for (const auto& [field, value] : hostile) {
+    auto parsed = WmObtScheme::ParseKeyPayload(WmObtPayloadWith(field, value));
+    ASSERT_FALSE(parsed.ok()) << field << " " << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption)
+        << field << " " << value;
+    EXPECT_EQ(parsed.status().message().rfind("bad " + field, 0), 0u)
+        << parsed.status();
+  }
+}
+
+// "4294967298" used to go through atoll and an int cast and parse as 2.
+TEST(WmRvsKeyPayloadTest, HostileNumbersAreTypedCorruption) {
+  const char* hostile[] = {
+      "wm-rvs-key v1\nkey_seed 99999999999999999999999\n"
+      "max_digit_position 2\nbits 1\n",
+      "wm-rvs-key v1\nkey_seed 1\nmax_digit_position 4294967298\nbits 1\n",
+      "wm-rvs-key v1\nkey_seed 1\nmax_digit_position "
+      "99999999999999999999999\nbits 1\n",
+      "wm-rvs-key v1\nkey_seed 1\nmax_digit_position -2\nbits 1\n",
+  };
+  for (const char* payload : hostile) {
+    auto parsed = WmRvsScheme::ParseKeyPayload(payload);
+    ASSERT_FALSE(parsed.ok()) << payload;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << payload;
+  }
 }
 
 }  // namespace

@@ -44,19 +44,59 @@ TEST(StripWhitespaceTest, KeepsInnerWhitespace) {
   EXPECT_EQ(StripWhitespace(" a b "), "a b");
 }
 
-TEST(IsIntegerTest, AcceptsIntegers) {
-  EXPECT_TRUE(IsInteger("0"));
-  EXPECT_TRUE(IsInteger("12345"));
-  EXPECT_TRUE(IsInteger("-7"));
-  EXPECT_TRUE(IsInteger("+7"));
+TEST(ParseU64Test, AcceptsDigitStrings) {
+  EXPECT_EQ(ParseU64("0").value(), 0u);
+  EXPECT_EQ(ParseU64("12345").value(), 12345u);
+  EXPECT_EQ(ParseU64("007").value(), 7u);
+  EXPECT_EQ(ParseU64("18446744073709551615").value(),
+            18446744073709551615ull);
 }
 
-TEST(IsIntegerTest, RejectsNonIntegers) {
-  EXPECT_FALSE(IsInteger(""));
-  EXPECT_FALSE(IsInteger("-"));
-  EXPECT_FALSE(IsInteger("1.5"));
-  EXPECT_FALSE(IsInteger("12a"));
-  EXPECT_FALSE(IsInteger(" 1"));
+TEST(ParseU64Test, RejectsSignsWhitespaceAndPartialTokens) {
+  for (const char* text :
+       {"", "-", "+", "-7", "+7", "-0", " 1", "1 ", "1.5", "12a", "0x10",
+        "1e3", "\t9"}) {
+    Result<uint64_t> value = ParseU64(text);
+    ASSERT_FALSE(value.ok()) << text;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(value.status().message(),
+              "'" + std::string(text) + "' is not a non-negative integer");
+  }
+}
+
+TEST(ParseU64Test, RejectsOverflow) {
+  for (const char* text : {"18446744073709551616", "999999999999999999999",
+                           "99999999999999999999999999"}) {
+    Result<uint64_t> value = ParseU64(text);
+    ASSERT_FALSE(value.ok()) << text;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(value.status().message(),
+              "'" + std::string(text) + "' overflows uint64");
+  }
+}
+
+TEST(ParseFiniteDoubleTest, AcceptsWholeFiniteTokens) {
+  EXPECT_EQ(ParseFiniteDouble("0").value(), 0.0);
+  EXPECT_EQ(ParseFiniteDouble("1.5").value(), 1.5);
+  EXPECT_EQ(ParseFiniteDouble("-2.5e3").value(), -2500.0);
+  EXPECT_EQ(ParseFiniteDouble(".25").value(), 0.25);
+  EXPECT_EQ(ParseFiniteDouble("0.096600000000000005").value(), 0.0966);
+}
+
+TEST(ParseFiniteDoubleTest, RejectsPartialAndNonFiniteTokens) {
+  for (const char* text : {"", "abc", "1.5abc", " 1.5", "1.5 ", "+1.5", "-",
+                           "0x1p3", "nan", "-nan", "inf", "-infinity",
+                           "1e999", "-1e999", "1e-400"}) {
+    Result<double> value = ParseFiniteDouble(text);
+    ASSERT_FALSE(value.ok()) << text;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  EXPECT_EQ(ParseFiniteDouble("1.5abc").status().message(),
+            "'1.5abc' is not a number");
+  EXPECT_EQ(ParseFiniteDouble("nan").status().message(),
+            "'nan' is not a finite number");
+  EXPECT_EQ(ParseFiniteDouble("1e-400").status().message(),
+            "'1e-400' is not a finite number");
 }
 
 }  // namespace

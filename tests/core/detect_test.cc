@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "api/freqywm_scheme.h"
 #include "core/watermark.h"
 #include "crypto/pair_modulus.h"
 #include "datagen/power_law.h"
@@ -297,6 +298,27 @@ TEST(DetectTest, UnitRescaleEqualsIntegerPathForAnyModulus) {
   }
 }
 
+// Soundness: a forged key of self-pairs used to verify on any data, since
+// f_a - f_a = 0 is divisible by every modulus (100/100 pairs with k = 50).
+// The key now fails to parse, and an unparsable key rejects every suspect.
+TEST(DetectTest, ForgedSelfPairKeyIsRejected) {
+  auto suspect = Histogram::FromCounts(
+      {{"a", 500}, {"b", 300}, {"c", 7}});
+  ASSERT_TRUE(suspect.ok());
+  for (uint64_t seed : {1, 2, 3}) {
+    WatermarkSecrets forged;
+    forged.r = GenerateSecret(256, seed);
+    forged.z = 131;
+    forged.pairs.assign(100, SecretPair{"a", "a"});
+    const SchemeKey key{"freqywm", forged.Serialize()};
+    FreqyWmScheme scheme;
+    const DetectOptions options = scheme.RecommendedDetectOptions(key);
+    DetectResult result = scheme.Detect(suspect.value(), key, options);
+    EXPECT_FALSE(result.accepted) << "seed " << seed;
+    EXPECT_EQ(result.pairs_verified, 0u) << "seed " << seed;
+  }
+}
+
 TEST(DetectTest, DatasetOverloadMatchesHistogramOverload) {
   // Small end-to-end check of the convenience overload.
   Rng rng(9);
@@ -308,15 +330,16 @@ TEST(DetectTest, DatasetOverloadMatchesHistogramOverload) {
   GenerateOptions o;
   o.seed = 11;
   o.modulus_bound = 131;
-  auto r = WatermarkGenerator(o).Generate(data);
+  auto r = FreqyWmScheme(o).EmbedDataset(data);
   ASSERT_TRUE(r.ok());
+  auto secrets = WatermarkSecrets::Deserialize(r.value().key.payload);
+  ASSERT_TRUE(secrets.ok());
   DetectOptions d;
   d.min_pairs = 1;
   DetectResult via_dataset =
-      DetectWatermark(r.value().watermarked, r.value().report.secrets, d);
+      DetectWatermark(r.value().watermarked, secrets.value(), d);
   DetectResult via_hist = DetectWatermark(
-      Histogram::FromDataset(r.value().watermarked),
-      r.value().report.secrets, d);
+      Histogram::FromDataset(r.value().watermarked), secrets.value(), d);
   EXPECT_EQ(via_dataset.pairs_verified, via_hist.pairs_verified);
   EXPECT_EQ(via_dataset.accepted, via_hist.accepted);
 }

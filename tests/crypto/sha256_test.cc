@@ -110,18 +110,7 @@ TEST(Sha256Test, MidstateIsReusableAcrossManySuffixes) {
   }
   // The midstate itself was never finished; finishing a final clone still
   // matches the prefix-only digest.
-  EXPECT_EQ(midstate.FinishedCopy(), Sha256::Hash("shared-prefix|"));
-}
-
-// FinishedCopy does not consume the state: repeated calls agree, and
-// updating afterwards continues from the same midstate.
-TEST(Sha256Test, FinishedCopyLeavesStateIntact) {
-  Sha256 h;
-  h.Update("abc");
-  EXPECT_EQ(h.FinishedCopy(), Sha256::Hash("abc"));
-  EXPECT_EQ(h.FinishedCopy(), Sha256::Hash("abc"));
-  h.Update("def");
-  EXPECT_EQ(h.FinishedCopy(), Sha256::Hash("abcdef"));
+  EXPECT_EQ(Sha256(midstate).Finish(), Sha256::Hash("shared-prefix|"));
 }
 
 // NIST vector through the midstate path: clone of an "abc" midstate must

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace freqywm {
 namespace {
@@ -83,7 +84,7 @@ TEST(HistogramSimilarityTest, MinMaxRatioMetric) {
 
 TEST(IncrementalCosineTest, StartsAtOne) {
   Histogram h = MakeHist({{"a", 100}, {"b", 50}});
-  IncrementalCosine c(h);
+  IncrementalSimilarity c(h);
   EXPECT_DOUBLE_EQ(c.Similarity(), 1.0);
   EXPECT_DOUBLE_EQ(c.SimilarityPercent(), 100.0);
 }
@@ -91,7 +92,7 @@ TEST(IncrementalCosineTest, StartsAtOne) {
 TEST(IncrementalCosineTest, MatchesFullRecomputation) {
   Histogram h =
       MakeHist({{"a", 1098}, {"b", 980}, {"c", 674}, {"d", 537}, {"e", 64}});
-  IncrementalCosine inc(h);
+  IncrementalSimilarity inc(h);
   inc.ApplyDelta(0, -23);
   inc.ApplyDelta(3, +22);
   inc.ApplyDelta(4, +1);
@@ -105,7 +106,7 @@ TEST(IncrementalCosineTest, MatchesFullRecomputation) {
 
 TEST(IncrementalCosineTest, ProbeDoesNotCommit) {
   Histogram h = MakeHist({{"a", 100}, {"b", 50}, {"c", 25}});
-  IncrementalCosine inc(h);
+  IncrementalSimilarity inc(h);
   double probed = inc.ProbePairDelta(0, -30, 2, +30);
   EXPECT_LT(probed, 1.0);
   EXPECT_DOUBLE_EQ(inc.Similarity(), 1.0);  // untouched
@@ -113,7 +114,7 @@ TEST(IncrementalCosineTest, ProbeDoesNotCommit) {
 
 TEST(IncrementalCosineTest, ProbeEqualsApply) {
   Histogram h = MakeHist({{"a", 500}, {"b", 250}, {"c", 125}, {"d", 60}});
-  IncrementalCosine inc(h);
+  IncrementalSimilarity inc(h);
   inc.ApplyDelta(1, -7);
   double probed = inc.ProbePairDelta(0, -10, 3, +9);
   inc.ApplyDelta(0, -10);
@@ -124,7 +125,7 @@ TEST(IncrementalCosineTest, ProbeEqualsApply) {
 TEST(IncrementalCosineTest, SequenceOfPairsMatchesBatch) {
   Histogram h = MakeHist(
       {{"t0", 9000}, {"t1", 7000}, {"t2", 5000}, {"t3", 3000}, {"t4", 1000}});
-  IncrementalCosine inc(h);
+  IncrementalSimilarity inc(h);
   Histogram modified = h;
   struct Step {
     size_t rank;
@@ -138,6 +139,42 @@ TEST(IncrementalCosineTest, SequenceOfPairsMatchesBatch) {
   EXPECT_NEAR(inc.Similarity(), HistogramSimilarity(h, modified), 1e-12);
 }
 
+// The L1 and min/max trackers keep their own running sums; each probe and
+// each committed step must equal the full recomputation under that metric.
+TEST(IncrementalSimilarityTest, TracksEachMetricExactly) {
+  Histogram h = MakeHist(
+      {{"t0", 9000}, {"t1", 7000}, {"t2", 5000}, {"t3", 3000}, {"t4", 1000}});
+  for (SimilarityMetric metric :
+       {SimilarityMetric::kCosine, SimilarityMetric::kNormalizedL1,
+        SimilarityMetric::kMinMaxRatio}) {
+    IncrementalSimilarity inc(h, metric);
+    EXPECT_DOUBLE_EQ(inc.Similarity(), 1.0);
+    Histogram modified = h;
+    struct Pair {
+      size_t rank_i;
+      int64_t delta_i;
+      size_t rank_j;
+      int64_t delta_j;
+    };
+    // Deltas cross back over the original count (t0 +120 then -200), so
+    // the |cur - orig| and min/max terms change sign mid-sequence.
+    for (const Pair& p : std::vector<Pair>{
+             {0, 120, 1, -80}, {2, 33, 3, -12}, {0, -200, 4, 5}}) {
+      const double probed =
+          inc.ProbePairDelta(p.rank_i, p.delta_i, p.rank_j, p.delta_j);
+      inc.ApplyDelta(p.rank_i, p.delta_i);
+      inc.ApplyDelta(p.rank_j, p.delta_j);
+      ASSERT_TRUE(
+          modified.AddDelta(h.entry(p.rank_i).token, p.delta_i).ok());
+      ASSERT_TRUE(
+          modified.AddDelta(h.entry(p.rank_j).token, p.delta_j).ok());
+      const double full = HistogramSimilarity(h, modified, metric);
+      EXPECT_NEAR(probed, full, 1e-12) << static_cast<int>(metric);
+      EXPECT_NEAR(inc.Similarity(), full, 1e-12) << static_cast<int>(metric);
+    }
+  }
+}
+
 // Regression guard (DESIGN.md §11): counts near the uint64 ceiling must
 // flow through the accumulators as doubles — an integer dot product or
 // squared norm at this magnitude is signed-overflow UB the CI UBSan job
@@ -147,7 +184,7 @@ TEST(IncrementalCosineTest, ExtremeCountsDoNotOverflow) {
   // (FromCounts rejects a total that overflows).
   const uint64_t huge = 0xa000000000000000ULL;
   Histogram h = MakeHist({{"a", huge}, {"b", huge / 2}, {"c", 1}});
-  IncrementalCosine inc(h);
+  IncrementalSimilarity inc(h);
   EXPECT_NEAR(inc.Similarity(), 1.0, 1e-12);
 
   inc.ApplyDelta(2, static_cast<int64_t>(1) << 62);

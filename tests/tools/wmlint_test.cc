@@ -128,6 +128,23 @@ TEST(WmlintIdentityGateTest, GateUsePasses) {
   EXPECT_TRUE(r.findings.empty()) << RenderText(r);
 }
 
+// ------------------------------------------------------- number_parse
+
+TEST(WmlintNumberParseTest, FlagsHandRolledParsesOutsideStringUtil) {
+  RunResult r = RunFixture("number_parse_bad", "number_parse");
+  std::vector<std::string> keys = Keys(r, "number_parse");
+  std::sort(keys.begin(), keys.end());
+  ASSERT_EQ(keys.size(), 3u) << RenderText(r);
+  EXPECT_EQ(keys[0], "src/api/key_reader.cc:atoi");
+  EXPECT_EQ(keys[1], "src/api/key_reader.cc:stoull");
+  EXPECT_EQ(keys[2], "src/api/key_reader.cc:strtod");
+}
+
+TEST(WmlintNumberParseTest, StringUtilAndMemberCallsPass) {
+  RunResult r = RunFixture("number_parse_clean", "number_parse");
+  EXPECT_TRUE(r.findings.empty()) << RenderText(r);
+}
+
 // ----------------------------------------------------- config policy
 
 TEST(WmlintConfigTest, StaleEntriesAndMissingRationalesAreFindings) {

@@ -623,4 +623,38 @@ void CheckIdentityGate(const std::vector<LexedFile>& code, Allowlist* allow,
   }
 }
 
+// --------------------------------------------------------- number_parse
+
+void CheckNumberParse(const std::vector<LexedFile>& code,
+                      std::vector<Finding>* findings) {
+  // The C/C++ string-to-number family, space-delimited.
+  static const std::string kFamily =
+      " stoi stol stoll stoul stoull stof stod stold strtol strtoll strtoul"
+      " strtoull strtof strtod strtold strtoimax strtoumax atoi atol atoll"
+      " atof ";
+  for (const LexedFile& file : code) {
+    if (!StartsWith(file.path, "src/") ||
+        file.path == "src/common/string_util.cc") {
+      continue;
+    }
+    const std::vector<Token>& toks = file.tokens;
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (t.kind != TokKind::kIdentifier ||
+          kFamily.find(" " + t.text + " ") == std::string::npos ||
+          !IsPunct(toks[i + 1], "(")) {
+        continue;
+      }
+      if (i > 0 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"))) {
+        continue;
+      }
+      findings->push_back(
+          {"number_parse", file.path, t.line, file.path + ":" + t.text,
+           "'" + t.text + "' parses outside text by hand — use ParseU64 / "
+           "ParseFiniteDouble (common/string_util.h), the one parser that "
+           "rejects signs, partial tokens, overflow and non-finite values"});
+    }
+  }
+}
+
 }  // namespace wmlint

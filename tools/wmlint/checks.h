@@ -10,9 +10,9 @@
 
 namespace wmlint {
 
-/// The five project-invariant checks (DESIGN.md §12). Each takes the
-/// lexed tree, claims entries from its allowlist (the driver reports
-/// stale entries afterwards), and appends findings.
+/// The six project-invariant checks (DESIGN.md §12). Each takes the
+/// lexed tree, claims entries from its allowlist if it has one (the
+/// driver reports stale entries afterwards), and appends findings.
 
 /// layers: every first-party `#include` in src/ + bench/ must follow an
 /// edge of the layer DAG in layers.txt. Angled includes and same-
@@ -56,6 +56,14 @@ void CheckOracle(const std::vector<LexedFile>& code,
 /// implementation. Allowlist key: file path.
 void CheckIdentityGate(const std::vector<LexedFile>& code, Allowlist* allow,
                        std::vector<Finding>* findings);
+
+/// number_parse: outside text becomes a number only through
+/// common/string_util's `ParseU64` / `ParseFiniteDouble` (DESIGN.md §11).
+/// Flags every call to the `sto*` / `strto*` / `ato*` family in src/
+/// except src/common/string_util.cc, which holds the one parser; member
+/// calls (`x.stoi(`, `p->atol(`) are not that family. No allowlist.
+void CheckNumberParse(const std::vector<LexedFile>& code,
+                      std::vector<Finding>* findings);
 
 }  // namespace wmlint
 

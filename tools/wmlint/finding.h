@@ -11,9 +11,9 @@ namespace wmlint {
 /// DESIGN.md §12.
 struct Finding {
   /// Which check produced it: "layers", "guarded_by", "determinism",
-  /// "oracle", "identity_gate" — or "config" for malformed / stale
-  /// config and allowlist files (config findings are never
-  /// allowlistable).
+  /// "oracle", "identity_gate", "number_parse" — or "config" for
+  /// malformed / stale config and allowlist files (config findings are
+  /// never allowlistable).
   std::string check;
   /// Repo-relative path with forward slashes; for config findings, the
   /// config file itself.

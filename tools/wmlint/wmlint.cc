@@ -119,7 +119,8 @@ std::string JsonEscape(const std::string& s) {
 
 const std::vector<std::string>& AllCheckNames() {
   static const std::vector<std::string> kNames = {
-      "layers", "guarded_by", "determinism", "oracle", "identity_gate"};
+      "layers", "guarded_by", "determinism", "oracle", "identity_gate",
+      "number_parse"};
   return kNames;
 }
 
@@ -187,6 +188,9 @@ RunResult Run(const RunOptions& options) {
                                     &result.findings);
     CheckIdentityGate(code, &allow, &result.findings);
     allow.ReportStale(&result.findings);
+  }
+  if (CheckEnabled(options.checks, "number_parse")) {
+    CheckNumberParse(code, &result.findings);
   }
 
   std::sort(result.findings.begin(), result.findings.end(), FindingLess);
