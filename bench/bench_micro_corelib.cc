@@ -308,8 +308,8 @@ void BM_WmDetect_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_WmDetect_Reference);
 
-// "After", serial shape: the single shot, which walks the pairs like the
-// oracle and builds no table (DESIGN.md §18).
+// "After", serial shape: a one-off detect, which builds the key's
+// PairModulusTable and runs the table pair loop once (DESIGN.md §18).
 void BM_WmDetect(benchmark::State& state) {
   DetectFixture f = MakeDetectFixture();
   if (!f.ok) {

@@ -203,8 +203,11 @@ int RunDetect(int argc, char** argv) {
     return 1;
   }
 
-  DetectOptions options =
-      scheme.value()->RecommendedDetectOptions(key.value());
+  // One parse of the key: the prepared key is the detector and carries
+  // the default settings the flags below override.
+  const std::unique_ptr<PreparedKey> prepared =
+      scheme.value()->Prepare(key.value());
+  DetectOptions options = prepared->recommended_options();
   uint64_t original_size = 0;
   for (int i = 4; i < argc; ++i) {
     std::string v;
@@ -234,7 +237,7 @@ int RunDetect(int argc, char** argv) {
   }
 
   DetectResult result =
-      scheme.value()->Detect(dataset.value(), key.value(), options);
+      prepared->Detect(Histogram::FromDataset(dataset.value()), options);
   std::printf("scheme %s: units found %zu, verified %zu (%.1f%%)\n",
               key.value().scheme.c_str(), result.pairs_found,
               result.pairs_verified, result.verified_fraction * 100);

@@ -117,12 +117,12 @@ int main() {
   // Trace: the registry runs every escrowed key against the pirated copy
   // through its scheme's Detect — no per-buyer plumbing here. The true
   // origin verifies far above the chance floor; innocents stay below k.
-  BatchDetectOptions trace;
-  trace.use_recommended_options = false;
-  DetectOptions& d = trace.detect_options;
+  DetectOptions d;
   d.pair_threshold = 3;        // covers the pirate's noise
   d.symmetric_residue = true;  // noise drifts residues both ways
   d.min_pairs = std::max<size_t>(1, min_fingerprint_pairs / 2);
+  BatchDetectOptions trace;
+  trace.detect_options = d;
   Result<std::vector<std::vector<TraceMatch>>> traced =
       registry.TraceSuspects({pirated}, trace);
   if (!traced.ok()) {

@@ -65,8 +65,9 @@ int main() {
   DetectOptions detect;
   detect.pair_threshold = 0;  // strict: exact modular matches only
   detect.min_pairs = report.embedded_units / 2;
-  DetectResult verdict =
-      scheme.Detect(generated.value().watermarked, key.value(), detect);
+  DetectResult verdict = scheme.Detect(
+      Histogram::FromDataset(generated.value().watermarked), key.value(),
+      detect);
   std::printf("suspect copy: %zu/%zu pairs verified -> %s\n",
               verdict.pairs_verified, report.embedded_units,
               verdict.accepted ? "WATERMARK DETECTED" : "not detected");
@@ -74,7 +75,8 @@ int main() {
   // 5. Sanity: an unrelated dataset does not trip detection.
   Rng other_rng(99);
   Dataset unrelated = GeneratePowerLawDataset(spec, other_rng);
-  DetectResult innocent = scheme.Detect(unrelated, key.value(), detect);
+  DetectResult innocent =
+      scheme.Detect(Histogram::FromDataset(unrelated), key.value(), detect);
   std::printf("unrelated data: %zu/%zu pairs verified -> %s\n",
               innocent.pairs_verified, report.embedded_units,
               innocent.accepted ? "FALSE POSITIVE?!" : "correctly rejected");

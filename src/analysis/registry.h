@@ -72,10 +72,10 @@ class FingerprintRegistry {
 
   /// Traces a batch of suspect copies — the marketplace workload where one
   /// owner screens many surfaced datasets at once. Every escrowed key runs
-  /// against every suspect through its scheme's `Detect`, in one
-  /// `BatchDetector::Session` (DESIGN.md §7): under the scheme's
-  /// `RecommendedDetectOptions` by default, or under
-  /// `options.detect_options` when `use_recommended_options` is false.
+  /// against every suspect through its prepared key, in one
+  /// `BatchDetector::Session` (DESIGN.md §7): under each prepared key's
+  /// `recommended_options()` by default, or under `options.detect_options`
+  /// when it is set.
   /// Element `i` of the result lists the accepted matches for
   /// `suspects[i]`, strongest first (by verified fraction, ties by
   /// registration order). Records whose scheme is not registered in the

@@ -82,12 +82,13 @@ class SchemeFactory {
 /// One default-configured scheme instance per distinct tag, created
 /// lazily through the factory. Detection parameters live entirely in each
 /// `SchemeKey`, so default-configured objects suffice for any detect-side
-/// work; unregistered tags map to nullptr. Shared by the serial
-/// `FingerprintRegistry` trace and the exec-layer `BatchDetector`, whose
-/// outputs must stay behaviorally identical.
+/// work; unregistered tags map to nullptr. `BatchDetector::Session` uses
+/// one to prepare its key column (which every `FingerprintRegistry` and
+/// tenant trace goes through); benches and the key-parse fuzzer use it to
+/// reach a key's scheme.
 ///
 /// Not thread-safe: populate on one thread (`Get` each tag up front),
-/// then share the const scheme pointers freely — `Detect` is const and
+/// then share the const scheme pointers freely — `Prepare` is const and
 /// stateless for every in-tree scheme.
 class SchemeCache {
  public:

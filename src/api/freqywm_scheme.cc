@@ -37,16 +37,25 @@ Result<WatermarkSecrets> ParseKey(const SchemeKey& key) {
   return WatermarkSecrets::Deserialize(key.payload);
 }
 
+/// The verdict settings of a FreqyWM key: t = 0 and k = max(1, |Lwm|/2)
+/// over the parsed pairs; k = 1 for a key that does not parse.
+DetectOptions RecommendedOptions(const Result<WatermarkSecrets>& secrets) {
+  DetectOptions options;
+  options.pair_threshold = 0;
+  options.min_pairs =
+      secrets.ok() ? std::max<size_t>(1, secrets.value().pairs.size() / 2)
+                   : 1;
+  return options;
+}
+
 /// The prepared detector: the key parsed and its per-pair moduli derived
 /// once, so each suspect costs a count gather and the residue checks. An
 /// unparsable or foreign key leaves the table invalid, and an invalid
 /// table rejects inside `DetectWatermark`.
 class FreqyWmPreparedKey : public PreparedKey {
  public:
-  explicit FreqyWmPreparedKey(const SchemeKey& key) : PreparedKey(key) {
-    auto secrets = ParseKey(key);
-    if (secrets.ok()) table_ = PairModulusTable::Build(secrets.value());
-  }
+  explicit FreqyWmPreparedKey(const SchemeKey& key)
+      : FreqyWmPreparedKey(key, ParseKey(key)) {}
 
   DetectResult Detect(const Histogram& suspect,
                       const DetectOptions& options) const override {
@@ -70,6 +79,12 @@ class FreqyWmPreparedKey : public PreparedKey {
   }
 
  private:
+  FreqyWmPreparedKey(const SchemeKey& key,
+                     const Result<WatermarkSecrets>& secrets)
+      : PreparedKey(key, RecommendedOptions(secrets)) {
+    if (secrets.ok()) table_ = PairModulusTable::Build(secrets.value());
+  }
+
   PairModulusTable table_;
 };
 
@@ -97,17 +112,6 @@ Result<EmbedOutcome> FreqyWmScheme::Embed(const Histogram& original,
 std::unique_ptr<PreparedKey> FreqyWmScheme::Prepare(
     const SchemeKey& key) const {
   return std::make_unique<FreqyWmPreparedKey>(key);
-}
-
-DetectOptions FreqyWmScheme::RecommendedDetectOptions(
-    const SchemeKey& key) const {
-  DetectOptions options;
-  options.pair_threshold = 0;
-  auto secrets = ParseKey(key);
-  options.min_pairs =
-      secrets.ok() ? std::max<size_t>(1, secrets.value().pairs.size() / 2)
-                   : 1;
-  return options;
 }
 
 uint64_t FreqyWmScheme::dataset_transform_seed(const SchemeKey& key) const {

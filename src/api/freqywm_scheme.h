@@ -28,9 +28,9 @@ class FreqyWmScheme : public WatermarkScheme {
                              const ExecContext& exec) const override;
   /// Parses the key and derives its `PairModulusTable` once; the prepared
   /// key then detects hash-free (count gather + residue checks), on a
-  /// suspect histogram or on dense counts (DESIGN.md §10).
+  /// suspect histogram or on dense counts (DESIGN.md §10). Its
+  /// recommended options are t = 0 and k = max(1, |Lwm|/2).
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
   bool SupportsRefresh() const override { return true; }
   Result<EmbedOutcome> Refresh(const Histogram& drifted,
                                const SchemeKey& key) const override;

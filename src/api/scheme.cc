@@ -106,12 +106,6 @@ DetectResult WatermarkScheme::Detect(const Histogram& suspect,
   return Prepare(key)->Detect(suspect, options);
 }
 
-DetectResult WatermarkScheme::Detect(const Dataset& suspect,
-                                     const SchemeKey& key,
-                                     const DetectOptions& options) const {
-  return Detect(Histogram::FromDataset(suspect), key, options);
-}
-
 DetectResult WatermarkScheme::Detect(const DenseSuspectCounts& counts,
                                      const uint32_t* dense_ids,
                                      const PreparedKey& prepared,
@@ -120,8 +114,8 @@ DetectResult WatermarkScheme::Detect(const DenseSuspectCounts& counts,
 }
 
 DetectOptions WatermarkScheme::RecommendedDetectOptions(
-    const SchemeKey& /*key*/) const {
-  return DetectOptions{};
+    const SchemeKey& key) const {
+  return Prepare(key)->recommended_options();
 }
 
 Result<EmbedOutcome> WatermarkScheme::Refresh(const Histogram& /*drifted*/,

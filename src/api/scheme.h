@@ -94,6 +94,9 @@ struct DenseSuspectCounts {
 /// whatever it reuses across suspects) once in `Prepare`, and the prepared
 /// key then runs detection on any number of suspects.
 ///
+/// It also carries the (t, k) the paper's WmDetect takes with the key:
+/// `recommended_options()`, derived from the payload `Prepare` parses.
+///
 /// Instances are immutable after `Prepare` and safe to share across
 /// threads. Prepared state must be a pure function of the `SchemeKey`
 /// alone — never of the preparing instance's embed-side configuration —
@@ -102,11 +105,20 @@ struct DenseSuspectCounts {
 /// parses the key payload.
 class PreparedKey {
  public:
-  explicit PreparedKey(SchemeKey key) : key_(std::move(key)) {}
+  PreparedKey(SchemeKey key, DetectOptions recommended_options)
+      : key_(std::move(key)), recommended_options_(recommended_options) {}
   virtual ~PreparedKey() = default;
 
   /// The key this state was derived from.
   const SchemeKey& key() const { return key_; }
+
+  /// Detection settings that make `Detect` a sound accept/reject oracle
+  /// for this key on un-attacked data: the CLI default and a session's
+  /// per-key settings when it is given none. A pure function of the key;
+  /// a malformed or foreign-scheme key still gets settings.
+  const DetectOptions& recommended_options() const {
+    return recommended_options_;
+  }
 
   /// Runs detection of the key on a suspect histogram. `options`
   /// semantics per scheme: `min_pairs` is always the minimum number of
@@ -142,6 +154,7 @@ class PreparedKey {
 
  private:
   SchemeKey key_;
+  DetectOptions recommended_options_;
 };
 
 /// The unified lifecycle interface every watermarking scheme implements
@@ -196,10 +209,6 @@ class WatermarkScheme {
   DetectResult Detect(const Histogram& suspect, const SchemeKey& key,
                       const DetectOptions& options) const;
 
-  /// Convenience overload building the histogram from a raw dataset.
-  DetectResult Detect(const Dataset& suspect, const SchemeKey& key,
-                      const DetectOptions& options) const;
-
   /// Dense-gather detection: `prepared.Detect(counts, dense_ids, options)`.
   DetectResult Detect(const DenseSuspectCounts& counts,
                       const uint32_t* dense_ids, const PreparedKey& prepared,
@@ -213,10 +222,9 @@ class WatermarkScheme {
   /// rejects every suspect. Never returns null.
   virtual std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const = 0;
 
-  /// Detection settings that make `Detect` a sound accept/reject oracle for
-  /// this scheme's `key` on un-attacked data (used by the conformance test,
-  /// the CLI default, and the batch engine's default per-key settings).
-  virtual DetectOptions RecommendedDetectOptions(const SchemeKey& key) const;
+  /// `Prepare(key)->recommended_options()`. A one-off call pays the key's
+  /// preparation; callers that also detect read the prepared key's.
+  DetectOptions RecommendedDetectOptions(const SchemeKey& key) const;
 
   /// True when `Refresh` is implemented.
   virtual bool SupportsRefresh() const { return false; }

@@ -14,6 +14,17 @@ namespace {
 
 constexpr char kKeyMagic[] = "wm-obt-key v1";
 
+/// The verdict settings of every WM-OBT key, malformed ones too. The
+/// bit-string evidence is all-or-nothing: demand at least two decoded
+/// partitions and allow a single wrongly-decoded one (embedding can leave
+/// a sparse partition on the wrong side of the threshold).
+DetectOptions RecommendedOptions() {
+  DetectOptions options;
+  options.min_pairs = 2;
+  options.pair_threshold = 1;
+  return options;
+}
+
 /// The prepared detector: the key payload parsed once. An unparsable or
 /// foreign key leaves `valid_` false and rejects every suspect. There is no
 /// `TokenVocabulary`: WM-OBT's evidence is the keyed partition statistic
@@ -21,7 +32,8 @@ constexpr char kKeyMagic[] = "wm-obt-key v1";
 /// `Detect` (DESIGN.md §10).
 class WmObtPreparedKey : public PreparedKey {
  public:
-  explicit WmObtPreparedKey(const SchemeKey& key) : PreparedKey(key) {
+  explicit WmObtPreparedKey(const SchemeKey& key)
+      : PreparedKey(key, RecommendedOptions()) {
     if (key.scheme != "wm-obt") return;
     auto parsed = WmObtScheme::ParseKeyPayload(key.payload);
     if (!parsed.ok()) return;
@@ -140,17 +152,6 @@ Result<EmbedOutcome> WmObtScheme::Embed(const Histogram& original,
 
 std::unique_ptr<PreparedKey> WmObtScheme::Prepare(const SchemeKey& key) const {
   return std::make_unique<WmObtPreparedKey>(key);
-}
-
-DetectOptions WmObtScheme::RecommendedDetectOptions(
-    const SchemeKey& /*key*/) const {
-  DetectOptions options;
-  // The bit-string evidence is all-or-nothing: demand at least two decoded
-  // partitions and allow a single wrongly-decoded one (embedding can leave
-  // a sparse partition on the wrong side of the threshold).
-  options.min_pairs = 2;
-  options.pair_threshold = 1;
-  return options;
 }
 
 }  // namespace freqywm

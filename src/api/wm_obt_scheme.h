@@ -27,9 +27,8 @@ class WmObtScheme : public WatermarkScheme {
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
   /// Parses the key payload once; the prepared key then detects without
-  /// re-parsing.
+  /// re-parsing. Its recommended options are k = 2, t = 1 for every key.
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
 
   const WmObtOptions& options() const { return options_; }
 

@@ -13,13 +13,23 @@ namespace {
 
 constexpr char kKeyMagic[] = "wm-rvs-key v1";
 
+/// The verdict settings of every WM-RVS key, malformed ones too. The
+/// majority rule in `DetectWmRvs` carries the discrimination (chance floor
+/// ~10%); `min_pairs` only guards against trivially small evidence.
+DetectOptions RecommendedOptions() {
+  DetectOptions options;
+  options.min_pairs = 4;
+  return options;
+}
+
 /// The prepared detector: the key payload parsed once. An unparsable or
 /// foreign key leaves `valid_` false and rejects every suspect. There is no
 /// `TokenVocabulary`: WM-RVS re-derives a keyed digit for *every* suspect
 /// token, so the batch engine uses the histogram `Detect` (DESIGN.md §10).
 class WmRvsPreparedKey : public PreparedKey {
  public:
-  explicit WmRvsPreparedKey(const SchemeKey& key) : PreparedKey(key) {
+  explicit WmRvsPreparedKey(const SchemeKey& key)
+      : PreparedKey(key, RecommendedOptions()) {
     if (key.scheme != "wm-rvs") return;
     auto parsed = WmRvsScheme::ParseKeyPayload(key.payload);
     if (!parsed.ok()) return;
@@ -130,15 +140,6 @@ Result<EmbedOutcome> WmRvsScheme::Refresh(const Histogram& drifted,
 
 std::unique_ptr<PreparedKey> WmRvsScheme::Prepare(const SchemeKey& key) const {
   return std::make_unique<WmRvsPreparedKey>(key);
-}
-
-DetectOptions WmRvsScheme::RecommendedDetectOptions(
-    const SchemeKey& /*key*/) const {
-  DetectOptions options;
-  // The majority rule in DetectWmRvs carries the discrimination (chance
-  // floor ~10%); min_pairs only guards against trivially small evidence.
-  options.min_pairs = 4;
-  return options;
 }
 
 }  // namespace freqywm

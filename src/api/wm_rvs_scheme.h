@@ -29,9 +29,8 @@ class WmRvsScheme : public WatermarkScheme {
   Result<EmbedOutcome> Embed(const Histogram& original,
                              const ExecContext& exec) const override;
   /// Parses the key payload once; the prepared key then detects without
-  /// re-parsing.
+  /// re-parsing. Its recommended options are k = 4 for every key.
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  DetectOptions RecommendedDetectOptions(const SchemeKey& key) const override;
 
   /// WM-RVS refresh = re-embed under the key (DESIGN.md §6 parity gap):
   /// embedding *sets* each token's keyed substitution digit outright, so a

@@ -1,6 +1,8 @@
 #include "attacks/guess.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "core/detect.h"
 #include "core/secrets.h"
@@ -8,6 +10,19 @@
 #include "stats/poisson_binomial.h"
 
 namespace freqywm {
+
+namespace {
+
+/// The unordered pair {i, j}, i > j, with triangle index i(i-1)/2 + j.
+std::pair<size_t, size_t> TrianglePair(size_t index) {
+  size_t i = static_cast<size_t>(
+      (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(index))) / 2.0);
+  while (i * (i - 1) / 2 > index) --i;  // repair the floating-point guess
+  while ((i + 1) * i / 2 <= index) ++i;
+  return {i, index - i * (i - 1) / 2};
+}
+
+}  // namespace
 
 GuessAttackResult RunGuessAttack(const Histogram& watermarked,
                                  const GuessAttackSpec& spec, Rng& rng) {
@@ -18,6 +33,7 @@ GuessAttackResult RunGuessAttack(const Histogram& watermarked,
   const size_t n = entries.size();
   if (n < 2 || spec.attempts == 0) return out;
 
+  const size_t num_pairs = n * (n - 1) / 2;
   DetectOptions detect_opts;
   detect_opts.pair_threshold = spec.pair_threshold;
   detect_opts.min_pairs = spec.min_pairs;
@@ -28,14 +44,14 @@ GuessAttackResult RunGuessAttack(const Histogram& watermarked,
     WatermarkSecret forged =
         GenerateSecret(spec.attacker_lambda_bits, rng.NextU64() | 1);
 
+    // Distinct pairs, as in any key a verifier accepts: draw triangle
+    // indices without replacement, one per unordered pair {i, j}.
     WatermarkSecrets claim;
     claim.r = std::move(forged);
     claim.z = spec.attacker_z;
-    claim.pairs.reserve(spec.claimed_pairs);
-    for (size_t p = 0; p < spec.claimed_pairs; ++p) {
-      size_t i = static_cast<size_t>(rng.UniformU64(n));
-      size_t j = static_cast<size_t>(rng.UniformU64(n));
-      while (j == i) j = static_cast<size_t>(rng.UniformU64(n));
+    for (size_t index :
+         rng.SampleWithoutReplacement(num_pairs, spec.claimed_pairs)) {
+      auto [i, j] = TrianglePair(index);
       // Order by frequency as an honest owner would.
       if (entries[i].count < entries[j].count) std::swap(i, j);
       claim.pairs.push_back(

@@ -39,8 +39,9 @@ struct GuessAttackResult {
 };
 
 /// Simulates the guess attack: for each attempt the adversary forges a
-/// random secret R*, picks `claimed_pairs` random token pairs from the
-/// watermarked data (all it can see), and submits this as its own `Lsc`.
+/// random secret R*, picks `claimed_pairs` distinct random token pairs
+/// from the watermarked data (all it can see; at most n(n-1)/2 pairs over
+/// n tokens), and submits this as its own `Lsc`.
 /// The attack succeeds when detection verifies at least `min_pairs` pairs.
 ///
 /// With realistic parameters the success rate is indistinguishable from the

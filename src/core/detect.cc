@@ -84,11 +84,11 @@ size_t RescaledPairVerifies(uint64_t ci, uint64_t cj, uint64_t s,
                       options.pair_threshold, options.symmetric_residue);
 }
 
-/// The shared pair loop of every table-backed detection path. `has(t)` /
-/// `count(t)` read the suspect-side presence and count of table token `t`;
-/// the histogram and dense-count overloads below differ only in how those
-/// lookups resolve, so their arithmetic — and therefore their output — is
-/// identical by construction.
+/// The pair loop of every FreqyWM detection (the reference oracle aside).
+/// `has(t)` / `count(t)` read the suspect-side presence and count of table
+/// token `t`; the histogram and dense-count overloads below differ only in
+/// how those lookups resolve, so their arithmetic — and therefore their
+/// output — is identical by construction.
 ///
 /// The integer path (DESIGN.md §18) is branch-free past the presence
 /// test: each pair's residue comes from `PairResidue` (division-free for
@@ -172,41 +172,7 @@ DetectResult DetectWatermark(const PairModulusTable& table,
 DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options) {
-  DetectResult out;
-  if (secrets.z < 2 || secrets.pairs.empty()) return out;
-
-  // One suspect, so no table to amortize (building one costs more than
-  // it saves, DESIGN.md §18): each pair costs two count lookups, and a
-  // pair with both tokens present costs two hashes.
-  PairModulus modulus(secrets.r, secrets.z);
-  size_t found = 0;
-  size_t verified = 0;
-  for (const SecretPair& pair : secrets.pairs) {
-    const std::optional<uint64_t> ci = suspect.CountOf(pair.token_i);
-    const std::optional<uint64_t> cj = suspect.CountOf(pair.token_j);
-    if (!ci || !cj) continue;
-    ++found;
-    const uint64_t s = modulus.Compute(pair.token_i, pair.token_j);
-    if (s < 2) continue;  // cannot happen for honestly generated pairs
-    verified += options.rescale_factor > 0.0
-                    ? RescaledPairVerifies(*ci, *cj, s, options)
-                    : PairVerifies(PairResidue(*ci, *cj, s, /*magic=*/0),
-                                   s, options.pair_threshold,
-                                   options.symmetric_residue);
-  }
-
-  out.pairs_found = found;
-  out.pairs_verified = verified;
-  out.verified_fraction = static_cast<double>(verified) /
-                          static_cast<double>(secrets.pairs.size());
-  out.accepted = verified >= options.min_pairs;
-  return out;
-}
-
-DetectResult DetectWatermark(const Dataset& suspect,
-                             const WatermarkSecrets& secrets,
-                             const DetectOptions& options) {
-  return DetectWatermark(Histogram::FromDataset(suspect), secrets, options);
+  return DetectWatermark(suspect, PairModulusTable::Build(secrets), options);
 }
 
 DetectResult DetectWatermarkReference(const Histogram& suspect,

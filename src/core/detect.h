@@ -6,7 +6,6 @@
 
 #include "core/options.h"
 #include "core/secrets.h"
-#include "data/dataset.h"
 #include "data/histogram.h"
 
 namespace freqywm {
@@ -126,18 +125,18 @@ inline uint64_t PairResidue(uint64_t ci, uint64_t cj, uint64_t s,
 /// is declared watermarked when at least `k` pairs verify.
 ///
 /// The suspect histogram does NOT need to be sorted — only counts are read.
-/// Runs in O(|Lwm|) hash evaluations (linear, §I "verify very fast") with
-/// no table to build: pairs with an absent token are never hashed. The
-/// residue is the exact integer `PairResidue` (or the rescale path's
-/// arithmetic), as on the table path, so both give the same result.
+/// A one-off call: `DetectWatermark(suspect, PairModulusTable::Build(
+/// secrets), options)`, so every FreqyWM detection runs the one table pair
+/// loop. Callers detecting many suspects build the table once (DESIGN.md
+/// §18).
 DetectResult DetectWatermark(const Histogram& suspect,
                              const WatermarkSecrets& secrets,
                              const DetectOptions& options);
 
-/// Table-backed detection: the hot path of the batch engine. Byte-identical
-/// to `DetectWatermark(suspect, secrets, options)` when `table` was built
-/// from `secrets` (enforced per scheme by
-/// `tests/exec/prepared_detect_test.cc`).
+/// Table-backed detection: the hot path of the batch engine, and the one
+/// pair loop behind every FreqyWM detection path. Byte-identical to
+/// `DetectWatermarkReference(suspect, secrets, options)` when `table` was
+/// built from `secrets` (enforced by `tests/exec/prepared_detect_test.cc`).
 DetectResult DetectWatermark(const Histogram& suspect,
                              const PairModulusTable& table,
                              const DetectOptions& options);
@@ -153,11 +152,6 @@ DetectResult DetectWatermark(const Histogram& suspect,
 DetectResult DetectWatermark(const PairModulusTable& table,
                              const uint32_t* dense_ids,
                              const uint64_t* counts, const uint8_t* present,
-                             const DetectOptions& options);
-
-/// Convenience overload building the histogram from a raw dataset.
-DetectResult DetectWatermark(const Dataset& suspect,
-                             const WatermarkSecrets& secrets,
                              const DetectOptions& options);
 
 /// The pre-table reference implementation (PR 2 state): one full

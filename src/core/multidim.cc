@@ -49,7 +49,8 @@ Result<DetectResult> DetectTableWatermark(
     const WatermarkSecrets& secrets, const DetectOptions& options) {
   FREQYWM_ASSIGN_OR_RETURN(Dataset projected,
                            table.ProjectTokens(token_columns));
-  return DetectWatermark(projected, secrets, options);
+  return DetectWatermark(Histogram::FromDataset(projected), secrets,
+                         options);
 }
 
 }  // namespace freqywm

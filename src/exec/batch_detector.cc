@@ -53,9 +53,6 @@ void BatchDetector::Session::PrepareKeys() {
                                         "' not registered");
       continue;
     }
-    key_options_[j] = options_.use_recommended_options
-                          ? scheme->RecommendedDetectOptions(keys_[j])
-                          : options_.detect_options;
     // A preparation failure — injected here, or surfaced by the cache —
     // poisons only this column (DESIGN.md §13): prepared_[j] stays null,
     // the typed status is recorded, and every other key proceeds.
@@ -80,6 +77,8 @@ void BatchDetector::Session::PrepareKeys() {
       key_status_[j] = std::move(prep);
       continue;
     }
+    key_options_[j] = options_.detect_options.value_or(
+        prepared_[j]->recommended_options());
 
     // Union the key's vocabulary into the session interner. Dense ids are
     // uint32_t; a union beyond 2^32 distinct tokens is far past any

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -60,13 +61,9 @@ struct BatchDetectOptions {
   /// nested `Detect` loop.
   size_t num_threads = 1;
 
-  /// When true (default), each key is detected under its scheme's
-  /// `RecommendedDetectOptions(key)`; when false, `detect_options` applies
-  /// to every cell.
-  bool use_recommended_options = true;
-
-  /// Fixed per-cell settings, used when `use_recommended_options` is false.
-  DetectOptions detect_options;
+  /// Settings for every cell. Unset (default), each key is detected under
+  /// its prepared key's `recommended_options()`.
+  std::optional<DetectOptions> detect_options;
 
   /// Optional shared `PreparedKey` cache (DESIGN.md §10). When set,
   /// sessions resolve their keys through it, so preparation is paid once

@@ -56,7 +56,6 @@ std::vector<TraceMatch> TraceFixed(const FingerprintRegistry& registry,
                                    const Histogram& suspect,
                                    const DetectOptions& detect_options) {
   BatchDetectOptions options;
-  options.use_recommended_options = false;
   options.detect_options = detect_options;
   return TraceOk(registry, {suspect}, options)[0];
 }
@@ -443,7 +442,7 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   }
   EXPECT_TRUE(serial.back().empty());
 
-  // Fixed-options semantics (`use_recommended_options` false).
+  // Fixed-options semantics (`detect_options` set).
   DetectOptions fixed;
   fixed.pair_threshold = 0;
   fixed.min_pairs = 1;
@@ -453,7 +452,6 @@ TEST(RegistryTest, TraceSuspectsMatchesSerialTracePerSuspect) {
   }
   BatchDetectOptions fixed_options;
   fixed_options.num_threads = 4;
-  fixed_options.use_recommended_options = false;
   fixed_options.detect_options = fixed;
   EXPECT_TRUE(TraceOk(registry, suspects, fixed_options) == serial_fixed);
 }

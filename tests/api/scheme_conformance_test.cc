@@ -123,7 +123,8 @@ TEST_P(SchemeConformanceTest, EmbedDatasetRoundTrip) {
   auto outcome = scheme->EmbedDataset(original);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   DetectResult result = scheme->Detect(
-      outcome.value().watermarked, outcome.value().key,
+      Histogram::FromDataset(outcome.value().watermarked),
+      outcome.value().key,
       scheme->RecommendedDetectOptions(outcome.value().key));
   EXPECT_TRUE(result.accepted) << GetParam();
 }

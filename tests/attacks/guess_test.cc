@@ -93,5 +93,22 @@ TEST(GuessAttackTest, DeterministicForSeed) {
   EXPECT_EQ(a.successes, b.successes);
 }
 
+TEST(GuessAttackTest, ClaimsDistinctPairsOnly) {
+  // Two tokens make one pair. A claim that repeated it would count its
+  // residue twice, and with t = z every residue passes, so such claims
+  // reached k = 2 on one pair. The claim is capped at n(n-1)/2 = 1 pair.
+  auto hist = Histogram::FromCounts({{"a", 100}, {"b", 50}});
+  ASSERT_TRUE(hist.ok()) << hist.status();
+  GuessAttackSpec spec;
+  spec.attempts = 100;
+  spec.claimed_pairs = 2;
+  spec.min_pairs = 2;
+  spec.pair_threshold = spec.attacker_z;
+  Rng rng(1);
+  GuessAttackResult r = RunGuessAttack(hist.value(), spec, rng);
+  EXPECT_EQ(r.attempts, 100u);
+  EXPECT_EQ(r.successes, 0u);
+}
+
 }  // namespace
 }  // namespace freqywm

@@ -1,8 +1,8 @@
 // The integer pair kernel of table-backed detection (DESIGN.md §18): the
 // fastmod identity at the edges of the modulus and the difference, exact
 // residues for counts beyond 2^53 and 2^63, and a randomized property
-// check of the single-shot and both table overloads against
-// `DetectWatermarkReference`.
+// check of the one-off (secrets), histogram-table and dense-table
+// overloads against `DetectWatermarkReference`.
 
 #include <gtest/gtest.h>
 

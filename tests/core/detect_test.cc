@@ -216,7 +216,8 @@ TEST(DetectTest, RescaleFactorRecoversScaledCounts) {
 }
 
 // Every detection path on one suspect: the table (histogram and dense
-// counts), the single shot and the oracle must agree; returns the oracle.
+// counts), the one-off secrets overload and the oracle must agree;
+// returns the oracle.
 DetectResult DetectOnEveryPath(const Histogram& suspect,
                                const WatermarkSecrets& secrets,
                                const DetectOptions& d) {
@@ -317,31 +318,6 @@ TEST(DetectTest, ForgedSelfPairKeyIsRejected) {
     EXPECT_FALSE(result.accepted) << "seed " << seed;
     EXPECT_EQ(result.pairs_verified, 0u) << "seed " << seed;
   }
-}
-
-TEST(DetectTest, DatasetOverloadMatchesHistogramOverload) {
-  // Small end-to-end check of the convenience overload.
-  Rng rng(9);
-  PowerLawSpec spec;
-  spec.num_tokens = 40;
-  spec.sample_size = 20000;
-  spec.alpha = 0.8;
-  Dataset data = GeneratePowerLawDataset(spec, rng);
-  GenerateOptions o;
-  o.seed = 11;
-  o.modulus_bound = 131;
-  auto r = FreqyWmScheme(o).EmbedDataset(data);
-  ASSERT_TRUE(r.ok());
-  auto secrets = WatermarkSecrets::Deserialize(r.value().key.payload);
-  ASSERT_TRUE(secrets.ok());
-  DetectOptions d;
-  d.min_pairs = 1;
-  DetectResult via_dataset =
-      DetectWatermark(r.value().watermarked, secrets.value(), d);
-  DetectResult via_hist = DetectWatermark(
-      Histogram::FromDataset(r.value().watermarked), secrets.value(), d);
-  EXPECT_EQ(via_dataset.pairs_verified, via_hist.pairs_verified);
-  EXPECT_EQ(via_dataset.accepted, via_hist.accepted);
 }
 
 }  // namespace

@@ -848,7 +848,8 @@ TEST(EndToEndDatasetTest, GenerateTransformsAndStaysDetectable) {
   DetectOptions d;
   d.pair_threshold = 0;
   d.min_pairs = r.value().report.embedded_units;
-  DetectResult dr = DetectWatermark(r.value().watermarked, secrets.value(), d);
+  DetectResult dr = DetectWatermark(
+      Histogram::FromDataset(r.value().watermarked), secrets.value(), d);
   EXPECT_TRUE(dr.accepted);
 }
 

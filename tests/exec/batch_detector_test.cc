@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,21 +46,20 @@ std::vector<std::vector<DetectResult>> Matrix(
       .verdicts;
 }
 
-/// The serial reference: the exact nested loop `BatchDetector` replaces.
+/// The serial reference: the exact nested loop `BatchDetector` replaces,
+/// under `fixed` or, when unset, each key's recommended options.
 std::vector<std::vector<DetectResult>> SerialReference(
     const std::vector<Histogram>& suspects,
-    const std::vector<SchemeKey>& keys, bool use_recommended,
-    const DetectOptions& fixed) {
+    const std::vector<SchemeKey>& keys,
+    const std::optional<DetectOptions>& fixed) {
   std::vector<std::vector<DetectResult>> results(
       suspects.size(), std::vector<DetectResult>(keys.size()));
   for (size_t i = 0; i < suspects.size(); ++i) {
     for (size_t j = 0; j < keys.size(); ++j) {
       auto scheme = SchemeFactory::Create(keys[j].scheme);
       if (!scheme.ok()) continue;
-      DetectOptions options =
-          use_recommended
-              ? scheme.value()->RecommendedDetectOptions(keys[j])
-              : fixed;
+      DetectOptions options = fixed.value_or(
+          scheme.value()->RecommendedDetectOptions(keys[j]));
       results[i][j] = scheme.value()->Detect(suspects[i], keys[j], options);
     }
   }
@@ -84,8 +84,7 @@ TEST_P(BatchDetectorSchemeTest, ParallelMatrixIdenticalToSerialDetectLoop) {
                                   MakeCleanHistogram(57)};
   std::vector<SchemeKey> keys{outcome_a.value().key, outcome_b.value().key};
 
-  auto reference = SerialReference(suspects, keys,
-                                   /*use_recommended=*/true, {});
+  auto reference = SerialReference(suspects, keys, std::nullopt);
   for (size_t threads : {1, 2, 4, 8}) {
     BatchDetectOptions options;
     options.num_threads = threads;
@@ -125,11 +124,9 @@ TEST(BatchDetectorTest, MixedSchemeMatrixWithFixedOptions) {
   DetectOptions fixed;
   fixed.min_pairs = 1;
   fixed.pair_threshold = 0;
-  auto reference = SerialReference(suspects, keys,
-                                   /*use_recommended=*/false, fixed);
+  auto reference = SerialReference(suspects, keys, fixed);
   BatchDetectOptions options;
   options.num_threads = 4;
-  options.use_recommended_options = false;
   options.detect_options = fixed;
   auto results = Matrix(options, suspects, keys);
   EXPECT_TRUE(results == reference);
