@@ -133,14 +133,7 @@ Status DurableRegistry::Register(const std::string& buyer_id, SchemeKey key) {
     return Status::InvalidArgument("buyer '" + buyer_id +
                                    "' already registered");
   }
-  if (buyer_id.empty() || buyer_id.find('\n') != std::string::npos) {
-    return Status::InvalidArgument("buyer id must be a non-empty line");
-  }
-  if (key.scheme.empty() ||
-      key.scheme.find_first_of(" \t\n") != std::string::npos) {
-    return Status::InvalidArgument(
-        "scheme tag must be non-empty without whitespace");
-  }
+  FREQYWM_RETURN_NOT_OK(FingerprintRegistry::Validate(buyer_id, key));
 
   // Durability point: the record must be in the log (and, under
   // fsync=every, on the platter) before the in-memory state — and thus

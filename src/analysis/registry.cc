@@ -24,8 +24,8 @@ void SortStrongestFirst(std::vector<TraceMatch>& matches) {
 
 }  // namespace
 
-Status FingerprintRegistry::Register(const std::string& buyer_id,
-                                     SchemeKey key) {
+Status FingerprintRegistry::Validate(const std::string& buyer_id,
+                                     const SchemeKey& key) {
   if (buyer_id.empty() || buyer_id.find('\n') != std::string::npos) {
     return Status::InvalidArgument("buyer id must be a non-empty line");
   }
@@ -34,6 +34,12 @@ Status FingerprintRegistry::Register(const std::string& buyer_id,
     return Status::InvalidArgument(
         "scheme tag must be non-empty without whitespace");
   }
+  return Status::OK();
+}
+
+Status FingerprintRegistry::Register(const std::string& buyer_id,
+                                     SchemeKey key) {
+  FREQYWM_RETURN_NOT_OK(Validate(buyer_id, key));
   if (!buyer_ids_.insert(buyer_id).second) {
     return Status::InvalidArgument("buyer '" + buyer_id +
                                    "' already registered");

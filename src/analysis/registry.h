@@ -55,6 +55,12 @@ class FingerprintRegistry {
   /// whitespace.
   [[nodiscard]] Status Register(const std::string& buyer_id, SchemeKey key);
 
+  /// The record-format half of `Register`'s checks (everything but the
+  /// duplicate test), so `DurableRegistry` can reject a malformed record
+  /// before logging it.
+  [[nodiscard]] static Status Validate(const std::string& buyer_id,
+                                       const SchemeKey& key);
+
   /// Legacy convenience for FreqyWM secrets (delegates to the tagged
   /// overload with scheme "freqywm").
   [[nodiscard]] Status Register(const std::string& buyer_id,

@@ -7,7 +7,6 @@
 // of a parse surprise.
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "analysis/posix_io.h"
 #include "analysis/registry.h"
 #include "common/hex.h"
 #include "crypto/sha256.h"
@@ -26,29 +26,14 @@ namespace freqywm {
 
 namespace {
 
+using posix_io::ErrnoMessage;
+using posix_io::WriteAll;
+
 constexpr char kChecksumPrefix[] = "checksum sha256 ";
 constexpr size_t kChecksumPrefixLen = sizeof(kChecksumPrefix) - 1;
 constexpr size_t kHexDigestLen = 2 * Sha256::kDigestSize;
 // "checksum sha256 <64 hex>\n"
 constexpr size_t kFooterLen = kChecksumPrefixLen + kHexDigestLen + 1;
-
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return std::string(what) + " '" + path + "': " + std::strerror(errno);
-}
-
-/// Writes all of `data` to `fd`, resuming on EINTR and short writes.
-Status WriteAll(int fd, const std::string& data, const std::string& path) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(ErrnoMessage("write", path));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// Fsync of the directory containing `path`, so the rename itself is
 /// durable. Failure does not fail the save (the data file is already
@@ -163,21 +148,10 @@ Result<FingerprintRegistry> FingerprintRegistry::LoadFromFile(
     }
     return Status::Unavailable(ErrnoMessage("open", path));
   }
-  std::string text;
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status status = Status::Unavailable(ErrnoMessage("read", path));
-      (void)::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    text.append(buf, static_cast<size_t>(n));
-  }
+  Result<std::string> text = posix_io::ReadWhole(fd, path);
   (void)::close(fd);
-  return ParseSnapshot(text);
+  if (!text.ok()) return text.status();
+  return ParseSnapshot(text.value());
 }
 
 }  // namespace freqywm

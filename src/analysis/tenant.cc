@@ -91,10 +91,7 @@ std::unique_ptr<AdmissionController> MakeAdmission(
   AdmissionOptions options;
   options.max_in_flight = quotas.max_in_flight_suspects;
   options.max_pending = quotas.max_pending_suspects;
-  options.rate_per_unit_time = quotas.rate_per_unit_time;
-  options.burst = quotas.burst;
-  options.clock_nanos = quotas.clock_nanos;
-  return std::make_unique<AdmissionController>(std::move(options));
+  return std::make_unique<AdmissionController>(options);
 }
 
 }  // namespace
@@ -102,15 +99,11 @@ std::unique_ptr<AdmissionController> MakeAdmission(
 TenantContext::TenantContext(std::string tenant_id, TenantQuotas quotas)
     : tenant_id_(std::move(tenant_id)),
       quotas_(std::move(quotas)),
-      key_cache_(std::make_shared<PreparedKeyCache>(
-          quotas_.max_cache_entries > 0 ? quotas_.max_cache_entries
-                                        : PreparedKeyCache::kDefaultCapacity)),
+      key_cache_(std::make_shared<PreparedKeyCache>()),
       admission_(MakeAdmission(quotas_)) {
   if (!quotas_.durable_dir.empty()) {
     DurableRegistryOptions options;
     options.wal.sync_policy = quotas_.durable_sync_policy;
-    options.checkpoint_threshold_bytes =
-        quotas_.durable_checkpoint_threshold_bytes;
     Result<std::unique_ptr<DurableRegistry>> opened =
         DurableRegistry::Open(quotas_.durable_dir, options);
     if (opened.ok()) {

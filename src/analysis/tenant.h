@@ -2,9 +2,7 @@
 #define FREQYWM_ANALYSIS_TENANT_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,18 +22,17 @@
 
 namespace freqywm {
 
-/// Resource quotas of one tenant (DESIGN.md §14). Every limit defaults
-/// to 0 = "unlimited", so a default-constructed tenant behaves exactly
-/// like the pre-tenancy engine — isolation is opt-in, and quotas never
-/// change what admitted work computes, only whether work is admitted.
+/// Resource quotas of one tenant (DESIGN.md §14): an escrow cap, a
+/// session cap, the two admission budgets, and opt-in durability. Every
+/// limit defaults to 0 = "unlimited", so a default-constructed tenant
+/// behaves exactly like the pre-tenancy engine — isolation is opt-in, and
+/// quotas never change what admitted work computes, only whether work is
+/// admitted. Each tenant also owns a private `PreparedKeyCache` slice of
+/// `PreparedKeyCache::kDefaultCapacity` entries: one tenant churning keys
+/// cannot evict another's warm entries.
 struct TenantQuotas {
   /// Maximum fingerprint keys the tenant may escrow. 0 = unlimited.
   size_t max_escrowed_keys = 0;
-
-  /// Capacity of the tenant's private `PreparedKeyCache` slice. 0 →
-  /// `PreparedKeyCache::kDefaultCapacity`. Tenants never share a cache:
-  /// one tenant churning keys cannot evict another's warm entries.
-  size_t max_cache_entries = 0;
 
   /// Maximum concurrently open `TenantSession`s. 0 = unlimited.
   size_t max_concurrent_sessions = 0;
@@ -51,17 +48,6 @@ struct TenantQuotas {
   /// does not bound the session queues. 0 = unlimited.
   size_t max_pending_suspects = 0;
 
-  /// Token-bucket rate limit in suspects per second, with burst
-  /// capacity — `AdmissionOptions::{rate_per_unit_time, burst}`. 0 =
-  /// unlimited rate.
-  double rate_per_unit_time = 0;
-  double burst = 0;
-
-  /// Injectable clock of the tenant's admission controller — the
-  /// testing seam (see `AdmissionOptions::clock_nanos`). Null → the real
-  /// monotonic clock.
-  std::function<int64_t()> clock_nanos;
-
   /// Opt-in durability (DESIGN.md §15): when non-empty, the tenant's
   /// escrow registry is a `DurableRegistry` rooted at this existing
   /// directory — every acknowledged `Escrow` is WAL-logged before the
@@ -71,10 +57,10 @@ struct TenantQuotas {
   /// failed recovery surfaces at open time instead of on first escrow.
   std::string durable_dir;
 
-  /// WAL flush policy and auto-checkpoint threshold of the durable
-  /// registry; ignored when `durable_dir` is empty.
+  /// WAL flush policy of the durable registry; ignored when
+  /// `durable_dir` is empty. The auto-checkpoint threshold is the
+  /// `DurableRegistryOptions` default.
   WalSyncPolicy durable_sync_policy = WalSyncPolicy::kEveryRecord;
-  uint64_t durable_checkpoint_threshold_bytes = 4 << 20;
 };
 
 class TenantContext;
@@ -103,16 +89,17 @@ class TenantSession {
   TenantSession& operator=(const TenantSession&) = delete;
 
   /// Blocking submission: admits `suspects.size()` units through the
-  /// tenant's admission controller (rate + in-flight + waiting room,
-  /// deadline-aware), then enqueues them in the session. Typed outcomes:
-  /// `kResourceExhausted` sheds, `kCancelled` / the interrupt status when
-  /// `interrupt` fires while waiting. All-or-nothing: on any non-OK
-  /// return NOTHING was enqueued and no units stay leased.
+  /// tenant's admission controller (in-flight + waiting room, honoring
+  /// the deadline while queued), then enqueues them in the session.
+  /// Typed outcomes: `kResourceExhausted` sheds, `kCancelled` / the
+  /// interrupt status when `interrupt` fires while waiting.
+  /// All-or-nothing: on any non-OK return NOTHING was enqueued and no
+  /// units stay leased.
   [[nodiscard]] Status Submit(std::vector<Histogram> suspects,
                               const InterruptContext& interrupt);
 
   /// Non-blocking submission: sheds immediately (typed
-  /// `kResourceExhausted`) instead of waiting for tokens or capacity.
+  /// `kResourceExhausted`) instead of waiting for capacity.
   /// All-or-nothing like `Submit`.
   [[nodiscard]] Status TrySubmit(std::vector<Histogram> suspects,
                                  const Deadline& deadline = {});

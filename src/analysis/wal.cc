@@ -6,13 +6,13 @@
 #include "analysis/wal.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "analysis/posix_io.h"
 #include "crypto/sha256.h"
 #include "exec/fault_injection.h"
 
@@ -20,40 +20,12 @@ namespace freqywm {
 
 namespace {
 
+using posix_io::ErrnoMessage;
+using posix_io::ReadWhole;
+using posix_io::WriteAll;
+
 constexpr size_t kFrameLengthLen = 8;
 constexpr size_t kFrameHeaderLen = kFrameLengthLen + Sha256::kDigestSize;
-
-std::string ErrnoMessage(const char* what, const std::string& path) {
-  return std::string(what) + " '" + path + "': " + std::strerror(errno);
-}
-
-Status WriteAll(int fd, std::string_view data, const std::string& path) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(ErrnoMessage("write", path));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadWhole(int fd, const std::string& path) {
-  std::string text;
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(ErrnoMessage("read", path));
-    }
-    if (n == 0) break;
-    text.append(buf, static_cast<size_t>(n));
-  }
-  return text;
-}
 
 void EncodeLengthLe(uint64_t value, uint8_t out[kFrameLengthLen]) {
   for (size_t i = 0; i < kFrameLengthLen; ++i) {

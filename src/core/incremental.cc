@@ -88,9 +88,8 @@ Result<RefreshResult> RefreshWatermark(const Histogram& drifted,
       ++out.report.pairs_dropped;
       continue;
     }
-    if (options.preserve_ranking &&
-        (!DeltaFits(plan.delta_i, up_slack(hi_rank), down_slack(hi_rank)) ||
-         !DeltaFits(plan.delta_j, up_slack(lo_rank), down_slack(lo_rank)))) {
+    if (!DeltaFits(plan.delta_i, up_slack(hi_rank), down_slack(hi_rank)) ||
+        !DeltaFits(plan.delta_j, up_slack(lo_rank), down_slack(lo_rank))) {
       ++out.report.pairs_dropped;
       continue;
     }

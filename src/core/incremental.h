@@ -12,16 +12,14 @@ namespace freqywm {
 /// Options for incremental watermark maintenance (§VI "Incremental
 /// FreqyWM"): a watermarked dataset keeps growing/shrinking in production,
 /// drifting pair residues away from zero; instead of re-running the full
-/// generation pipeline, the owner re-aligns only the broken pairs.
+/// generation pipeline, the owner re-aligns only the broken pairs. A
+/// repair whose deltas would violate the ranking constraint of the
+/// *current* histogram is skipped (checked with the conservative half-gap
+/// rule, so simultaneous repairs stay safe).
 struct RefreshOptions {
   /// Maximum total token churn the refresh may spend, as a percent of the
   /// dataset's current row count.
   double max_churn_percent = 2.0;
-
-  /// When true (default), a repair is skipped if its deltas would violate
-  /// the ranking constraint of the *current* histogram (checked with the
-  /// conservative half-gap rule, so simultaneous repairs stay safe).
-  bool preserve_ranking = true;
 };
 
 /// Outcome statistics of a refresh.

@@ -191,14 +191,10 @@ TEST(TenantTest, AbandonedSessionReturnsLeasedUnits) {
   EXPECT_EQ(tenant.open_sessions(), 0u);
 }
 
-TEST(TenantTest, CacheSliceIsSizedByQuotaAndPrivate) {
-  TenantQuotas quotas;
-  quotas.max_cache_entries = 7;
-  TenantContext tenant("acme", quotas);
-  EXPECT_EQ(tenant.key_cache()->capacity(), 7u);
-
+TEST(TenantTest, CacheSliceIsPrivateAndDefaultSized) {
+  TenantContext tenant("acme");
   TenantContext other("globex");
-  EXPECT_EQ(other.key_cache()->capacity(),
+  EXPECT_EQ(tenant.key_cache()->capacity(),
             PreparedKeyCache::kDefaultCapacity);
   EXPECT_NE(tenant.key_cache().get(), other.key_cache().get());
 }

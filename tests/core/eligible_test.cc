@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "datagen/power_law.h"
 
 namespace freqywm {
@@ -71,8 +73,14 @@ TEST(MakePairPlanTest, PerTokenChurnBoundedByHalfModulus) {
   }
 }
 
-class EligibleRuleTest
-    : public ::testing::TestWithParam<EligibilityRule> {};
+struct RuleCase {
+  const char* name;
+  EligibilityRule rule;
+};
+
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
+class EligibleRuleTest : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(EligibleRuleTest, UniformHistogramHasNoEligiblePairs) {
   // The paper's inapplicability case: equal frequencies leave no slack.
@@ -82,7 +90,7 @@ TEST_P(EligibleRuleTest, UniformHistogramHasNoEligiblePairs) {
   }
   Histogram h = MakeHist(std::move(entries));
   PairModulus pm(GenerateSecret(256, 3), 131);
-  auto eligible = BuildEligiblePairs(h, pm, GetParam());
+  auto eligible = BuildEligiblePairs(h, pm, GetParam().rule);
   // Interior tokens have zero boundaries; only pairs whose s is tiny AND
   // involve the extremes could sneak in under the strict rule with zero
   // deltas. The paper rule requires all four boundaries >= 1, impossible
@@ -100,7 +108,7 @@ TEST_P(EligibleRuleTest, SkewedHistogramHasEligiblePairs) {
   spec.alpha = 0.7;
   Histogram h = GeneratePowerLawHistogram(spec, rng);
   PairModulus pm(GenerateSecret(256, 7), 131);
-  auto eligible = BuildEligiblePairs(h, pm, GetParam());
+  auto eligible = BuildEligiblePairs(h, pm, GetParam().rule);
   EXPECT_GT(eligible.size(), 10u);
   for (const auto& p : eligible) {
     EXPECT_LT(p.rank_i, p.rank_j);
@@ -109,9 +117,11 @@ TEST_P(EligibleRuleTest, SkewedHistogramHasEligiblePairs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothRules, EligibleRuleTest,
-                         ::testing::Values(EligibilityRule::kPaper,
-                                           EligibilityRule::kStrictHalfGap));
+INSTANTIATE_TEST_SUITE_P(
+    BothRules, EligibleRuleTest,
+    ::testing::Values(RuleCase{"paper", EligibilityRule::kPaper},
+                      RuleCase{"strict", EligibilityRule::kStrictHalfGap}),
+    ::testing::PrintToStringParamName());
 
 TEST(EligibleTest, StrictRuleIsMoreConservativeOnSharedGaps) {
   Rng rng(11);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -51,13 +52,23 @@ void ExpectTokenDisjoint(const std::vector<EligiblePair>& eligible,
   }
 }
 
-class StrategyTest : public ::testing::TestWithParam<SelectionStrategy> {};
+struct StrategyCase {
+  const char* name;
+  SelectionStrategy strategy;
+};
+
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
+class StrategyTest : public ::testing::TestWithParam<StrategyCase> {
+ protected:
+  SelectionStrategy strategy() const { return GetParam().strategy; }
+};
 
 TEST_P(StrategyTest, ChosenPairsAreTokenDisjoint) {
   Fixture f = MakeFixture(1);
   Rng rng(7);
   SelectionResult r =
-      SelectPairs(f.hist, f.eligible, MakeOptions(GetParam()), rng);
+      SelectPairs(f.hist, f.eligible, MakeOptions(strategy()), rng);
   EXPECT_FALSE(r.chosen.empty());
   ExpectTokenDisjoint(f.eligible, r.chosen);
 }
@@ -67,7 +78,7 @@ TEST_P(StrategyTest, SimilarityBudgetRespected) {
   Rng rng(8);
   const double budget = 1.0;
   SelectionResult r =
-      SelectPairs(f.hist, f.eligible, MakeOptions(GetParam(), budget), rng);
+      SelectPairs(f.hist, f.eligible, MakeOptions(strategy(), budget), rng);
   EXPECT_GE(r.similarity_percent, 100.0 - budget);
 
   // Verify against a full recomputation.
@@ -86,15 +97,17 @@ TEST_P(StrategyTest, SimilarityBudgetRespected) {
 TEST_P(StrategyTest, EmptyEligibleListYieldsEmptySelection) {
   Fixture f = MakeFixture(3);
   Rng rng(9);
-  SelectionResult r = SelectPairs(f.hist, {}, MakeOptions(GetParam()), rng);
+  SelectionResult r = SelectPairs(f.hist, {}, MakeOptions(strategy()), rng);
   EXPECT_TRUE(r.chosen.empty());
   EXPECT_DOUBLE_EQ(r.similarity_percent, 100.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyTest,
-                         ::testing::Values(SelectionStrategy::kOptimal,
-                                           SelectionStrategy::kGreedy,
-                                           SelectionStrategy::kRandom));
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, StrategyTest,
+    ::testing::Values(StrategyCase{"optimal", SelectionStrategy::kOptimal},
+                      StrategyCase{"greedy", SelectionStrategy::kGreedy},
+                      StrategyCase{"random", SelectionStrategy::kRandom}),
+    ::testing::PrintToStringParamName());
 
 TEST(SelectTest, OptimalDominatesHeuristics) {
   // Fig. 2a's core claim: optimal >= greedy, random in chosen-pair count.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,17 @@ void ExpectIdenticalPairLists(const std::vector<EligiblePair>& expected,
   }
 }
 
-class EligibleIdentityTest
-    : public ::testing::TestWithParam<EligibilityRule> {};
+struct RuleCase {
+  const char* name;
+  EligibilityRule rule;
+};
+
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
+class EligibleIdentityTest : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(EligibleIdentityTest, PrunedSerialScanMatchesReference) {
-  const EligibilityRule rule = GetParam();
+  const EligibilityRule rule = GetParam().rule;
   WatermarkSecret secret = GenerateSecret(256, 41);
   std::vector<Histogram> hists{MakePowerLaw(300, 60000, 7), MakeTieHeavy()};
   for (size_t h = 0; h < hists.size(); ++h) {
@@ -88,7 +95,7 @@ TEST_P(EligibleIdentityTest, PrunedSerialScanMatchesReference) {
 }
 
 TEST_P(EligibleIdentityTest, ShardedParallelScanMatchesReferenceAtAnyWidth) {
-  const EligibilityRule rule = GetParam();
+  const EligibilityRule rule = GetParam().rule;
   WatermarkSecret secret = GenerateSecret(256, 43);
   PairModulus pm(secret, 131);
   std::vector<Histogram> hists{MakePowerLaw(250, 50000, 11), MakeTieHeavy()};
@@ -109,12 +116,9 @@ TEST_P(EligibleIdentityTest, ShardedParallelScanMatchesReferenceAtAnyWidth) {
 
 INSTANTIATE_TEST_SUITE_P(
     BothRules, EligibleIdentityTest,
-    ::testing::Values(EligibilityRule::kPaper,
-                      EligibilityRule::kStrictHalfGap),
-    [](const ::testing::TestParamInfo<EligibilityRule>& info) {
-      return info.param == EligibilityRule::kPaper ? "paper"
-                                                   : "strict_half_gap";
-    });
+    ::testing::Values(RuleCase{"paper", EligibilityRule::kPaper},
+                      RuleCase{"strict", EligibilityRule::kStrictHalfGap}),
+    ::testing::PrintToStringParamName());
 
 TEST(EligibleIdentityTest, TinyAndDegenerateHistograms) {
   WatermarkSecret secret = GenerateSecret(256, 47);

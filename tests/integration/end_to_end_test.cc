@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "core/detect.h"
@@ -21,6 +23,16 @@ struct PipelineCase {
   EligibilityRule rule;
   SimilarityMetric metric;
 };
+
+// Prints the case as its test-name suffix, e.g. "greedy_strict_l1".
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  const char* const kStrategies[] = {"optimal", "greedy", "random"};
+  const char* const kRules[] = {"paper", "strict"};
+  const char* const kMetrics[] = {"cosine", "l1", "minmax"};
+  *os << kStrategies[static_cast<int>(c.strategy)] << '_';
+  *os << kRules[static_cast<int>(c.rule)] << '_';
+  *os << kMetrics[static_cast<int>(c.metric)];
+}
 
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 
@@ -92,7 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
                      EligibilityRule::kStrictHalfGap,
                      SimilarityMetric::kNormalizedL1},
         PipelineCase{SelectionStrategy::kOptimal, EligibilityRule::kPaper,
-                     SimilarityMetric::kMinMaxRatio}));
+                     SimilarityMetric::kMinMaxRatio}),
+    ::testing::PrintToStringParamName());
 
 // Property sweep over the paper's synthetic grid: every (alpha, z) cell
 // must produce a valid, detectable watermark or fail cleanly with
@@ -101,6 +114,15 @@ struct GridCase {
   double alpha;
   uint64_t z;
 };
+
+// Prints the case as its test-name suffix, e.g. "alpha0p05_z131".
+void PrintTo(const GridCase& c, std::ostream* os) {
+  std::string alpha = std::to_string(c.alpha);
+  alpha.erase(alpha.find_last_not_of('0') + 1);
+  if (alpha.back() == '.') alpha.pop_back();
+  std::replace(alpha.begin(), alpha.end(), '.', 'p');
+  *os << "alpha" << alpha << "_z" << c.z;
+}
 
 class SyntheticGridTest : public ::testing::TestWithParam<GridCase> {};
 
@@ -138,7 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{0.5, 131}, GridCase{0.7, 131},
                       GridCase{0.9, 131}, GridCase{1.0, 131},
                       GridCase{0.7, 10}, GridCase{0.7, 523},
-                      GridCase{0.7, 1031}, GridCase{0.5, 1031}));
+                      GridCase{0.7, 1031}, GridCase{0.5, 1031}),
+    ::testing::PrintToStringParamName());
 
 TEST(RealWorldIntegrationTest, TaxiLikeDatasetEndToEnd) {
   Rng rng(7);

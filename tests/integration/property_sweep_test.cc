@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "core/detect.h"
 #include "core/watermark.h"
 #include "crypto/pair_modulus.h"
@@ -72,6 +76,16 @@ struct GridCase {
   double alpha;
 };
 
+// Prints the case as its test-name suffix, e.g. "z131_greedy_alpha0p5".
+void PrintTo(const GridCase& c, std::ostream* os) {
+  const char* const kStrategies[] = {"optimal", "greedy", "random"};
+  const char* strategy = kStrategies[static_cast<int>(c.strategy)];
+  std::string alpha = std::to_string(c.alpha);
+  alpha.erase(alpha.find_last_not_of('0') + 1);
+  std::replace(alpha.begin(), alpha.end(), '.', 'p');
+  *os << 'z' << c.z << '_' << strategy << "_alpha" << alpha;
+}
+
 class GenerationInvariantTest : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(GenerationInvariantTest, CoreInvariantsHold) {
@@ -135,7 +149,8 @@ INSTANTIATE_TEST_SUITE_P(
         GridCase{1031, SelectionStrategy::kOptimal, 0.7},
         GridCase{1031, SelectionStrategy::kGreedy, 0.9},
         GridCase{2063, SelectionStrategy::kGreedy, 0.7},
-        GridCase{67, SelectionStrategy::kRandom, 0.9}));
+        GridCase{67, SelectionStrategy::kRandom, 0.9}),
+    ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
 // Detection threshold monotonicity: verified pairs never shrink as t grows

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <utility>
 #include <vector>
@@ -135,6 +136,11 @@ struct RandomGraphCase {
   int64_t max_weight;
 };
 
+// Prints the case as its test-name suffix, e.g. "v4_e5_w10".
+void PrintTo(const RandomGraphCase& c, std::ostream* os) {
+  *os << 'v' << c.vertices << "_e" << c.edges << "_w" << c.max_weight;
+}
+
 class MatchingPropertyTest
     : public ::testing::TestWithParam<RandomGraphCase> {};
 
@@ -169,7 +175,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomGraphCase{8, 14, 50}, RandomGraphCase{9, 16, 5},
                       RandomGraphCase{10, 18, 1000},
                       RandomGraphCase{6, 15, 2},  // dense, many ties
-                      RandomGraphCase{12, 14, 20}));
+                      RandomGraphCase{12, 14, 20}),
+    ::testing::PrintToStringParamName());
 
 TEST(MatchingPropertyTest, GreedyNeverBeatsBlossom) {
   Rng rng(77);
