@@ -15,15 +15,19 @@ namespace {
 /// Vertices are 0..n-1; blossom slots are n..2n-1. Edge endpoints are
 /// encoded as 2k / 2k+1 for edge k. Input weights are doubled internally so
 /// every dual update stays integral (delta3 divides a slack by two).
+///
+/// Every buffer is sized once per run. A stage resets only the slots and
+/// edges the previous stage touched, labels the free vertices from a list,
+/// and walks blossom leaves in place, so a stage costs what its search
+/// does. Scan, queue and tie-break order are those of the reference
+/// formulation (DESIGN.md §16).
 class BlossomMatcher {
  public:
-  BlossomMatcher(int num_vertices, const std::vector<WeightedEdge>& input,
-                 bool max_cardinality)
-      : n_(num_vertices), max_cardinality_(max_cardinality) {
+  BlossomMatcher(int num_vertices, const std::vector<WeightedEdge>& input)
+      : n_(num_vertices) {
     edges_.reserve(input.size());
     for (const auto& e : input) {
-      if (e.u == e.v) continue;  // self-loops never participate
-      assert(e.u >= 0 && e.u < n_ && e.v >= 0 && e.v < n_);
+      assert(e.u != e.v && e.u >= 0 && e.u < n_ && e.v >= 0 && e.v < n_);
       edges_.push_back(WeightedEdge{e.u, e.v, e.weight * 2});
     }
     m_ = static_cast<int>(edges_.size());
@@ -36,10 +40,18 @@ class BlossomMatcher {
       endpoint_[2 * k] = edges_[k].u;
       endpoint_[2 * k + 1] = edges_[k].v;
     }
-    neighb_end_.assign(n_, {});
+    // Each vertex's remote endpoints, in edge order, as one flat array.
+    neighb_begin_.assign(n_ + 1, 0);
+    for (const auto& e : edges_) {
+      ++neighb_begin_[e.u + 1];
+      ++neighb_begin_[e.v + 1];
+    }
+    for (int v = 0; v < n_; ++v) neighb_begin_[v + 1] += neighb_begin_[v];
+    neighb_end_.resize(2 * m_);
+    std::vector<int> fill(neighb_begin_.begin(), neighb_begin_.end() - 1);
     for (int k = 0; k < m_; ++k) {
-      neighb_end_[edges_[k].u].push_back(2 * k + 1);
-      neighb_end_[edges_[k].v].push_back(2 * k);
+      neighb_end_[fill[edges_[k].u]++] = 2 * k + 1;
+      neighb_end_[fill[edges_[k].v]++] = 2 * k;
     }
 
     mate_.assign(n_, -1);
@@ -55,27 +67,46 @@ class BlossomMatcher {
     best_edge_.assign(2 * n_, -1);
     blossom_best_edges_.assign(2 * n_, {});
     has_best_edges_.assign(2 * n_, false);
+    best_edge_to_.assign(2 * n_, -1);
+    best_slack_to_.assign(2 * n_, 0);
+    best_to_set_.assign((2 * n_ + 63) / 64, 0);
     for (int b = 2 * n_ - 1; b >= n_; --b) unused_blossoms_.push_back(b);
     dual_var_.assign(2 * n_, 0);
     for (int v = 0; v < n_; ++v) dual_var_[v] = max_weight_;
     allow_edge_.assign(m_, false);
+    free_.resize(n_);
+    for (int v = 0; v < n_; ++v) free_[v] = v;
   }
 
   std::vector<int> Run() {
     for (int stage = 0; stage < n_; ++stage) {
-      std::fill(label_.begin(), label_.end(), 0);
-      std::fill(best_edge_.begin(), best_edge_.end(), -1);
-      for (int b = n_; b < 2 * n_; ++b) {
-        blossom_best_edges_[b].clear();
-        has_best_edges_[b] = false;
+      // Undo what the previous stage set: labels, best edges and allowed
+      // edges all start a stage cleared.
+      for (int x : dirty_) {
+        label_[x] = 0;
+        best_edge_[x] = -1;
+        if (x >= n_) {
+          blossom_best_edges_[x].clear();
+          has_best_edges_[x] = false;
+        }
       }
-      std::fill(allow_edge_.begin(), allow_edge_.end(), false);
+      dirty_.clear();
+      for (int k : allowed_) allow_edge_[k] = false;
+      allowed_.clear();
       queue_.clear();
 
-      for (int v = 0; v < n_; ++v) {
-        if (mate_[v] == -1 && label_[in_blossom_[v]] == 0) {
+      // Every free vertex roots an S-tree. Most are not in a blossom, so
+      // those are labelled here, as AssignLabel would label them.
+      for (int v : free_) {
+        const int b = in_blossom_[v];
+        if (label_[b] != 0) continue;
+        if (b != v) {
           AssignLabel(v, 1, -1);
+          continue;
         }
+        SetLabel(v, 1);
+        label_end_[v] = best_edge_[v] = -1;
+        queue_.push_back(v);
       }
 
       bool augmented = false;
@@ -85,14 +116,15 @@ class BlossomMatcher {
           queue_.pop_back();
           assert(label_[in_blossom_[v]] == 1);
 
-          for (int p : neighb_end_[v]) {
+          for (int i = neighb_begin_[v]; i < neighb_begin_[v + 1]; ++i) {
+            int p = neighb_end_[i];
             int k = p / 2;
             int w = endpoint_[p];
             if (in_blossom_[v] == in_blossom_[w]) continue;
             int64_t kslack = 0;
             if (!allow_edge_[k]) {
               kslack = Slack(k);
-              if (kslack <= 0) allow_edge_[k] = true;
+              if (kslack <= 0) Allow(k);
             }
             if (allow_edge_[k]) {
               if (label_[in_blossom_[w]] == 0) {
@@ -108,7 +140,7 @@ class BlossomMatcher {
                 }
               } else if (label_[w] == 0) {
                 assert(label_[in_blossom_[w]] == 2);
-                label_[w] = 2;
+                SetLabel(w, 2);
                 label_end_[w] = p ^ 1;
               }
             } else if (label_[in_blossom_[w]] == 1) {
@@ -117,7 +149,10 @@ class BlossomMatcher {
                 best_edge_[b] = k;
               }
             } else if (label_[w] == 0) {
-              if (best_edge_[w] == -1 || kslack < Slack(best_edge_[w])) {
+              if (best_edge_[w] == -1) {
+                dirty_.push_back(w);
+                best_edge_[w] = k;
+              } else if (kslack < Slack(best_edge_[w])) {
                 best_edge_[w] = k;
               }
             }
@@ -127,21 +162,17 @@ class BlossomMatcher {
 
         // No augmenting path under the current duals; compute the minimum
         // delta over the four dual-update cases.
-        int delta_type = -1;
-        int64_t delta = 0;
+        int delta_type = 1;
+        int64_t delta = std::numeric_limits<int64_t>::max();
         int delta_edge = -1;
         int delta_blossom = -1;
+        for (int v = 0; v < n_; ++v) delta = std::min(delta, dual_var_[v]);
+        delta = std::max<int64_t>(delta, 0);
 
-        if (!max_cardinality_) {
-          delta_type = 1;
-          delta = std::numeric_limits<int64_t>::max();
-          for (int v = 0; v < n_; ++v) delta = std::min(delta, dual_var_[v]);
-          delta = std::max<int64_t>(delta, 0);
-        }
         for (int v = 0; v < n_; ++v) {
           if (label_[in_blossom_[v]] == 0 && best_edge_[v] != -1) {
             int64_t d = Slack(best_edge_[v]);
-            if (delta_type == -1 || d < delta) {
+            if (d < delta) {
               delta = d;
               delta_type = 2;
               delta_edge = best_edge_[v];
@@ -154,7 +185,7 @@ class BlossomMatcher {
             int64_t kslack = Slack(best_edge_[b]);
             assert(kslack % 2 == 0);
             int64_t d = kslack / 2;
-            if (delta_type == -1 || d < delta) {
+            if (d < delta) {
               delta = d;
               delta_type = 3;
               delta_edge = best_edge_[b];
@@ -163,19 +194,11 @@ class BlossomMatcher {
         }
         for (int b = n_; b < 2 * n_; ++b) {
           if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1 &&
-              label_[b] == 2 && (delta_type == -1 || dual_var_[b] < delta)) {
+              label_[b] == 2 && dual_var_[b] < delta) {
             delta = dual_var_[b];
             delta_type = 4;
             delta_blossom = b;
           }
-        }
-        if (delta_type == -1) {
-          // Max-cardinality mode with no slack anywhere: one final update.
-          assert(max_cardinality_);
-          delta_type = 1;
-          int64_t mn = std::numeric_limits<int64_t>::max();
-          for (int v = 0; v < n_; ++v) mn = std::min(mn, dual_var_[v]);
-          delta = std::max<int64_t>(0, mn);
         }
 
         for (int v = 0; v < n_; ++v) {
@@ -199,15 +222,13 @@ class BlossomMatcher {
         if (delta_type == 1) {
           break;  // optimum reached
         } else if (delta_type == 2) {
-          allow_edge_[delta_edge] = true;
+          Allow(delta_edge);
           int i = edges_[delta_edge].u;
-          int j = edges_[delta_edge].v;
-          if (label_[in_blossom_[i]] == 0) std::swap(i, j);
+          if (label_[in_blossom_[i]] == 0) i = edges_[delta_edge].v;
           assert(label_[in_blossom_[i]] == 1);
           queue_.push_back(i);
-          (void)j;
         } else if (delta_type == 3) {
-          allow_edge_[delta_edge] = true;
+          Allow(delta_edge);
           int i = edges_[delta_edge].u;
           assert(label_[in_blossom_[i]] == 1);
           queue_.push_back(i);
@@ -218,13 +239,24 @@ class BlossomMatcher {
 
       if (!augmented) break;
 
-      // End of stage: expand S-blossoms whose dual hit zero.
-      for (int b = n_; b < 2 * n_; ++b) {
+      // End of stage: expand S-blossoms whose dual hit zero, in ascending
+      // slot order. Only a slot labelled this stage can be an S-blossom.
+      expand_.clear();
+      for (int x : dirty_) {
+        if (x >= n_) expand_.push_back(x);
+      }
+      std::sort(expand_.begin(), expand_.end());
+      expand_.erase(std::unique(expand_.begin(), expand_.end()),
+                    expand_.end());
+      for (int b : expand_) {
         if (blossom_parent_[b] == -1 && blossom_base_[b] >= 0 &&
             label_[b] == 1 && dual_var_[b] == 0) {
           ExpandBlossom(b, /*endstage=*/true);
         }
       }
+      free_.erase(std::remove_if(free_.begin(), free_.end(),
+                                 [&](int v) { return mate_[v] != -1; }),
+                  free_.end());
     }
 
 #ifndef NDEBUG
@@ -244,28 +276,47 @@ class BlossomMatcher {
            2 * edges_[k].weight;
   }
 
-  void CollectLeaves(int b, std::vector<int>& out) const {
-    if (b < n_) {
-      out.push_back(b);
-      return;
-    }
-    for (int t : blossom_childs_[b]) CollectLeaves(t, out);
+  /// Sets a non-zero label and records the slot for the next stage's reset.
+  void SetLabel(int x, int t) {
+    label_[x] = t;
+    dirty_.push_back(x);
   }
 
-  std::vector<int> BlossomLeaves(int b) const {
-    std::vector<int> out;
-    CollectLeaves(b, out);
-    return out;
+  void Allow(int k) {
+    if (allow_edge_[k]) return;
+    allow_edge_[k] = true;
+    allowed_.push_back(k);
+  }
+
+  /// Calls `fn` on the leaves of `b` in depth-first child order.
+  template <typename Fn>
+  void ForEachLeaf(int b, const Fn& fn) {
+    if (b < n_) {
+      fn(b);
+      return;
+    }
+    for (int t : blossom_childs_[b]) ForEachLeaf(t, fn);
+  }
+
+  /// The first leaf of `b`, in `ForEachLeaf` order, that carries a label.
+  int FirstLabelledLeaf(int b) const {
+    if (b < n_) return label_[b] != 0 ? b : -1;
+    for (int t : blossom_childs_[b]) {
+      int leaf = FirstLabelledLeaf(t);
+      if (leaf != -1) return leaf;
+    }
+    return -1;
   }
 
   void AssignLabel(int w, int t, int p) {
     int b = in_blossom_[w];
     assert(label_[w] == 0 && label_[b] == 0);
-    label_[w] = label_[b] = t;
+    SetLabel(w, t);
+    if (b != w) SetLabel(b, t);
     label_end_[w] = label_end_[b] = p;
     best_edge_[w] = best_edge_[b] = -1;
     if (t == 1) {
-      for (int leaf : BlossomLeaves(b)) queue_.push_back(leaf);
+      ForEachLeaf(b, [&](int leaf) { queue_.push_back(leaf); });
     } else if (t == 2) {
       int base = blossom_base_[b];
       assert(mate_[base] >= 0);
@@ -274,7 +325,7 @@ class BlossomMatcher {
   }
 
   int ScanBlossom(int v, int w) {
-    std::vector<int> path;
+    scan_path_.clear();
     int base = -1;
     while (v != -1 || w != -1) {
       int b = in_blossom_[v];
@@ -283,7 +334,7 @@ class BlossomMatcher {
         break;
       }
       assert(label_[b] == 1);
-      path.push_back(b);
+      scan_path_.push_back(b);
       label_[b] = 5;
       assert(label_end_[b] == mate_[blossom_base_[b]]);
       if (label_end_[b] == -1) {
@@ -297,7 +348,7 @@ class BlossomMatcher {
       }
       if (w != -1) std::swap(v, w);
     }
-    for (int b : path) label_[b] = 1;
+    for (int b : scan_path_) label_[b] = 1;
     return base;
   }
 
@@ -349,59 +400,68 @@ class BlossomMatcher {
     }
 
     assert(label_[bb] == 1);
-    label_[b] = 1;
+    SetLabel(b, 1);
     label_end_[b] = label_end_[bb];
     dual_var_[b] = 0;
 
-    for (int leaf : BlossomLeaves(b)) {
+    ForEachLeaf(b, [&](int leaf) {
       if (label_[in_blossom_[leaf]] == 2) queue_.push_back(leaf);
       in_blossom_[leaf] = b;
-    }
+    });
 
     // Compute the least-slack edges from the new blossom to every other
-    // S-blossom (used by delta3).
-    std::vector<int> best_edge_to(2 * n_, -1);
+    // S-blossom (used by delta3), keyed by that blossom's slot.
     for (int child : path) {
-      std::vector<std::vector<int>> nblists;
       if (!has_best_edges_[child]) {
-        for (int leaf : BlossomLeaves(child)) {
-          std::vector<int> lst;
-          lst.reserve(neighb_end_[leaf].size());
-          for (int p : neighb_end_[leaf]) lst.push_back(p / 2);
-          nblists.push_back(std::move(lst));
-        }
-      } else {
-        nblists.push_back(blossom_best_edges_[child]);
-      }
-      for (const auto& nblist : nblists) {
-        for (int ke : nblist) {
-          int i = edges_[ke].u;
-          int j = edges_[ke].v;
-          if (in_blossom_[j] == b) std::swap(i, j);
-          int bj = in_blossom_[j];
-          if (bj != b && label_[bj] == 1 &&
-              (best_edge_to[bj] == -1 ||
-               Slack(ke) < Slack(best_edge_to[bj]))) {
-            best_edge_to[bj] = ke;
+        ForEachLeaf(child, [&](int leaf) {
+          for (int i = neighb_begin_[leaf]; i < neighb_begin_[leaf + 1]; ++i) {
+            OfferBestEdgeTo(b, neighb_end_[i] / 2);
           }
-        }
+        });
+      } else {
+        for (int ke : blossom_best_edges_[child]) OfferBestEdgeTo(b, ke);
       }
       blossom_best_edges_[child].clear();
       has_best_edges_[child] = false;
       best_edge_[child] = -1;
     }
-    blossom_best_edges_[b].clear();
-    for (int ke : best_edge_to) {
-      if (ke != -1) blossom_best_edges_[b].push_back(ke);
+    // Keep them in ascending slot order, and the least-slack one of those
+    // (first on ties) as the blossom's own best edge.
+    std::vector<int>& best_edges = blossom_best_edges_[b];
+    best_edges.clear();
+    best_edge_[b] = -1;
+    int64_t best_slack = 0;
+    for (size_t word = 0; word < best_to_set_.size(); ++word) {
+      for (uint64_t bits = best_to_set_[word]; bits != 0; bits &= bits - 1) {
+        const int bj = static_cast<int>(word * 64) + __builtin_ctzll(bits);
+        const int ke = best_edge_to_[bj];
+        best_edges.push_back(ke);
+        if (best_edge_[b] == -1 || best_slack_to_[bj] < best_slack) {
+          best_edge_[b] = ke;
+          best_slack = best_slack_to_[bj];
+        }
+        best_edge_to_[bj] = -1;
+      }
+      best_to_set_[word] = 0;
     }
     has_best_edges_[b] = true;
+  }
 
-    best_edge_[b] = -1;
-    for (int ke : blossom_best_edges_[b]) {
-      if (best_edge_[b] == -1 || Slack(ke) < Slack(best_edge_[b])) {
-        best_edge_[b] = ke;
-      }
+  /// Keeps edge `ke` of new blossom `b` if it is the least-slack edge so
+  /// far to the S-blossom at its other end.
+  void OfferBestEdgeTo(int b, int ke) {
+    int j = edges_[ke].v;
+    if (in_blossom_[j] == b) j = edges_[ke].u;
+    const int bj = in_blossom_[j];
+    if (bj == b || label_[bj] != 1) return;
+    const int64_t slack = Slack(ke);
+    if (best_edge_to_[bj] == -1) {
+      best_to_set_[bj / 64] |= uint64_t{1} << (bj % 64);
+    } else if (slack >= best_slack_to_[bj]) {
+      return;
     }
+    best_edge_to_[bj] = ke;
+    best_slack_to_[bj] = slack;
   }
 
   void ExpandBlossom(int b, bool endstage) {
@@ -412,7 +472,7 @@ class BlossomMatcher {
       } else if (endstage && dual_var_[s] == 0) {
         ExpandBlossom(s, endstage);
       } else {
-        for (int leaf : BlossomLeaves(s)) in_blossom_[leaf] = s;
+        ForEachLeaf(s, [&](int leaf) { in_blossom_[leaf] = s; });
       }
     }
 
@@ -448,14 +508,15 @@ class BlossomMatcher {
         label_[endpoint_[p ^ 1]] = 0;
         label_[endpoint_[endp_at(j - endptrick) ^ endptrick ^ 1]] = 0;
         AssignLabel(endpoint_[p ^ 1], 2, p);
-        allow_edge_[endp_at(j - endptrick) / 2] = true;
+        Allow(endp_at(j - endptrick) / 2);
         j += jstep;
         p = endp_at(j - endptrick) ^ endptrick;
-        allow_edge_[p / 2] = true;
+        Allow(p / 2);
         j += jstep;
       }
       int bv = child_at(j);
-      label_[endpoint_[p ^ 1]] = label_[bv] = 2;
+      SetLabel(endpoint_[p ^ 1], 2);
+      SetLabel(bv, 2);
       label_end_[endpoint_[p ^ 1]] = label_end_[bv] = p;
       best_edge_[bv] = -1;
       j += jstep;
@@ -465,13 +526,7 @@ class BlossomMatcher {
           j += jstep;
           continue;
         }
-        int reached = -1;
-        for (int leaf : BlossomLeaves(bv)) {
-          if (label_[leaf] != 0) {
-            reached = leaf;
-            break;
-          }
-        }
+        int reached = FirstLabelledLeaf(bv);
         if (reached != -1) {
           assert(label_[reached] == 2);
           assert(in_blossom_[reached] == bv);
@@ -483,7 +538,7 @@ class BlossomMatcher {
       }
     }
 
-    label_[b] = -1;
+    SetLabel(b, -1);
     label_end_[b] = -1;
     blossom_childs_[b].clear();
     blossom_endps_[b].clear();
@@ -499,10 +554,12 @@ class BlossomMatcher {
     while (blossom_parent_[t] != b) t = blossom_parent_[t];
     if (t >= n_) AugmentBlossom(t, v);
 
-    const int len = static_cast<int>(blossom_childs_[b].size());
+    std::vector<int>& childs = blossom_childs_[b];
+    std::vector<int>& endps = blossom_endps_[b];
+    const int len = static_cast<int>(childs.size());
     int i = 0;
     for (int idx = 0; idx < len; ++idx) {
-      if (blossom_childs_[b][idx] == t) {
+      if (childs[idx] == t) {
         i = idx;
         break;
       }
@@ -517,12 +574,8 @@ class BlossomMatcher {
       jstep = -1;
       endptrick = 1;
     }
-    auto child_at = [&](int idx) {
-      return blossom_childs_[b][(idx % len + len) % len];
-    };
-    auto endp_at = [&](int idx) {
-      return blossom_endps_[b][(idx % len + len) % len];
-    };
+    auto child_at = [&](int idx) { return childs[(idx % len + len) % len]; };
+    auto endp_at = [&](int idx) { return endps[(idx % len + len) % len]; };
 
     while (j != 0) {
       j += jstep;
@@ -536,19 +589,12 @@ class BlossomMatcher {
       mate_[endpoint_[p ^ 1]] = p;
     }
 
-    std::vector<int> new_childs, new_endps;
-    new_childs.reserve(len);
-    new_endps.reserve(len);
-    for (int idx = 0; idx < len; ++idx) {
-      new_childs.push_back(blossom_childs_[b][(i + idx) % len]);
-      new_endps.push_back(blossom_endps_[b][(i + idx) % len]);
-    }
-    blossom_childs_[b] = std::move(new_childs);
-    blossom_endps_[b] = std::move(new_endps);
-    blossom_base_[b] = blossom_base_[blossom_childs_[b][0]];
+    // Rotate so the child holding the new base comes first.
+    std::rotate(childs.begin(), childs.begin() + i, childs.end());
+    std::rotate(endps.begin(), endps.begin() + i, endps.end());
+    blossom_base_[b] = blossom_base_[childs[0]];
     assert(blossom_base_[b] == v);
   }
-
   void AugmentMatching(int k) {
     const int kv = edges_[k].u;
     const int kw = edges_[k].v;
@@ -581,10 +627,8 @@ class BlossomMatcher {
   /// Checks LP dual feasibility and complementary slackness — the standard
   /// certificate that the produced matching is optimal.
   void VerifyOptimum() const {
-    int64_t vdual_min = max_cardinality_ ? std::numeric_limits<int64_t>::min()
-                                         : 0;
     for (int v = 0; v < n_; ++v) {
-      assert(dual_var_[v] >= vdual_min || mate_[v] >= 0);
+      assert(dual_var_[v] >= 0 || mate_[v] >= 0);
     }
     for (int k = 0; k < m_; ++k) {
       int64_t s = Slack(k);
@@ -620,13 +664,13 @@ class BlossomMatcher {
 #endif
 
   int n_;
-  bool max_cardinality_;
   std::vector<WeightedEdge> edges_;
   int m_ = 0;
   int64_t max_weight_ = 0;
 
   std::vector<int> endpoint_;
-  std::vector<std::vector<int>> neighb_end_;
+  std::vector<int> neighb_begin_;
+  std::vector<int> neighb_end_;
   std::vector<int> mate_;
   std::vector<int> label_;
   std::vector<int> label_end_;
@@ -638,17 +682,29 @@ class BlossomMatcher {
   std::vector<int> best_edge_;
   std::vector<std::vector<int>> blossom_best_edges_;
   std::vector<char> has_best_edges_;
+  // Per-blossom scratch for AddBlossom: the least-slack edge and its slack
+  // to each S-blossom slot, and a bitset of the slots set (reset after use).
+  std::vector<int> best_edge_to_;
+  std::vector<int64_t> best_slack_to_;
+  std::vector<uint64_t> best_to_set_;
   std::vector<int> unused_blossoms_;
   std::vector<int64_t> dual_var_;
   std::vector<char> allow_edge_;
   std::vector<int> queue_;
+  // Free vertices in ascending order; the stage's S-vertices to start from.
+  std::vector<int> free_;
+  // Slots given a label or best edge this stage, and edges allowed this
+  // stage: what the next stage resets.
+  std::vector<int> dirty_;
+  std::vector<int> allowed_;
+  std::vector<int> scan_path_;
+  std::vector<int> expand_;
 };
 
 }  // namespace
 
 std::vector<int> MaxWeightMatching(int num_vertices,
-                                   const std::vector<WeightedEdge>& edges,
-                                   bool max_cardinality) {
+                                   const std::vector<WeightedEdge>& edges) {
   if (num_vertices <= 0) return {};
   // Run the blossom over the active vertices only (those with a
   // non-self-loop edge), renumbered in order. An isolated vertex is always
@@ -677,8 +733,7 @@ std::vector<int> MaxWeightMatching(int num_vertices,
     compact_edges.push_back(
         WeightedEdge{compact_id[e.u], compact_id[e.v], e.weight});
   }
-  BlossomMatcher matcher(static_cast<int>(vertex_of.size()), compact_edges,
-                         max_cardinality);
+  BlossomMatcher matcher(static_cast<int>(vertex_of.size()), compact_edges);
   const std::vector<int> compact_mate = matcher.Run();
   for (size_t c = 0; c < compact_mate.size(); ++c) {
     if (compact_mate[c] >= 0) mate[vertex_of[c]] = vertex_of[compact_mate[c]];
@@ -705,65 +760,6 @@ int64_t MatchingWeight(const std::vector<int>& mate,
     if (seen[v]) total += pair_weight[v];
   }
   return total;
-}
-
-std::vector<int> GreedyMatching(int num_vertices,
-                                const std::vector<WeightedEdge>& edges) {
-  std::vector<size_t> order(edges.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (edges[a].weight != edges[b].weight) {
-      return edges[a].weight > edges[b].weight;
-    }
-    return a < b;
-  });
-  std::vector<int> mate(num_vertices, -1);
-  for (size_t idx : order) {
-    const auto& e = edges[idx];
-    if (e.u == e.v || e.weight < 0) continue;
-    if (mate[e.u] == -1 && mate[e.v] == -1) {
-      mate[e.u] = e.v;
-      mate[e.v] = e.u;
-    }
-  }
-  return mate;
-}
-
-namespace {
-
-void BruteForceRecurse(const std::vector<WeightedEdge>& edges, size_t idx,
-                       std::vector<int>& mate, int64_t weight,
-                       int64_t& best_weight, std::vector<int>& best_mate) {
-  if (idx == edges.size()) {
-    if (weight > best_weight) {
-      best_weight = weight;
-      best_mate = mate;
-    }
-    return;
-  }
-  // Skip edge idx.
-  BruteForceRecurse(edges, idx + 1, mate, weight, best_weight, best_mate);
-  // Take edge idx if both endpoints are free.
-  const auto& e = edges[idx];
-  if (e.u != e.v && mate[e.u] == -1 && mate[e.v] == -1) {
-    mate[e.u] = e.v;
-    mate[e.v] = e.u;
-    BruteForceRecurse(edges, idx + 1, mate, weight + e.weight, best_weight,
-                      best_mate);
-    mate[e.u] = -1;
-    mate[e.v] = -1;
-  }
-}
-
-}  // namespace
-
-std::vector<int> BruteForceMaxWeightMatching(
-    int num_vertices, const std::vector<WeightedEdge>& edges) {
-  std::vector<int> mate(num_vertices, -1);
-  std::vector<int> best_mate = mate;
-  int64_t best_weight = 0;
-  BruteForceRecurse(edges, 0, mate, 0, best_weight, best_mate);
-  return best_mate;
 }
 
 }  // namespace freqywm

@@ -22,34 +22,23 @@ struct WeightedEdge {
 /// FreqyWM's *optimal* pair selection (paper §III-B2).
 ///
 /// Returns `mate` with `mate[v]` = matched partner of `v`, or -1 if `v` is
-/// single. Self-loops are ignored; negative-weight edges are never matched
-/// unless `max_cardinality` forces cardinality over weight. The blossom
-/// runs only over vertices that have an edge, so the cost is cubic in
-/// those, not in `num_vertices`.
+/// single. Self-loops are ignored; negative-weight edges are never matched.
+/// The blossom runs only over vertices that have an edge, so the cost is
+/// cubic in those, not in `num_vertices`.
 ///
-/// Correctness is established two ways in the test suite: against an
-/// exhaustive brute-force matcher on random graphs (property tests), and by
-/// verifying LP dual feasibility + complementary slackness internally when
-/// assertions are enabled.
+/// Correctness is established three ways in the test suite: against an
+/// exhaustive brute-force matcher on random graphs (property tests), by a
+/// digest of `mate` on pinned graphs (identity tests), and by verifying LP
+/// dual feasibility + complementary slackness internally when assertions
+/// are enabled.
 std::vector<int> MaxWeightMatching(int num_vertices,
-                                   const std::vector<WeightedEdge>& edges,
-                                   bool max_cardinality = false);
+                                   const std::vector<WeightedEdge>& edges);
 
-/// Sum of weights of matched edges for a `mate` array produced by any
-/// matcher here. Edges may be given as `u < v` or `u > v`; each matched
-/// pair counts once, with the heaviest edge joining it.
+/// Sum of weights of matched edges for a `mate` array such as
+/// `MaxWeightMatching` returns. Edges may be given as `u < v` or `u > v`;
+/// each matched pair counts once, with the heaviest edge joining it.
 int64_t MatchingWeight(const std::vector<int>& mate,
                        const std::vector<WeightedEdge>& edges);
-
-/// Greedy matcher: repeatedly takes the heaviest edge whose endpoints are
-/// both free. 1/2-approximation; used for scale comparisons and tests.
-std::vector<int> GreedyMatching(int num_vertices,
-                                const std::vector<WeightedEdge>& edges);
-
-/// Exhaustive exact matcher for small graphs (<= ~20 edges practical).
-/// Used only as a test oracle for the blossom implementation.
-std::vector<int> BruteForceMaxWeightMatching(
-    int num_vertices, const std::vector<WeightedEdge>& edges);
 
 }  // namespace freqywm
 

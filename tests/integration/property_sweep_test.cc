@@ -204,8 +204,13 @@ TEST_P(DetectionMonotonicityTest, VerifiedCountMonotoneInT) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DetectionMonotonicityTest,
-                         ::testing::Values(11, 22, 33, 44));
+// Named after the seed itself, so the ids read `.../11` whether or not a
+// test runner substitutes parameter values for indices.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DetectionMonotonicityTest, ::testing::Values(11, 22, 33, 44),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return std::to_string(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Serialization robustness: random mutations of a valid secrets file must
