@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "api/scheme.h"
+#include "attacks/rewatermark.h"
 #include "bench_common.h"
 
 namespace fb = freqywm::bench;
@@ -77,45 +78,42 @@ int main() {
   // watermarked first (§V-D chronology argument).
   DetectOptions judge =
       owner_scheme->RecommendedDetectOptions(owner.value().key);
-  DetectResult a_on_a = owner_scheme->Detect(owner.value().watermarked,
-                                             owner.value().key, judge);
-  DetectResult a_on_b = owner_scheme->Detect(attacker.value().watermarked,
-                                             owner.value().key, judge);
-  DetectResult b_on_a = attacker_scheme->Detect(
-      owner.value().watermarked, attacker.value().key,
-      attacker_scheme->RecommendedDetectOptions(attacker.value().key));
-  DetectResult b_on_b = attacker_scheme->Detect(
-      attacker.value().watermarked, attacker.value().key,
-      attacker_scheme->RecommendedDetectOptions(attacker.value().key));
+  DetectOptions attacker_judge =
+      attacker_scheme->RecommendedDetectOptions(attacker.value().key);
+  JudgeReport report;
+  report.a_on_a = owner_scheme->Detect(owner.value().watermarked,
+                                       owner.value().key, judge);
+  report.a_on_b = owner_scheme->Detect(attacker.value().watermarked,
+                                       owner.value().key, judge);
+  report.b_on_a = attacker_scheme->Detect(
+      owner.value().watermarked, attacker.value().key, attacker_judge);
+  report.b_on_b = attacker_scheme->Detect(
+      attacker.value().watermarked, attacker.value().key, attacker_judge);
 
-  // Verdict mirrors `ArbitrateOwnership` (§V-D), fed from the scheme-API
-  // detections: primary rule — only the rightful owner's key verifies on
-  // BOTH datasets; tie-break — cross-verification strength with a clear
-  // 2x margin (a re-watermarker's pairs verify nowhere on data it never
-  // touched, while the first watermark leaves a partial trace).
-  bool a_claims_both = a_on_a.accepted && a_on_b.accepted;
-  bool b_claims_both = b_on_a.accepted && b_on_b.accepted;
+  // The verdict is `ArbitrateOwnership`'s own rule (§V-D), fed from the
+  // scheme-API detections.
   const char* verdict = "inconclusive";
-  if (a_claims_both && !b_claims_both) {
-    verdict = "party A (honest owner)";
-  } else if (b_claims_both && !a_claims_both) {
-    verdict = "party B (attacker!)";
-  } else if (a_on_a.accepted &&
-             a_on_b.verified_fraction > 2.0 * b_on_a.verified_fraction &&
-             a_on_b.verified_fraction > 0.05) {
-    verdict = "party A (honest owner, by cross-verification margin)";
-  } else if (b_on_b.accepted &&
-             b_on_a.verified_fraction > 2.0 * a_on_b.verified_fraction &&
-             b_on_a.verified_fraction > 0.05) {
-    verdict = "party B (attacker!, by cross-verification margin)";
+  switch (DecideOwnership(report)) {
+    case JudgeVerdict::kPartyA:
+      verdict = "party A (honest owner)";
+      break;
+    case JudgeVerdict::kPartyB:
+      verdict = "party B (attacker!)";
+      break;
+    case JudgeVerdict::kInconclusive:
+      break;
   }
   std::printf("\njudge verdict: %s\n", verdict);
   std::printf("  A on A: %zu/%zu  A on B: %zu/%zu  B on A: %zu/%zu  "
               "B on B: %zu/%zu\n",
-              a_on_a.pairs_verified, owner.value().report.embedded_units,
-              a_on_b.pairs_verified, owner.value().report.embedded_units,
-              b_on_a.pairs_verified, attacker.value().report.embedded_units,
-              b_on_b.pairs_verified, attacker.value().report.embedded_units);
+              report.a_on_a.pairs_verified,
+              owner.value().report.embedded_units,
+              report.a_on_b.pairs_verified,
+              owner.value().report.embedded_units,
+              report.b_on_a.pairs_verified,
+              attacker.value().report.embedded_units,
+              report.b_on_b.pairs_verified,
+              attacker.value().report.embedded_units);
   std::printf("\npaper reference: first watermark detected at 92%% (t=0) on "
               "the re-watermarked data; only the owner verifies on both\n");
   return 0;

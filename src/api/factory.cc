@@ -6,9 +6,7 @@
 #include "api/key_util.h"
 #include "api/wm_obt_scheme.h"
 #include "api/wm_rvs_scheme.h"
-#include "common/mutex.h"
 #include "common/string_util.h"
-#include "common/thread_annotations.h"
 
 namespace freqywm {
 
@@ -180,8 +178,9 @@ Result<std::unique_ptr<WatermarkScheme>> BuildWmObt(const OptionBag& bag) {
   FREQYWM_ASSIGN_OR_RETURN(o.key_seed, bag.GetU64("seed", o.key_seed));
   FREQYWM_ASSIGN_OR_RETURN(uint64_t partitions,
                            bag.GetU64("partitions", o.num_partitions));
-  if (partitions == 0) {
-    return Status::InvalidArgument("partitions must be > 0");
+  if (partitions == 0 || partitions > kWmObtMaxPartitions) {
+    return Status::InvalidArgument("partitions must be in [1, " +
+                                   std::to_string(kWmObtMaxPartitions) + "]");
   }
   o.num_partitions = partitions;
   FREQYWM_ASSIGN_OR_RETURN(o.condition,
@@ -232,57 +231,32 @@ Result<std::unique_ptr<WatermarkScheme>> BuildWmRvs(const OptionBag& bag) {
   return std::unique_ptr<WatermarkScheme>(std::make_unique<WmRvsScheme>(o));
 }
 
-struct FactoryState {
-  Mutex mutex;
-  std::map<std::string, SchemeFactory::Builder> builders GUARDED_BY(mutex);
+/// The closed scheme table, sorted by name: `RegisteredNames` lists it in
+/// order and `Create` scans it. Adding a scheme means adding one row.
+struct SchemeEntry {
+  std::string_view name;
+  Result<std::unique_ptr<WatermarkScheme>> (*build)(const OptionBag&);
 };
-
-/// Singleton with the paper schemes pre-registered; function-local so
-/// static-archive linking and initialization order are both safe.
-FactoryState& State() {
-  static FactoryState* state = [] {
-    auto* s = new FactoryState();
-    s->builders["freqywm"] = BuildFreqyWm;
-    s->builders["wm-obt"] = BuildWmObt;
-    s->builders["wm-rvs"] = BuildWmRvs;
-    return s;
-  }();
-  return *state;
-}
+constexpr SchemeEntry kSchemes[] = {
+    {"freqywm", BuildFreqyWm},
+    {"wm-obt", BuildWmObt},
+    {"wm-rvs", BuildWmRvs},
+};
 
 }  // namespace
 
-Status SchemeFactory::Register(const std::string& name, Builder builder) {
-  if (name.empty() ||
-      name.find_first_of(" \t\n") != std::string::npos) {
-    return Status::InvalidArgument(
-        "scheme name must be non-empty without whitespace");
-  }
-  if (!builder) {
-    return Status::InvalidArgument("scheme builder must be callable");
-  }
-  FactoryState& state = State();
-  MutexLock lock(state.mutex);
-  if (!state.builders.emplace(name, std::move(builder)).second) {
-    return Status::InvalidArgument("scheme '" + name +
-                                   "' is already registered");
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<WatermarkScheme>> SchemeFactory::Create(
     const std::string& name, const OptionBag& options) {
-  Builder builder;
-  {
-    FactoryState& state = State();
-    MutexLock lock(state.mutex);
-    auto it = state.builders.find(name);
-    if (it == state.builders.end()) {
-      return Status::NotFound("no scheme registered as '" + name + "'");
-    }
-    builder = it->second;
+  for (const SchemeEntry& entry : kSchemes) {
+    if (entry.name == name) return entry.build(options);
   }
-  return builder(options);
+  return Status::NotFound("no scheme registered as '" + name + "'");
+}
+
+std::vector<std::string> SchemeFactory::RegisteredNames() {
+  std::vector<std::string> names;
+  for (const SchemeEntry& entry : kSchemes) names.emplace_back(entry.name);
+  return names;
 }
 
 const WatermarkScheme* SchemeCache::Get(const std::string& name) {
@@ -295,17 +269,6 @@ const WatermarkScheme* SchemeCache::Get(const std::string& name) {
              .first;
   }
   return it->second.get();
-}
-
-std::vector<std::string> SchemeFactory::RegisteredNames() {
-  FactoryState& state = State();
-  MutexLock lock(state.mutex);
-  std::vector<std::string> names;
-  names.reserve(state.builders.size());
-  for (const auto& [name, builder] : state.builders) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace freqywm

@@ -1,7 +1,6 @@
 #ifndef FREQYWM_API_FACTORY_H_
 #define FREQYWM_API_FACTORY_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,29 +52,20 @@ class OptionBag {
   std::map<std::string, std::string> entries_;
 };
 
-/// String-keyed scheme registry + factory (tentpole of the API redesign).
-///
-/// The three paper schemes are pre-registered: "freqywm", "wm-obt",
-/// "wm-rvs". Out-of-tree schemes join the same sweeps by calling
-/// `Register` once at startup; everything downstream (benches, CLI,
+/// The string-keyed scheme factory: a fixed table of the three paper
+/// schemes, "freqywm", "wm-obt" and "wm-rvs" (§V). The table is closed and
+/// constant, so every call is lock-free; adding a scheme means adding one
+/// row in `factory.cc`. Everything downstream (benches, CLI,
 /// `FingerprintRegistry::TraceSuspects`, the conformance test) reaches
 /// schemes through the factory and never names a concrete class.
 class SchemeFactory {
  public:
-  using Builder = std::function<Result<std::unique_ptr<WatermarkScheme>>(
-      const OptionBag& options)>;
-
-  /// Registers a scheme builder. Fails with `InvalidArgument` when `name`
-  /// is empty, contains whitespace/newlines, or is already registered.
-  [[nodiscard]] static Status Register(const std::string& name,
-                                       Builder builder);
-
   /// Instantiates a scheme by name. Fails with `NotFound` for unknown
   /// names and propagates builder failures (e.g. malformed options).
   [[nodiscard]] static Result<std::unique_ptr<WatermarkScheme>> Create(
       const std::string& name, const OptionBag& options = {});
 
-  /// All registered scheme names, sorted.
+  /// All scheme names, sorted.
   static std::vector<std::string> RegisteredNames();
 };
 

@@ -31,7 +31,6 @@ class FreqyWmScheme : public WatermarkScheme {
   /// suspect histogram or on dense counts (DESIGN.md §10). Its
   /// recommended options are t = 0 and k = max(1, |Lwm|/2).
   std::unique_ptr<PreparedKey> Prepare(const SchemeKey& key) const override;
-  bool SupportsRefresh() const override { return true; }
   Result<EmbedOutcome> Refresh(const Histogram& drifted,
                                const SchemeKey& key) const override;
 

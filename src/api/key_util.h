@@ -1,6 +1,7 @@
 #ifndef FREQYWM_API_KEY_UTIL_H_
 #define FREQYWM_API_KEY_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -14,6 +15,11 @@ namespace freqywm {
 
 /// Helpers shared by the baseline schemes' key (de)serializers: their keys
 /// are flat "name value" line files behind a magic line.
+
+/// Upper bound on a WM-OBT partition count, from options or from a key:
+/// embed and detect allocate per-partition state, so an unchecked count
+/// would drive a giant allocation.
+inline constexpr uint64_t kWmObtMaxPartitions = uint64_t{1} << 20;
 
 /// Renders watermark bits as a compact bit string ("11010").
 inline std::string BitsToString(const std::vector<int>& bits) {

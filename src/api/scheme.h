@@ -226,11 +226,9 @@ class WatermarkScheme {
   /// preparation; callers that also detect read the prepared key's.
   DetectOptions RecommendedDetectOptions(const SchemeKey& key) const;
 
-  /// True when `Refresh` is implemented.
-  virtual bool SupportsRefresh() const { return false; }
-
   /// Re-aligns a drifted watermark (incremental maintenance, paper §VI).
-  /// Default: `NotSupported`.
+  /// Default: `NotSupported`, which is how a caller learns that a scheme
+  /// (WM-OBT) has no refresh.
   [[nodiscard]] virtual Result<EmbedOutcome> Refresh(
       const Histogram& drifted, const SchemeKey& key) const;
 

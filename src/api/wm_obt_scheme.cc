@@ -79,9 +79,9 @@ Result<WmObtOptions> WmObtScheme::ParseKeyPayload(
   FREQYWM_ASSIGN_OR_RETURN(
       options.num_partitions,
       RequireNumericField(fields, "num_partitions", ParseU64));
-  // Upper bound keeps a corrupt key from driving a giant allocation in
-  // WmObtPartitionStatistics (Detect must reject, never crash).
-  if (options.num_partitions == 0 || options.num_partitions > (1u << 20)) {
+  // Detect must reject a corrupt count, never crash on its allocation.
+  if (options.num_partitions == 0 ||
+      options.num_partitions > kWmObtMaxPartitions) {
     return Status::Corruption("num_partitions out of range");
   }
   FREQYWM_ASSIGN_OR_RETURN(

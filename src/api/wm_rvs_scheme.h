@@ -37,7 +37,6 @@ class WmRvsScheme : public WatermarkScheme {
   /// drifted digit needs no explicit revert — re-embedding the drifted
   /// histogram restores every decodable token's watermark digit while
   /// leaving already-aligned counts untouched (idempotent on clean data).
-  bool SupportsRefresh() const override { return true; }
   Result<EmbedOutcome> Refresh(const Histogram& drifted,
                                const SchemeKey& key) const override;
 

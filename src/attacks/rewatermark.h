@@ -30,6 +30,12 @@ struct JudgeReport {
   DetectResult b_on_b;  ///< B's secret on B's dataset
 };
 
+/// The judge's verdict rule (§V-D) over the four detections in `report`;
+/// its `verdict` field is not read. Only the rightful owner's secret
+/// verifies on both datasets; when both or neither do, a party wins only
+/// with a clear 2x margin in cross-verification.
+JudgeVerdict DecideOwnership(const JudgeReport& report);
+
 /// Mounts the re-watermarking (false-claim) attack: the pirate runs
 /// `WmGenerate` on the honest owner's watermarked histogram and obtains its
 /// own `(D_w^A, Lsc^A)` pair, giving it a *genuine-looking* proof.
@@ -43,7 +49,7 @@ Result<HistogramGenerateResult> ReWatermarkAttack(
 /// its own (the attacker never saw the honest original).
 ///
 /// Chronology therefore resolves the dispute: the party whose secret
-/// verifies on both datasets watermarked first.
+/// verifies on both datasets watermarked first (`DecideOwnership`).
 JudgeReport ArbitrateOwnership(const Histogram& data_a,
                                const WatermarkSecrets& secrets_a,
                                const Histogram& data_b,

@@ -1,17 +1,8 @@
 #include "attacks/sampling.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace freqywm {
-
-Dataset SamplingAttack(const Dataset& watermarked, double fraction,
-                       Rng& rng) {
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  size_t n = static_cast<size_t>(
-      std::llround(static_cast<double>(watermarked.size()) * fraction));
-  return watermarked.SampleRows(n, rng);
-}
 
 Histogram SamplingAttackHistogram(const Histogram& watermarked,
                                   size_t sample_size, Rng& rng) {

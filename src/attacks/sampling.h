@@ -6,22 +6,16 @@
 #include "common/random.h"
 #include "core/detect.h"
 #include "core/secrets.h"
-#include "data/dataset.h"
 #include "data/histogram.h"
 
 namespace freqywm {
 
 /// The sampling attack (§V-B): the pirate copies only a uniformly random
-/// x% of the watermarked rows, hoping the watermark dissolves.
-///
-/// Returns the stolen subsample (row order preserved).
-Dataset SamplingAttack(const Dataset& watermarked, double fraction, Rng& rng);
-
-/// Histogram-level version: draws a sample of `sample_size` rows directly
-/// from the histogram's counts (multivariate hypergeometric), avoiding the
-/// need to materialize millions of rows. Tokens that lose all occurrences
-/// disappear from the returned histogram — exactly what dooms detection at
-/// extreme subsampling rates (Fig. 4).
+/// sample of the watermarked rows, hoping the watermark dissolves. Draws
+/// `sample_size` rows directly from the histogram's counts (multivariate
+/// hypergeometric), without materializing millions of rows. Tokens that
+/// lose all occurrences disappear from the returned histogram — exactly
+/// what dooms detection at extreme subsampling rates (Fig. 4).
 Histogram SamplingAttackHistogram(const Histogram& watermarked,
                                   size_t sample_size, Rng& rng);
 

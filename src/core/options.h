@@ -91,7 +91,7 @@ struct GenerateOptions {
   /// The similarity the budget is held under and the report measures.
   SimilarityMetric metric = SimilarityMetric::kCosine;
 
-  /// Security parameter λ (bits of the secret R).
+  /// Security parameter λ (bits of the secret R), in [8, 65,536].
   size_t lambda_bits = 256;
 
   /// 0 → draw the secret and all random choices from the OS entropy pool;

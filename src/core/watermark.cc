@@ -12,6 +12,14 @@
 
 namespace freqywm {
 
+namespace {
+
+/// Cap on λ: an 8 KiB secret is far past any security need, and the cap
+/// keeps an option like `lambda=2^64-1` from sizing the secret.
+constexpr size_t kMaxLambdaBits = 65536;
+
+}  // namespace
+
 WatermarkGenerator::WatermarkGenerator(GenerateOptions options)
     : options_(options) {}
 
@@ -24,6 +32,10 @@ Status WatermarkGenerator::ValidateOptions() const {
   }
   if (options_.lambda_bits < 8) {
     return Status::InvalidArgument("security parameter too small");
+  }
+  if (options_.lambda_bits > kMaxLambdaBits) {
+    return Status::InvalidArgument("security parameter above " +
+                                   std::to_string(kMaxLambdaBits) + " bits");
   }
   if (options_.min_modulus >= options_.modulus_bound) {
     return Status::InvalidArgument(

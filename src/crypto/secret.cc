@@ -18,7 +18,8 @@ Result<WatermarkSecret> WatermarkSecret::FromHex(const std::string& hex) {
 }
 
 WatermarkSecret GenerateSecret(size_t lambda_bits, uint64_t deterministic_seed) {
-  size_t n_bytes = (lambda_bits + 7) / 8;
+  // Rounds up without `lambda_bits + 7`, which wraps near SIZE_MAX.
+  size_t n_bytes = lambda_bits / 8 + (lambda_bits % 8 != 0);
   if (n_bytes == 0) n_bytes = 1;
   std::vector<uint8_t> out;
   out.reserve(n_bytes);

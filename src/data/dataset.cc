@@ -88,17 +88,6 @@ size_t Dataset::CountOf(const Token& token) const {
   return static_cast<size_t>(std::count(ids_.begin(), ids_.end(), *id));
 }
 
-Dataset Dataset::SampleRows(size_t sample_size, Rng& rng) const {
-  if (sample_size >= ids_.size()) return *this;
-  std::vector<size_t> picked =
-      rng.SampleWithoutReplacement(ids_.size(), sample_size);
-  std::sort(picked.begin(), picked.end());
-  std::vector<uint32_t> out;
-  out.reserve(picked.size());
-  for (size_t idx : picked) out.push_back(ids_[idx]);
-  return Dataset(dictionary_, std::move(out));
-}
-
 Status TableDataset::AppendRow(std::vector<std::string> row) {
   if (row.size() != column_names_.size()) {
     return Status::InvalidArgument("row arity does not match schema");

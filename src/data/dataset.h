@@ -99,12 +99,6 @@ class Dataset {
   /// Counts occurrences of `token` (O(n); use Histogram for bulk queries).
   size_t CountOf(const Token& token) const;
 
-  /// Returns a uniformly random sample (without replacement) of
-  /// `sample_size` rows, preserving the original relative order. The
-  /// sample shares this dataset's dictionary. Used by the sampling attack
-  /// (§V-B).
-  Dataset SampleRows(size_t sample_size, Rng& rng) const;
-
  private:
   std::shared_ptr<const TokenDictionary> dictionary_;
   std::vector<uint32_t> ids_;

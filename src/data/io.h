@@ -15,14 +15,6 @@ Result<Dataset> ReadTokenFile(const std::string& path);
 /// Writes one token per line.
 Status WriteTokenFile(const Dataset& dataset, const std::string& path);
 
-/// Reads a simple comma-separated table with a header row. No quoting rules:
-/// this loader targets the synthetic datasets produced by `datagen`, whose
-/// values never contain commas.
-Result<TableDataset> ReadSimpleCsv(const std::string& path);
-
-/// Writes a `TableDataset` as a simple comma-separated file with header.
-Status WriteSimpleCsv(const TableDataset& table, const std::string& path);
-
 }  // namespace freqywm
 
 #endif  // FREQYWM_DATA_IO_H_

@@ -8,8 +8,4 @@ Token JoinAttributes(const std::vector<std::string>& attributes) {
   return Join(attributes, kTokenAttributeSeparator);
 }
 
-std::vector<std::string> SplitAttributes(const Token& token) {
-  return Split(token, kTokenAttributeSeparator);
-}
-
 }  // namespace freqywm

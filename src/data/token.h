@@ -19,9 +19,6 @@ inline constexpr char kTokenAttributeSeparator = '\x1f';
 /// Joins multi-dimensional attribute values into a single composite token.
 Token JoinAttributes(const std::vector<std::string>& attributes);
 
-/// Splits a composite token back into its attribute values.
-std::vector<std::string> SplitAttributes(const Token& token);
-
 }  // namespace freqywm
 
 #endif  // FREQYWM_DATA_TOKEN_H_

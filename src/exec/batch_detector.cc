@@ -68,10 +68,6 @@ void BatchDetector::Session::PrepareKeys() {
       }
     } else if (prep.ok()) {
       prepared_[j] = scheme->Prepare(keys_[j]);
-      if (prepared_[j] == nullptr) {
-        prep = Status::Internal("scheme '" + keys_[j].scheme +
-                                "' Prepare returned null");
-      }
     }
     if (!prep.ok()) {
       key_status_[j] = std::move(prep);

@@ -81,15 +81,15 @@ struct BatchDetectOptions {
 ///
 /// Each key is `Prepare`d once up front — through the shared `key_cache`
 /// when one is configured — and every cell calls its column's
-/// `PreparedKey::Detect`, which is const and stateless for every in-tree
-/// scheme (out-of-tree schemes joining the factory must keep it so, since
-/// cells run across threads). Keys exposing a `TokenVocabulary` run through
-/// the dense count gather: the union vocabulary is interned into dense ids,
-/// each suspect histogram is scattered into a flat count vector once, and
-/// every matrix cell then reads counts by index — zero hash probes per
-/// cell (DESIGN.md §10). Keys whose scheme tag is not registered poison
-/// their column with `kNotFound` and yield default (rejected) verdicts,
-/// which `FingerprintRegistry::TraceSuspects` skips.
+/// `PreparedKey::Detect`, which is const and stateless for every scheme
+/// in the factory, so cells run across threads. Keys exposing a
+/// `TokenVocabulary` run through the dense count gather: the union
+/// vocabulary is interned into dense ids, each suspect histogram is
+/// scattered into a flat count vector once, and every matrix cell then
+/// reads counts by index — zero hash probes per cell (DESIGN.md §10).
+/// Keys whose scheme tag is not registered poison their column with
+/// `kNotFound` and yield default (rejected) verdicts, which
+/// `FingerprintRegistry::TraceSuspects` skips.
 ///
 /// Determinism contract: `verdicts[i][j]` depends only on
 /// `(suspects[i], keys[j], options)` — never on thread count, schedule,

@@ -74,15 +74,7 @@ Result<std::shared_ptr<const PreparedKey>> PreparedKeyCache::TryGetOrPrepare(
     ++misses_;
     return fault;
   }
-  // `Prepare` never returns null (api/scheme.h contract); treat a
-  // violation by an out-of-tree scheme as a typed error, not a crash.
   std::shared_ptr<const PreparedKey> prepared = scheme.Prepare(key);
-  if (prepared == nullptr) {
-    MutexLock lock(mutex_);
-    ++misses_;
-    return Status::Internal("scheme '" + key.scheme +
-                            "' Prepare returned null");
-  }
 
   MutexLock lock(mutex_);
   std::shared_ptr<const PreparedKey> hit = HitLocked(fingerprint);
@@ -96,13 +88,6 @@ Result<std::shared_ptr<const PreparedKey>> PreparedKeyCache::TryGetOrPrepare(
   index_.emplace(fingerprint, lru_.begin());
   EvictExcessLocked();
   return lru_.front().second;
-}
-
-void PreparedKeyCache::Clear() {
-  MutexLock lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  hits_ = misses_ = evictions_ = 0;
 }
 
 size_t PreparedKeyCache::size() const {

@@ -16,8 +16,8 @@
 
 namespace freqywm {
 
-/// Counters of a `PreparedKeyCache` (monotonic since construction or the
-/// last `Clear`). `hits + misses` equals the number of lookups (`Get` and
+/// Counters of a `PreparedKeyCache` (monotonic since construction).
+/// `hits + misses` equals the number of lookups (`Get` and
 /// `TryGetOrPrepare` both count).
 struct PreparedKeyCacheStats {
   uint64_t hits = 0;
@@ -44,8 +44,8 @@ struct PreparedKeyCacheStats {
 /// `Prepare` contract (api/scheme.h): prepared state is a pure function of
 /// the `SchemeKey` — never of the preparing scheme instance's embed
 /// configuration — and is immutable and thread-safe after construction.
-/// Every in-tree scheme satisfies this (Prepare only parses the payload);
-/// out-of-tree schemes joining the factory must too.
+/// Every scheme in the factory satisfies this (Prepare only parses the
+/// payload).
 ///
 /// Eviction: strict LRU over a fixed entry capacity. Entries are handed
 /// out as `shared_ptr<const PreparedKey>`, so eviction never invalidates a
@@ -83,20 +83,15 @@ class PreparedKeyCache {
   /// `scheme.Prepare(key)` on a miss. Preparation runs outside the cache
   /// lock; on a concurrent double-miss the first inserted entry wins and
   /// is returned to both callers. Preparation failures (DESIGN.md §13;
-  /// today only injected at the `prepared_key_cache/prepare` fault site
-  /// or a `Prepare` that breaks its never-null contract) surface as a
-  /// typed error instead of a cache entry. A failed preparation inserts
-  /// NOTHING — no tombstone, no negative entry — so a later call for the
-  /// same key retries from scratch and a transient failure never poisons
-  /// the key for other tenants (regression-tested under TSan by
-  /// tests/exec/fault_injection_test.cc). On success the returned entry
-  /// is never null.
+  /// only injected, at the `prepared_key_cache/prepare` fault site)
+  /// surface as a typed error instead of a cache entry. A failed
+  /// preparation inserts NOTHING — no tombstone, no negative entry — so
+  /// a later call for the same key retries from scratch and a transient
+  /// failure never poisons the key for other tenants (regression-tested
+  /// under TSan by tests/exec/fault_injection_test.cc). On success the
+  /// returned entry is never null.
   Result<std::shared_ptr<const PreparedKey>> TryGetOrPrepare(
       const WatermarkScheme& scheme, const SchemeKey& key);
-
-  /// Drops every entry and resets the counters. Borrowed `shared_ptr`s
-  /// stay valid.
-  void Clear();
 
   size_t capacity() const { return capacity_; }
   size_t size() const;

@@ -77,25 +77,4 @@ double SpearmanCorrelation(const std::vector<double>& a,
   return PearsonCorrelation(AverageRanks(a), AverageRanks(b));
 }
 
-double KendallTau(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size() || a.size() < 2) return 1.0;
-  const size_t n = a.size();
-  long long concordant = 0, discordant = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double da = a[i] - a[j];
-      double db = b[i] - b[j];
-      double prod = da * db;
-      if (prod > 0) {
-        ++concordant;
-      } else if (prod < 0) {
-        ++discordant;
-      }
-    }
-  }
-  double pairs = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  return (static_cast<double>(concordant) - static_cast<double>(discordant)) /
-         pairs;
-}
-
 }  // namespace freqywm

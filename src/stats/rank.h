@@ -31,10 +31,6 @@ RankComparison CompareRankings(const Histogram& original,
 double SpearmanCorrelation(const std::vector<double>& a,
                            const std::vector<double>& b);
 
-/// Kendall tau-a rank correlation of two equal-length score vectors.
-/// O(n^2); intended for analysis-scale series, not hot paths.
-double KendallTau(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace freqywm
 
 #endif  // FREQYWM_STATS_RANK_H_

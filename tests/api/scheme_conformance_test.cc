@@ -161,7 +161,7 @@ TEST_P(SchemeConformanceTest, EmptyHistogramFailsCleanly) {
   EXPECT_FALSE(scheme->Embed(Histogram()).ok());
 }
 
-TEST_P(SchemeConformanceTest, RefreshContractMatchesSupportsRefresh) {
+TEST_P(SchemeConformanceTest, RefreshRealignsOrIsNotSupported) {
   Histogram original = MakeCleanHistogram(14);
   auto scheme = MakeScheme(GetParam(), 48);
   auto outcome = scheme->Embed(original);
@@ -169,9 +169,8 @@ TEST_P(SchemeConformanceTest, RefreshContractMatchesSupportsRefresh) {
 
   auto refreshed =
       scheme->Refresh(outcome.value().watermarked, outcome.value().key);
-  if (!scheme->SupportsRefresh()) {
-    ASSERT_FALSE(refreshed.ok());
-    EXPECT_EQ(refreshed.status().code(), StatusCode::kNotSupported);
+  if (!refreshed.ok() &&
+      refreshed.status().code() == StatusCode::kNotSupported) {
     return;
   }
   // A supporting scheme must re-align its own un-drifted embedding and

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "api/freqywm_scheme.h"
+#include "api/key_util.h"
 
 namespace freqywm {
 namespace {
@@ -94,11 +98,10 @@ TEST(OptionBagTest, ExpectOnlyNamesTheOffendingKey) {
 }
 
 TEST(SchemeFactoryTest, RegisteredNamesContainsPaperSchemes) {
-  std::vector<std::string> names = SchemeFactory::RegisteredNames();
-  for (const char* expected : {"freqywm", "wm-obt", "wm-rvs"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  // The scheme set is closed: exactly the paper's three, sorted. The
+  // conformance suite and `freqywm_cli schemes` iterate this list.
+  EXPECT_EQ(SchemeFactory::RegisteredNames(),
+            (std::vector<std::string>{"freqywm", "wm-obt", "wm-rvs"}));
 }
 
 TEST(SchemeFactoryTest, CreateUnknownSchemeIsNotFound) {
@@ -141,51 +144,19 @@ TEST(SchemeFactoryTest, BuildersRejectUnknownAndInvalidOptions) {
   EXPECT_EQ(SchemeFactory::Create("wm-rvs", bad_bits).status().code(),
             StatusCode::kInvalidArgument);
 
-  OptionBag zero_partitions;
-  zero_partitions.Set("partitions", "0");
-  EXPECT_EQ(
-      SchemeFactory::Create("wm-obt", zero_partitions).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST(SchemeFactoryTest, RegisterValidatesNameAndRejectsDuplicates) {
-  EXPECT_EQ(SchemeFactory::Register("", [](const OptionBag&) {
-              return Result<std::unique_ptr<WatermarkScheme>>(
-                  Status::Internal("unused"));
-            }).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SchemeFactory::Register("bad name", [](const OptionBag&) {
-              return Result<std::unique_ptr<WatermarkScheme>>(
-                  Status::Internal("unused"));
-            }).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SchemeFactory::Register("freqywm", [](const OptionBag&) {
-              return Result<std::unique_ptr<WatermarkScheme>>(
-                  Status::Internal("unused"));
-            }).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SchemeFactoryTest, OutOfTreeSchemeJoinsTheRegistry) {
-  // A third-party scheme registered at runtime becomes creatable by name.
-  // (It stays registered for the process lifetime; the conformance suite's
-  // parameter list was fixed at static-init time, so this does not leak
-  // into other tests.)
-  Status s = SchemeFactory::Register(
-      "unit-test-scheme", [](const OptionBag& bag)
-          -> Result<std::unique_ptr<WatermarkScheme>> {
-        FREQYWM_RETURN_NOT_OK(bag.ExpectOnly({"seed"}));
-        GenerateOptions o;
-        FREQYWM_ASSIGN_OR_RETURN(o.seed, bag.GetU64("seed", 1));
-        return std::unique_ptr<WatermarkScheme>(
-            std::make_unique<FreqyWmScheme>(o));
-      });
-  ASSERT_TRUE(s.ok()) << s;
-  auto created = SchemeFactory::Create("unit-test-scheme");
-  EXPECT_TRUE(created.ok()) << created.status();
-  std::vector<std::string> names = SchemeFactory::RegisteredNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "unit-test-scheme"),
-            names.end());
+  // Embed sizes per-partition state by the count, so the builder takes
+  // the key parser's cap.
+  for (uint64_t partitions : {uint64_t{0}, kWmObtMaxPartitions + 1,
+                              std::numeric_limits<uint64_t>::max()}) {
+    OptionBag bag;
+    bag.Set("partitions", std::to_string(partitions));
+    EXPECT_EQ(SchemeFactory::Create("wm-obt", bag).status().code(),
+              StatusCode::kInvalidArgument)
+        << partitions;
+  }
+  OptionBag at_cap;
+  at_cap.Set("partitions", std::to_string(kWmObtMaxPartitions));
+  EXPECT_TRUE(SchemeFactory::Create("wm-obt", at_cap).ok());
 }
 
 }  // namespace

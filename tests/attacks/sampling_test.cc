@@ -32,20 +32,6 @@ Fixture MakeFixture(uint64_t seed = 42) {
           r.value().report.chosen_pairs};
 }
 
-TEST(SamplingAttackTest, DatasetSampleHasRequestedSize) {
-  Rng rng(1);
-  Dataset d(std::vector<Token>(1000, "x"));
-  Dataset sample = SamplingAttack(d, 0.25, rng);
-  EXPECT_EQ(sample.size(), 250u);
-}
-
-TEST(SamplingAttackTest, FractionClamped) {
-  Rng rng(2);
-  Dataset d(std::vector<Token>(100, "x"));
-  EXPECT_EQ(SamplingAttack(d, 1.5, rng).size(), 100u);
-  EXPECT_EQ(SamplingAttack(d, -0.5, rng).size(), 0u);
-}
-
 TEST(SamplingAttackHistogramTest, SampleSizeIsExact) {
   Fixture f = MakeFixture();
   Rng rng(3);

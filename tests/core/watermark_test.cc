@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -59,11 +60,14 @@ TEST(WatermarkGeneratorTest, RejectsBadOptions) {
     EXPECT_EQ(WatermarkGenerator(o).GenerateFromHistogram(h).status().code(),
               StatusCode::kInvalidArgument);
   }
-  {
+  // λ is capped at 65,536 bits; 2^64 - 1 must not wrap the secret's byte
+  // count to zero and embed with a one-byte secret.
+  for (size_t lambda : {size_t{4}, size_t{65537}, SIZE_MAX}) {
     GenerateOptions o = DefaultOptions();
-    o.lambda_bits = 4;
+    o.lambda_bits = lambda;
     EXPECT_EQ(WatermarkGenerator(o).GenerateFromHistogram(h).status().code(),
-              StatusCode::kInvalidArgument);
+              StatusCode::kInvalidArgument)
+        << lambda;
   }
 }
 

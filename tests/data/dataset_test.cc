@@ -43,28 +43,6 @@ TEST(DatasetTest, Append) {
   EXPECT_EQ(d[7], "a");
 }
 
-TEST(DatasetTest, SampleRowsKeepsRelativeOrder) {
-  Rng rng(6);
-  std::vector<Token> tokens;
-  for (int i = 0; i < 100; ++i) tokens.push_back("t" + std::to_string(i));
-  Dataset d(tokens);
-  Dataset sample = d.SampleRows(30, rng);
-  EXPECT_EQ(sample.size(), 30u);
-  // Order preserved: the numeric suffixes must be strictly increasing.
-  int prev = -1;
-  for (const auto& t : sample.tokens()) {
-    int cur = std::stoi(t.substr(1));
-    EXPECT_GT(cur, prev);
-    prev = cur;
-  }
-}
-
-TEST(DatasetTest, SampleLargerThanDatasetReturnsAll) {
-  Rng rng(7);
-  Dataset d = MakeAbc();
-  EXPECT_EQ(d.SampleRows(100, rng).size(), 6u);
-}
-
 TEST(DatasetDictionaryTest, TokensRoundTripTheInput) {
   const std::vector<Token> input = {"b", "a", "b", "", "c", "a", "b"};
   Dataset d(input);
@@ -82,8 +60,11 @@ TEST(DatasetDictionaryTest, CopiesShareTheDictionary) {
   Dataset d = MakeAbc();
   Dataset copy = d;
   EXPECT_EQ(copy.shared_dictionary().get(), d.shared_dictionary().get());
+  // A transform toward known tokens shares it too.
   Rng rng(9);
-  EXPECT_EQ(d.SampleRows(3, rng).shared_dictionary().get(),
+  Histogram target =
+      Histogram::FromCounts({{"a", 2}, {"b", 1}, {"c", 1}}).value();
+  EXPECT_EQ(TransformDataset(d, target, rng).shared_dictionary().get(),
             d.shared_dictionary().get());
   // Writing a token the dictionary already holds keeps sharing it.
   copy.Append("c");
@@ -102,17 +83,6 @@ TEST(DatasetDictionaryTest, UnseenTokenCopiesTheDictionaryOnWrite) {
   EXPECT_EQ(d.tokens(), MakeAbc().tokens());
   EXPECT_EQ(copy.tokens(), (std::vector<Token>{"a", "b", "a", "c", "a", "b",
                                                "new"}));
-}
-
-// Rows for a fixed seed, recorded from the dataset as a vector of token
-// strings, before rows became dictionary ids.
-TEST(DatasetDictionaryTest, SampleRowsMatchesRecordedRows) {
-  Rng rng(103);
-  std::vector<Token> tokens;
-  for (int i = 0; i < 20; ++i) tokens.push_back("t" + std::to_string(i));
-  Dataset d(tokens);
-  EXPECT_EQ(d.SampleRows(6, rng).tokens(),
-            (std::vector<Token>{"t0", "t2", "t5", "t6", "t13", "t17"}));
 }
 
 TEST(DatasetDictionaryTest, HistogramSkipsUnusedDictionaryEntries) {

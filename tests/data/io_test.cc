@@ -49,42 +49,6 @@ TEST_F(IoTest, ReadMissingTokenFileFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(IoTest, CsvRoundTrip) {
-  std::string path = TempPath("table.csv");
-  TableDataset t({"Age", "WorkClass"});
-  ASSERT_TRUE(t.AppendRow({"39", "Private"}).ok());
-  ASSERT_TRUE(t.AppendRow({"50", "SelfEmp"}).ok());
-  ASSERT_TRUE(WriteSimpleCsv(t, path).ok());
-
-  auto loaded = ReadSimpleCsv(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().num_rows(), 2u);
-  EXPECT_EQ(loaded.value().column_names(),
-            (std::vector<std::string>{"Age", "WorkClass"}));
-  EXPECT_EQ(loaded.value().row(1)[1], "SelfEmp");
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, CsvArityMismatchIsCorruption) {
-  std::string path = TempPath("bad.csv");
-  {
-    std::ofstream out(path);
-    out << "a,b\n1,2\n1,2,3\n";
-  }
-  auto loaded = ReadSimpleCsv(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, EmptyCsvIsCorruption) {
-  std::string path = TempPath("empty.csv");
-  { std::ofstream out(path); }
-  auto loaded = ReadSimpleCsv(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
 TEST_F(IoTest, WritersReportFullDisk) {
   // /dev/full accepts the open and fails every write with ENOSPC. The
   // small payloads below sit in the stream buffer until it is flushed, so
@@ -99,9 +63,6 @@ TEST_F(IoTest, WritersReportFullDisk) {
   secrets.pairs.push_back(SecretPair{"a", "b"});
   EXPECT_FALSE(secrets.SaveToFile(full).ok());
   EXPECT_FALSE(WriteTokenFile(Dataset({"a", "b"}), full).ok());
-  TableDataset table({"x", "y"});
-  ASSERT_TRUE(table.AppendRow({"1", "2"}).ok());
-  EXPECT_FALSE(WriteSimpleCsv(table, full).ok());
 }
 
 }  // namespace

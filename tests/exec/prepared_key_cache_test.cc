@@ -129,19 +129,6 @@ TEST(PreparedKeyCacheTest, CapacityFloorIsOne) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(PreparedKeyCacheTest, ClearDropsEntriesAndCounters) {
-  Histogram original = MakeCleanHistogram(15);
-  Escrowed escrowed = MakeEscrowed(401, original);
-  PreparedKeyCache cache(4);
-  auto prepared = cache.TryGetOrPrepare(*escrowed.scheme, escrowed.key).value();
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
-  EXPECT_EQ(cache.Get(escrowed.key), nullptr);
-  // Borrowed pointers survive Clear.
-  EXPECT_EQ(prepared->key(), escrowed.key);
-}
-
 TEST(PreparedKeyCacheTest, CachedStateIsPureFunctionOfKey) {
   // Two differently configured scheme instances must resolve the same key
   // to interchangeable prepared state (the cache-sharing contract).

@@ -32,17 +32,6 @@ TEST(SpearmanTest, ConstantSeriesIsOne) {
   EXPECT_DOUBLE_EQ(SpearmanCorrelation({2, 2, 2}, {1, 2, 3}), 1.0);
 }
 
-TEST(KendallTest, PerfectAgreementAndDisagreement) {
-  EXPECT_DOUBLE_EQ(KendallTau({1, 2, 3}, {10, 20, 30}), 1.0);
-  EXPECT_DOUBLE_EQ(KendallTau({1, 2, 3}, {30, 20, 10}), -1.0);
-}
-
-TEST(KendallTest, PartialAgreement) {
-  double tau = KendallTau({1, 2, 3, 4}, {1, 3, 2, 4});
-  // 5 concordant, 1 discordant of 6 pairs -> (5-1)/6.
-  EXPECT_NEAR(tau, 4.0 / 6.0, 1e-12);
-}
-
 TEST(CompareRankingsTest, IdenticalHistogramsUnchanged) {
   Histogram h = MakeHist({{"a", 30}, {"b", 20}, {"c", 10}});
   RankComparison cmp = CompareRankings(h, h);
