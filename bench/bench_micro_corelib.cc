@@ -441,8 +441,13 @@ BENCHMARK(BM_HistogramFromDataset)->Arg(100000)->Arg(1000000)
 
 // Row-level data transformation (DESIGN.md §17) on eyeWnder-like rows at
 // marketbench's vocabulary, against the target of a real optimal embed at
-// z=131: the id count, the serial drop pass, the additions' placement and
-// the row write. Inputs are built once per size and shared across runs.
+// z=131. The second argument is the pool's worker count. At 0 the serial
+// three-argument form runs: the id count, the drop draws, the rank-match
+// pass, the additions' placement and the row write. At 3 the transform
+// runs as `EmbedDataset` runs it, in shards on three workers plus the
+// caller, from the sharded id counts and the histogram that the embed's
+// histogram build already made (so the count is not timed here; it is
+// the histogram's). Inputs are built once per size and shared across runs.
 struct TransformInput {
   Dataset rows;
   Histogram target;
@@ -474,15 +479,28 @@ void BM_TransformDataset(benchmark::State& state) {
     state.SkipWithError("embed found no eligible pair");
     return;
   }
+  const size_t workers = static_cast<size_t>(state.range(1));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+  const ExecContext exec(pool.get());
+  const ShardedIdCounts counts = exec.CountIds(input.rows).value();
+  const Histogram base =
+      Histogram::FromIdCounts(input.rows.dictionary(), counts.total);
   for (auto _ : state) {
     Rng rng(15);
-    benchmark::DoNotOptimize(TransformDataset(input.rows, input.target, rng));
+    if (pool == nullptr) {
+      benchmark::DoNotOptimize(TransformDataset(input.rows, input.target, rng));
+    } else {
+      benchmark::DoNotOptimize(TransformDataset(input.rows, counts, &base,
+                                                input.target, rng, exec));
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_TransformDataset)
-    ->Arg(1'000'000)->Arg(4'000'000)->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{1'000'000, 4'000'000}, {0, 3}})
+    ->Unit(benchmark::kMillisecond);
 
 // Per-loop overhead of the pool's two loops: n empty iterations on three
 // workers plus the caller, so the time is queueing, claiming and the
@@ -509,6 +527,29 @@ void BM_ParallelForChecked(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ParallelForChecked)->Arg(4)->Arg(64);
+
+/// Busy-waits for `seconds` on the calling thread.
+void Spin(double seconds) {
+  const Stopwatch watch;
+  while (watch.ElapsedSeconds() < seconds) {
+  }
+}
+
+// Wake latency of a pool whose workers went to sleep: a 20 ms serial busy
+// gap on the caller, then 16 bodies of 250 µs on three workers plus the
+// caller. Only the loop is timed; four participants that all start at
+// once take ~1 ms.
+void BM_ParallelForAfterGap(benchmark::State& state) {
+  static ThreadPool pool(3);
+  const std::function<void(size_t)> body = [](size_t) { Spin(250e-6); };
+  for (auto _ : state) {
+    state.PauseTiming();
+    Spin(20e-3);
+    state.ResumeTiming();
+    pool.ParallelFor(16, body);
+  }
+}
+BENCHMARK(BM_ParallelForAfterGap)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ------------------------------------------------------------------------
 // Pair-enumeration acceptance harness (runs after the google-benchmark

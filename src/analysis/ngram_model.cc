@@ -11,7 +11,7 @@ void BigramModel::Train(const Dataset& sequence) {
   global_fallback_.clear();
 
   const TokenDictionary& dictionary = sequence.dictionary();
-  const std::vector<uint32_t>& ids = sequence.ids();
+  const RowIds& ids = sequence.ids();
   // Successor counts per context, both as dictionary ids.
   std::unordered_map<uint32_t, std::unordered_map<uint32_t, size_t>>
       transitions;
@@ -53,7 +53,7 @@ Token BigramModel::Predict(const Token& token) const {
 }
 
 double BigramModel::Accuracy(const Dataset& sequence) const {
-  const std::vector<uint32_t>& ids = sequence.ids();
+  const RowIds& ids = sequence.ids();
   if (ids.size() < 2) return 0.0;
   // The prediction after each token of the sequence's dictionary, as an
   // id of that dictionary (no id when the predicted token is absent).
@@ -72,16 +72,14 @@ double BigramModel::Accuracy(const Dataset& sequence) const {
 }
 
 double TrainTestAccuracy(const Dataset& sequence, double train_fraction) {
-  const std::vector<uint32_t>& ids = sequence.ids();
+  const RowIds& ids = sequence.ids();
   size_t split = static_cast<size_t>(static_cast<double>(ids.size()) *
                                      std::clamp(train_fraction, 0.0, 1.0));
   if (split < 2 || split >= ids.size()) return 0.0;
 
   const auto middle = ids.begin() + static_cast<ptrdiff_t>(split);
-  Dataset train(sequence.shared_dictionary(),
-                std::vector<uint32_t>(ids.begin(), middle));
-  Dataset test(sequence.shared_dictionary(),
-               std::vector<uint32_t>(middle, ids.end()));
+  Dataset train(sequence.shared_dictionary(), RowIds(ids.begin(), middle));
+  Dataset test(sequence.shared_dictionary(), RowIds(middle, ids.end()));
   BigramModel model;
   model.Train(train);
   return model.Accuracy(test);

@@ -7,6 +7,7 @@
 #include "api/wm_obt_scheme.h"
 #include "api/wm_rvs_scheme.h"
 #include "common/string_util.h"
+#include "core/watermark.h"
 
 namespace freqywm {
 
@@ -160,6 +161,10 @@ Result<std::unique_ptr<WatermarkScheme>> BuildFreqyWm(const OptionBag& bag) {
     return Status::InvalidArgument("unknown metric '" + metric + "'");
   }
 
+  // The ranges every embed checks, checked here once so a bad value is a
+  // usage error, not an embed failure.
+  FREQYWM_RETURN_NOT_OK(WatermarkGenerator::ValidateOptions(o));
+
   RefreshOptions refresh;
   FREQYWM_ASSIGN_OR_RETURN(
       refresh.max_churn_percent,
@@ -198,7 +203,14 @@ Result<std::unique_ptr<WatermarkScheme>> BuildWmObt(const OptionBag& bag) {
                            bag.GetU64("population", o.population));
   FREQYWM_ASSIGN_OR_RETURN(uint64_t generations,
                            bag.GetU64("generations", o.generations));
-  if (population == 0) return Status::InvalidArgument("population must be > 0");
+  if (population == 0 || population > kWmObtMaxPopulation) {
+    return Status::InvalidArgument("population must be in [1, " +
+                                   std::to_string(kWmObtMaxPopulation) + "]");
+  }
+  if (generations > kWmObtMaxGenerations) {
+    return Status::InvalidArgument("generations must be at most " +
+                                   std::to_string(kWmObtMaxGenerations));
+  }
   o.population = population;
   o.generations = generations;
   FREQYWM_ASSIGN_OR_RETURN(o.mutation_rate,

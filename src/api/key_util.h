@@ -21,6 +21,13 @@ namespace freqywm {
 /// would drive a giant allocation.
 inline constexpr uint64_t kWmObtMaxPartitions = uint64_t{1} << 20;
 
+/// Upper bounds on the WM-OBT GA options: embed sizes its population
+/// buffers by `population` (times the partition size) and runs
+/// `generations` rounds per partition, so unchecked values would drive a
+/// giant allocation or an endless embed.
+inline constexpr uint64_t kWmObtMaxPopulation = uint64_t{1} << 12;
+inline constexpr uint64_t kWmObtMaxGenerations = uint64_t{1} << 16;
+
 /// Renders watermark bits as a compact bit string ("11010").
 inline std::string BitsToString(const std::vector<int>& bits) {
   std::string out;

@@ -76,16 +76,18 @@ Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
 
 Result<DatasetEmbedOutcome> WatermarkScheme::EmbedDataset(
     const Dataset& original, const ExecContext& exec) const {
-  // The histogram build and the scheme's Embed both honor the context's
-  // cancellation/deadline. The transform (DESIGN.md §17) does not poll:
-  // once the embed succeeded, its three serial row passes take ~10-25 ms
-  // on 4M rows.
-  FREQYWM_ASSIGN_OR_RETURN(Histogram hist, exec.BuildHistogramChecked(original));
+  // One sharded id count feeds the histogram and the transform
+  // (DESIGN.md §17); the count, the scheme's Embed and the transform's
+  // row passes all poll the context's cancellation/deadline.
+  FREQYWM_ASSIGN_OR_RETURN(ShardedIdCounts counts, exec.CountIds(original));
+  const Histogram hist =
+      Histogram::FromIdCounts(original.dictionary(), counts.total);
   FREQYWM_ASSIGN_OR_RETURN(EmbedOutcome outcome, Embed(hist, exec));
   Rng rng(dataset_transform_seed(outcome.key));
   DatasetEmbedOutcome out;
-  out.watermarked =
-      TransformDataset(original, outcome.watermarked, rng);
+  FREQYWM_ASSIGN_OR_RETURN(
+      out.watermarked, TransformDataset(original, counts, &hist,
+                                        outcome.watermarked, rng, exec));
   out.key = std::move(outcome.key);
   out.report = outcome.report;
   return out;

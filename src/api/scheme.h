@@ -191,11 +191,12 @@ class WatermarkScheme {
   [[nodiscard]] Result<EmbedOutcome> Embed(const Histogram& original) const;
 
   /// Watermarks a dataset end-to-end, the one row-level embed of every
-  /// scheme: the histogram (one pass over the row ids, DESIGN.md §7),
-  /// `Embed(original, exec)`, then `TransformDataset` (DESIGN.md §17)
-  /// drawing from `dataset_transform_seed(key)`. Bit-identical for any
-  /// thread count; cancellation/deadline surface as `kCancelled` /
-  /// `kDeadlineExceeded`.
+  /// scheme: one sharded count of the row ids (`ExecContext::CountIds`)
+  /// builds the histogram, `Embed(original, exec)` runs, then the sharded
+  /// `TransformDataset` (DESIGN.md §17) starts from the same counts and
+  /// draws from `dataset_transform_seed(key)`. Bit-identical for any
+  /// thread count; cancellation/deadline, polled by the count, the embed
+  /// and the transform, surface as `kCancelled` / `kDeadlineExceeded`.
   [[nodiscard]] Result<DatasetEmbedOutcome> EmbedDataset(
       const Dataset& original, const ExecContext& exec) const;
 

@@ -72,8 +72,12 @@ class WatermarkGenerator {
 
   const GenerateOptions& options() const { return options_; }
 
+  /// The option ranges every embed checks first: z >= 2, budget in
+  /// [0, 100] percent, λ in [8, 65,536] bits and `min_modulus` < z.
+  /// `InvalidArgument` names the first range `options` leaves.
+  static Status ValidateOptions(const GenerateOptions& options);
+
  private:
-  Status ValidateOptions() const;
 
   GenerateOptions options_;
 };
@@ -103,10 +107,25 @@ Histogram ApplyPairDeltas(const Histogram& hist,
 /// uniform subset (`Rng::SampleWithoutReplacement`); one row pass then
 /// counts each token's occurrences down to its next dropped rank, ending
 /// with the last drop. So `rng` draws per changed occurrence, not per
-/// row. Runs serially over the row ids (DESIGN.md §17) and does not poll
-/// for interruption.
+/// row. This form counts the rows itself and runs serially: it is the
+/// one-shard case of the overload below (DESIGN.md §17).
 Dataset TransformDataset(const Dataset& original, const Histogram& target,
                          Rng& rng);
+
+/// The transform as `WatermarkScheme::EmbedDataset` runs it, from the
+/// row counts the embed already has: `counts` are `original`'s id counts
+/// in any shard layout, and `base` (may be null) their histogram. A
+/// target entry that `base` holds at the same rank with the same count is
+/// unchanged and is not looked up. `rng` draws exactly as in the serial
+/// form; then each shard's rank-match and write passes run as one
+/// `exec.ForEachChecked` index, so the rows are identical at any shard
+/// count and pool size, and an interrupted context yields
+/// `kCancelled`/`kDeadlineExceeded` between shards.
+Result<Dataset> TransformDataset(const Dataset& original,
+                                 const ShardedIdCounts& counts,
+                                 const Histogram* base,
+                                 const Histogram& target, Rng& rng,
+                                 const ExecContext& exec);
 
 }  // namespace freqywm
 

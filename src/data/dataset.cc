@@ -54,7 +54,7 @@ Dataset::Dataset(std::vector<Token> tokens) {
 }
 
 Dataset::Dataset(std::shared_ptr<const TokenDictionary> dictionary,
-                 std::vector<uint32_t> ids)
+                 RowIds ids)
     : dictionary_(std::move(dictionary)), ids_(std::move(ids)) {
   assert(dictionary_ != nullptr);
 }
@@ -67,9 +67,33 @@ std::vector<Token> Dataset::tokens() const {
 }
 
 std::vector<uint64_t> Dataset::IdCounts() const {
-  std::vector<uint64_t> counts(dictionary_->size(), 0);
-  for (uint32_t id : ids_) ++counts[id];
-  return counts;
+  ShardedIdCounts one(*this, 1);
+  one.CountShard(*this, 0);
+  return std::move(one.counts[0]);
+}
+
+ShardedIdCounts::ShardedIdCounts(const Dataset& dataset, size_t num_shards)
+    : bounds(num_shards + 1),
+      counts(num_shards,
+             std::vector<uint64_t>(dataset.dictionary().size(), 0)) {
+  assert(num_shards > 0);
+  for (size_t s = 0; s <= num_shards; ++s) {
+    bounds[s] = dataset.size() / num_shards * s +
+                std::min(s, dataset.size() % num_shards);
+  }
+}
+
+void ShardedIdCounts::CountShard(const Dataset& dataset, size_t s) {
+  std::vector<uint64_t>& shard = counts[s];
+  const uint32_t* ids = dataset.ids().data();
+  for (size_t i = bounds[s]; i < bounds[s + 1]; ++i) ++shard[ids[i]];
+}
+
+void ShardedIdCounts::SumShards() {
+  total = counts[0];
+  for (size_t s = 1; s < counts.size(); ++s) {
+    for (size_t id = 0; id < total.size(); ++id) total[id] += counts[s][id];
+  }
 }
 
 void Dataset::Append(const Token& token) {

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -43,6 +44,36 @@ class TokenDictionary {
   std::unordered_map<Token, uint32_t> ids_;
 };
 
+/// `std::allocator` whose value-less `construct` default-initializes, so
+/// `resize` and the size constructor leave new elements unset instead of
+/// zeroing them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A dataset's rows as dictionary ids. `RowIds(n)` leaves the ids unset:
+/// a writer that fills every row (the sharded transform, DESIGN.md §17;
+/// the generators) pays no zeroing pass, and one that fills them from
+/// several threads takes the fresh pages' faults on those threads.
+using RowIds = std::vector<uint32_t, DefaultInitAllocator<uint32_t>>;
+
 /// The dataset `Do`/`Dw` from the paper: an ordered multiset of tokens.
 ///
 /// Order matters to FreqyWM only for security (added tokens must land at
@@ -65,8 +96,7 @@ class Dataset {
 
   /// Rows `ids` over `dictionary`. Precondition: every id is below
   /// `dictionary->size()`.
-  Dataset(std::shared_ptr<const TokenDictionary> dictionary,
-          std::vector<uint32_t> ids);
+  Dataset(std::shared_ptr<const TokenDictionary> dictionary, RowIds ids);
 
   /// Number of rows (token occurrences), i.e. the paper's sample size.
   size_t size() const { return ids_.size(); }
@@ -82,7 +112,7 @@ class Dataset {
   std::vector<Token> tokens() const;
 
   /// The rows as dictionary ids.
-  const std::vector<uint32_t>& ids() const { return ids_; }
+  const RowIds& ids() const { return ids_; }
   const TokenDictionary& dictionary() const { return *dictionary_; }
   const std::shared_ptr<const TokenDictionary>& shared_dictionary() const {
     return dictionary_;
@@ -101,7 +131,34 @@ class Dataset {
 
  private:
   std::shared_ptr<const TokenDictionary> dictionary_;
-  std::vector<uint32_t> ids_;
+  RowIds ids_;
+};
+
+/// A dataset's id counts per contiguous row range ("shard"): shard `s`
+/// is rows `[bounds[s], bounds[s + 1])` and `counts[s][id]` counts `id`
+/// there; `total` is their sum, `Dataset::IdCounts()`. Shards count
+/// independently, so a pool can count them at once (`ExecContext::
+/// CountIds`); one count then feeds both the histogram and the row
+/// transform of an embed (DESIGN.md §17).
+struct ShardedIdCounts {
+  /// `num_shards` (>= 1) near-equal contiguous row ranges of `dataset`,
+  /// with zeroed count tables (allocated here, on the calling thread,
+  /// rather than in the pool workers' malloc arenas). With more shards
+  /// than rows some shards are empty.
+  ShardedIdCounts(const Dataset& dataset, size_t num_shards);
+
+  /// Counts shard `s` of `dataset`, the dataset the shards were cut from.
+  /// Touches only `counts[s]`.
+  void CountShard(const Dataset& dataset, size_t s);
+
+  /// Sets `total` once every shard is counted.
+  void SumShards();
+
+  size_t num_shards() const { return counts.size(); }
+
+  std::vector<size_t> bounds;
+  std::vector<std::vector<uint64_t>> counts;
+  std::vector<uint64_t> total;
 };
 
 /// A multi-dimensional (relational) dataset: rows of attribute values with a

@@ -47,6 +47,11 @@ class Histogram {
   /// occurs (DESIGN.md §7).
   static Histogram FromDataset(const Dataset& dataset);
 
+  /// The histogram of rows whose id counts are `counts` (indexed by id
+  /// into `dictionary`), sorted descending: one entry per nonzero count.
+  static Histogram FromIdCounts(const TokenDictionary& dictionary,
+                                const std::vector<uint64_t>& counts);
+
   /// Builds a histogram from explicit (token, count) pairs. Fails with
   /// `InvalidArgument` on duplicate tokens, zero counts, or counts whose
   /// sum overflows `total_count()`.

@@ -77,7 +77,7 @@ std::vector<Token> MakeTokenNames(const PowerLawSpec& spec) {
 Dataset GeneratePowerLawDataset(const PowerLawSpec& spec, Rng& rng) {
   AliasSampler sampler(PowerLawProbabilities(spec.num_tokens, spec.alpha));
   // Row ids are the sampler's indices into the token names.
-  std::vector<uint32_t> rows(spec.sample_size);
+  RowIds rows(spec.sample_size);
   for (uint32_t& row : rows) row = static_cast<uint32_t>(sampler.Sample(rng));
   return Dataset(std::make_shared<const TokenDictionary>(MakeTokenNames(spec)),
                  std::move(rows));

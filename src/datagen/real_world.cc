@@ -77,7 +77,7 @@ Dataset MakeEyeWnderLikeDataset(Rng& rng, size_t num_urls,
   // Row ids are the sampler's indices into a dictionary of every url.
   std::vector<Token> urls(num_urls);
   for (size_t i = 0; i < num_urls; ++i) urls[i] = "url" + std::to_string(i);
-  std::vector<uint32_t> rows(sample_size);
+  RowIds rows(sample_size);
   for (uint32_t& row : rows) row = static_cast<uint32_t>(sampler.Sample(rng));
   return Dataset(std::make_shared<const TokenDictionary>(std::move(urls)),
                  std::move(rows));

@@ -1,6 +1,9 @@
 #ifndef FREQYWM_EXEC_EXEC_CONTEXT_H_
 #define FREQYWM_EXEC_EXEC_CONTEXT_H_
 
+#include <cstddef>
+#include <functional>
+
 #include "common/result.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -55,14 +58,35 @@ struct ExecContext {
   /// The interruption pair as the bundled form shard loops consume.
   InterruptContext interrupt() const { return InterruptContext{cancel, deadline}; }
 
-  /// `Histogram::FromDataset(dataset)`. Ignores interruption (kept for
-  /// callers that cannot fail); new code uses the checked form.
+  /// Runs `body(i)` for every `i` in `[0, n)`: on the pool through
+  /// `ThreadPool::ParallelForChecked`, or inline in index order without
+  /// one. Polls the interruption before every index and returns the
+  /// first error (the smallest failing index's, on the pool).
+  [[nodiscard]] Status ForEachChecked(
+      size_t n, const std::function<Status(size_t)>& body) const;
+
+  /// How many row shards the context counts `dataset` in: one without a
+  /// pool; with one, up to four per participant (workers and the caller)
+  /// while each shard keeps at least max(2^16, 4 × dictionary size) rows,
+  /// so the per-shard count tables stay small next to the rows.
+  size_t RowShards(const Dataset& dataset) const;
+
+  /// The id counts of `dataset` over `num_shards` contiguous row ranges,
+  /// one shard per `ForEachChecked` index (DESIGN.md §17).
+  Result<ShardedIdCounts> CountIds(const Dataset& dataset,
+                                   size_t num_shards) const;
+
+  /// `CountIds(dataset, RowShards(dataset))`.
+  Result<ShardedIdCounts> CountIds(const Dataset& dataset) const;
+
+  /// `Histogram::FromDataset(dataset)`, counted over `RowShards(dataset)`
+  /// shards on the pool. Ignores interruption (kept for callers that
+  /// cannot fail); new code uses the checked form.
   Histogram BuildHistogram(const Dataset& dataset) const;
 
-  /// `Histogram::FromDataset(dataset)` after one interruption check:
+  /// `Histogram::FromDataset(dataset)` from `CountIds(dataset)`:
   /// `kCancelled`/`kDeadlineExceeded` instead of a histogram once the
-  /// context is interrupted. The build is one serial pass over the row
-  /// ids (DESIGN.md §7), too short to poll inside.
+  /// context is interrupted, polled between shards.
   Result<Histogram> BuildHistogramChecked(const Dataset& dataset) const;
 };
 

@@ -4,6 +4,11 @@
 #include <atomic>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "common/mutex.h"
 #include "exec/fault_injection.h"
 
@@ -83,6 +88,54 @@ struct ThreadPool::LoopState {
   Status interrupt_status GUARDED_BY(mutex);
 };
 
+namespace {
+
+/// How many times a caller re-reads a loop's `done` before it sleeps on
+/// the loop's condition variable: tens to hundreds of microseconds of
+/// pause instructions, depending on the CPU, enough to cover the last
+/// iterations of a loop whose caller ran out of indices first.
+constexpr int kCallerSpins = 1 << 12;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Pins worker `i` of `workers` to the (i+1)-th CPU of the process's
+/// affinity mask, round robin, so the first CPU is left to callers. The
+/// mask is rotated to start at the constructing thread's current CPU: a
+/// thread that is alone tends to stay where it runs, so its CPU is the
+/// one a caller most likely holds when it wakes the workers. A one-CPU
+/// mask, or a platform without the call, pins nothing.
+void PinWorkers(std::vector<std::thread>& workers) {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+  if (cpus.size() < 2) return;
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+  for (size_t i = 0; i < workers.size(); ++i) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[(i + 1) % cpus.size()], &one);
+    // Best effort: a worker left unpinned still runs, only placed by the
+    // scheduler.
+    (void)pthread_setaffinity_np(workers[i].native_handle(), sizeof(one),
+                                 &one);
+  }
+#else
+  (void)workers;
+#endif
+}
+
+}  // namespace
+
 size_t ThreadPool::HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -93,6 +146,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  PinWorkers(workers_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -136,6 +190,13 @@ void ThreadPool::RunLoop(const std::shared_ptr<LoopState>& loop) {
   }
   for (size_t h = 0; h < helpers; ++h) wake_cv_.NotifyOne();
   loop->ClaimIndices();  // the caller is a full participant
+  // Spin briefly before sleeping: a worker finishing the last index then
+  // finds no waiter to wake, so the caller is not woken onto that
+  // worker's CPU.
+  for (int spin = 0; spin < kCallerSpins; ++spin) {
+    if (loop->done.load(std::memory_order_acquire) == loop->n) return;
+    CpuRelax();
+  }
   MutexLock lock(loop->mutex);
   while (loop->done.load(std::memory_order_acquire) != loop->n) {
     loop->cv.Wait(loop->mutex);

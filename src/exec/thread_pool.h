@@ -29,12 +29,21 @@ namespace freqywm {
 /// Tasks must not throw; error handling in this codebase is `Status`-based
 /// and parallel bodies communicate failure through their outputs.
 ///
+/// Placement (DESIGN.md §7): on Linux, worker i is pinned at construction
+/// to the (i+1)-th CPU of the process's affinity mask, round robin, with
+/// the mask rotated to start at the constructing thread's CPU, which is
+/// left to callers; a one-CPU mask pins nothing, and the calling thread
+/// is never pinned. A woken worker then runs on its own CPU instead of
+/// queueing behind its waker. A caller that runs out of indices spins
+/// briefly on the loop's completion before it sleeps, so the last worker
+/// does not wake it onto that worker's CPU either.
+///
 /// Lock discipline (machine-checked by the CI thread-safety job,
 /// DESIGN.md §11): `mutex_` guards the task queue and the stop flag, and
 /// idle workers sleep on `wake_cv_` until either changes.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 → `HardwareThreads()`).
+  /// Spawns `num_threads` workers (0 → `HardwareThreads()`) and pins them.
   explicit ThreadPool(size_t num_threads);
 
   /// Runs every queued task, then joins the workers.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/freqywm_scheme.h"
@@ -157,6 +158,65 @@ TEST(SchemeFactoryTest, BuildersRejectUnknownAndInvalidOptions) {
   OptionBag at_cap;
   at_cap.Set("partitions", std::to_string(kWmObtMaxPartitions));
   EXPECT_TRUE(SchemeFactory::Create("wm-obt", at_cap).ok());
+
+  // The GA sizes its population buffers by `population` and runs
+  // `generations` rounds, so both take a cap too; 2^64 - 1 used to reach
+  // the GA and abort with `std::length_error`.
+  const std::string max_u64 =
+      std::to_string(std::numeric_limits<uint64_t>::max());
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"population", "0"},
+           {"population", std::to_string(kWmObtMaxPopulation + 1)},
+           {"population", max_u64},
+           {"generations", std::to_string(kWmObtMaxGenerations + 1)},
+           {"generations", max_u64}}) {
+    OptionBag bag;
+    bag.Set(key, value);
+    EXPECT_EQ(SchemeFactory::Create("wm-obt", bag).status().code(),
+              StatusCode::kInvalidArgument)
+        << key << "=" << value;
+  }
+  OptionBag ga_at_cap;
+  ga_at_cap.Set("population", std::to_string(kWmObtMaxPopulation));
+  ga_at_cap.Set("generations", std::to_string(kWmObtMaxGenerations));
+  EXPECT_TRUE(SchemeFactory::Create("wm-obt", ga_at_cap).ok());
+}
+
+TEST(SchemeFactoryTest, FreqyWmBuilderRejectsOutOfRangeOptions) {
+  // The generator's ranges, checked when the scheme is built rather than
+  // at its first embed.
+  const std::string max_u64 =
+      std::to_string(std::numeric_limits<uint64_t>::max());
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"z", "0"},
+           {"z", "2"},  // not above the default min_modulus of 2
+           {"budget", "-1"},
+           {"budget", "100.5"},
+           {"lambda", "7"},
+           {"lambda", "65537"},
+           {"lambda", max_u64},
+           {"min_modulus", "1031"}}) {
+    OptionBag bag;
+    bag.Set(key, value);
+    EXPECT_EQ(SchemeFactory::Create("freqywm", bag).status().code(),
+              StatusCode::kInvalidArgument)
+        << key << "=" << value;
+  }
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"z", "3"},
+           {"budget", "0"},
+           {"budget", "100"},
+           {"lambda", "8"},
+           {"lambda", "65536"},
+           {"min_modulus", "1030"}}) {
+    OptionBag bag;
+    bag.Set(key, value);
+    EXPECT_TRUE(SchemeFactory::Create("freqywm", bag).ok())
+        << key << "=" << value;
+  }
 }
 
 }  // namespace

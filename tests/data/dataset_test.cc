@@ -48,7 +48,7 @@ TEST(DatasetDictionaryTest, TokensRoundTripTheInput) {
   Dataset d(input);
   EXPECT_EQ(d.tokens(), input);
   // Ids follow first occurrence; the dictionary holds each token once.
-  EXPECT_EQ(d.ids(), (std::vector<uint32_t>{0, 1, 0, 2, 3, 1, 0}));
+  EXPECT_EQ(d.ids(), (RowIds{0, 1, 0, 2, 3, 1, 0}));
   ASSERT_EQ(d.dictionary().size(), 4u);
   EXPECT_EQ(d.dictionary().token(2), "");
   EXPECT_EQ(d.dictionary().Find("c"), 3u);

@@ -15,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/freqywm_scheme.h"
 #include "common/mutex.h"
 #include "common/random.h"
+#include "core/watermark.h"
 #include "datagen/power_law.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
@@ -307,6 +309,69 @@ TEST(CancellationTest, BuildHistogramCheckedHonorsExpiredDeadline) {
     Result<Histogram> late = exec.BuildHistogramChecked(dataset);
     ASSERT_FALSE(late.ok()) << "workers=" << workers;
     EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
+/// FreqyWM whose embed cancels `source` once it has succeeded, so only
+/// the row transform that follows can observe the cancellation.
+class CancelAfterEmbedScheme : public FreqyWmScheme {
+ public:
+  CancelAfterEmbedScheme(GenerateOptions options, CancellationSource* source)
+      : FreqyWmScheme(options), source_(source) {}
+
+  using FreqyWmScheme::Embed;
+  Result<EmbedOutcome> Embed(const Histogram& original,
+                             const ExecContext& exec) const override {
+    Result<EmbedOutcome> outcome = FreqyWmScheme::Embed(original, exec);
+    source_->Cancel();
+    return outcome;
+  }
+
+ private:
+  CancellationSource* source_;
+};
+
+TEST(CancellationTest, TransformPollsBetweenShards) {
+  Rng rng(80);
+  PowerLawSpec spec;
+  spec.num_tokens = 200;
+  spec.sample_size = 300000;
+  spec.alpha = 0.7;
+  const Dataset dataset = GeneratePowerLawDataset(spec, rng);
+  GenerateOptions options;
+  options.modulus_bound = 131;
+  options.seed = 81;
+
+  for (size_t workers : {0, 3}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+
+    // Cancelled after the count and the embed: EmbedDataset returns the
+    // transform's typed status, not rows.
+    CancellationSource source;
+    ExecContext exec{pool.get()};
+    exec.cancel = source.token();
+    const CancelAfterEmbedScheme scheme(options, &source);
+    auto cancelled = scheme.EmbedDataset(dataset, exec);
+    ASSERT_FALSE(cancelled.ok()) << "workers=" << workers;
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+
+    // The transform alone, past its deadline, at several shard counts.
+    auto embedded =
+        FreqyWmScheme(options).Embed(Histogram::FromDataset(dataset));
+    ASSERT_TRUE(embedded.ok()) << embedded.status();
+    ExecContext late{pool.get()};
+    late.deadline = Deadline::Expired();
+    for (size_t shards : {1, 4, 16}) {
+      const ShardedIdCounts counts =
+          ExecContext{pool.get()}.CountIds(dataset, shards).value();
+      Rng transform_rng(82);
+      Result<Dataset> rows =
+          TransformDataset(dataset, counts, nullptr,
+                           embedded.value().watermarked, transform_rng, late);
+      ASSERT_FALSE(rows.ok()) << "workers=" << workers << " shards=" << shards;
+      EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
+    }
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -170,6 +176,62 @@ TEST(ThreadPoolTest, DestroyWithStaleHelpersQueued) {
   }
   EXPECT_EQ(calls.load(), 4000);
 }
+
+#if defined(__linux__)
+/// The CPUs of `mask`, ascending.
+std::vector<int> CpusOf(const cpu_set_t& mask) {
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+std::vector<int> ThreadCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask), 0);
+  return CpusOf(mask);
+}
+
+TEST(ThreadPoolTest, WorkersArePinnedToDistinctCpusOfTheProcessMask) {
+  const std::vector<int> process = ThreadCpus();
+  if (process.size() < 2) GTEST_SKIP() << "a one-CPU mask pins nothing";
+  for (size_t workers : {size_t{1}, process.size() - 1, process.size(),
+                         2 * process.size()}) {
+    ThreadPool pool(workers);
+    // One task per worker, each held until all have started, so every
+    // worker runs exactly one and reads its own mask.
+    std::vector<std::vector<int>> masks(workers);
+    std::atomic<size_t> started{0};
+    std::atomic<size_t> finished{0};
+    for (size_t w = 0; w < workers; ++w) {
+      pool.Submit([&, w] {
+        masks[w] = ThreadCpus();
+        started.fetch_add(1);
+        while (started.load() < workers) std::this_thread::yield();
+        finished.fetch_add(1);
+      });
+    }
+    while (finished.load() < workers) std::this_thread::yield();
+
+    std::vector<int> pinned;
+    for (const std::vector<int>& mask : masks) {
+      ASSERT_EQ(mask.size(), 1u) << "workers=" << workers;
+      EXPECT_NE(std::find(process.begin(), process.end(), mask[0]),
+                process.end());
+      pinned.push_back(mask[0]);
+    }
+    if (workers <= process.size()) {
+      std::sort(pinned.begin(), pinned.end());
+      EXPECT_EQ(std::adjacent_find(pinned.begin(), pinned.end()),
+                pinned.end())
+          << "workers=" << workers;
+    }
+    EXPECT_EQ(ThreadCpus(), process) << "the caller stays unpinned";
+  }
+}
+#endif
 
 TEST(ThreadPoolTest, HardwareThreadsHasFloorOfOne) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1u);
