@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core library primitives and
 // the Gen/Detect costs behind Table II's timing columns: SHA-256, pair
-// modulus derivation (full re-hash vs midstate reduce), eligible-pair
-// construction (unpruned reference vs the pruned midstate scan), the three
+// modulus derivation (full re-hash vs midstate reduce vs 16-lane batch),
+// eligible-pair construction (unpruned reference vs the pruned midstate
+// scan, and the sell_hist-sized scan serial and pooled), the three
 // selection strategies, end-to-end generation, detection (uncached
 // reference vs the per-key modulus table, one trace-like dense cell, and a
 // 4 x 1,000 session drain), and the thread pool's per-loop overhead.
@@ -141,6 +142,32 @@ void BM_PairModulusInnerLoop_Midstate(benchmark::State& state) {
 }
 BENCHMARK(BM_PairModulusInnerLoop_Midstate)->Arg(11)->Arg(40);
 
+// The same loop 16 pairs per call, as the eligible-pair scan runs it:
+// `ReduceBatch` over column-major inner digests, on the lane kernel named
+// in the run's context. Items are pairs, so the per-item time reads
+// against the per-pair one above.
+void BM_PairModulusBatch(benchmark::State& state) {
+  WatermarkSecret secret = GenerateSecret(256, 1);
+  PairModulus pm(secret, 1031);
+  constexpr size_t kTokens = 64;
+  constexpr size_t kBatch = PairModulus::InnerColumns::kBatch;
+  PairModulus::InnerColumns inner(kTokens);
+  for (size_t j = 0; j < kTokens; ++j) {
+    inner.Set(j, pm.InnerDigest("token" + std::to_string(j)));
+  }
+  PairModulus::OuterState outer =
+      pm.OuterFor(std::string(static_cast<size_t>(state.range(0)), 'o'));
+  uint64_t moduli[kBatch];
+  size_t first = 0;
+  for (auto _ : state) {
+    outer.ReduceBatch(inner, first, kBatch, moduli);
+    benchmark::DoNotOptimize(moduli);
+    first = (first + kBatch) % kTokens;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_PairModulusBatch)->Arg(11)->Arg(40);
+
 // "Before": the unpruned one-hash-per-pair scan shipped by PR 2.
 void BM_BuildEligiblePairs_Reference(benchmark::State& state) {
   const size_t tokens = static_cast<size_t>(state.range(0));
@@ -228,6 +255,26 @@ void BM_SelectOptimal(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectOptimal)->Arg(20'000'000)->Arg(23'100'000)
     ->Unit(benchmark::kMillisecond);
+
+// The marketbench sell_hist scan: the 20M-sample input above at z=131,
+// serially (argument 0) and with 3 pool workers beside the caller.
+void BM_BuildEligiblePairs_SellHist(benchmark::State& state) {
+  const SelectInput& input = TaxiSelectInput(20'000'000);
+  PairModulus pm(GenerateSecret(256, 4), 131);
+  const auto workers = static_cast<size_t>(state.range(0));
+  // ThreadPool(0) would size itself to the machine: no pool is serial.
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+  const ExecContext exec{pool.get()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildEligiblePairs(
+        input.hist, pm, EligibilityRule::kPaper, 2, 1, exec));
+  }
+  state.counters["eligible_pairs"] =
+      static_cast<double>(input.eligible.size());
+}
+BENCHMARK(BM_BuildEligiblePairs_SellHist)->Arg(0)->Arg(3)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Applying an optimal selection at marketbench's sell_rows scale: the
 // 11,479-token histogram of 4M eyeWnder-like samples, z=131. Each chosen
@@ -661,6 +708,9 @@ int RunPairEnumAcceptance() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Names the kernel the pair-scan timings ran on, in every report.
+  benchmark::AddCustomContext(
+      "sha256_lane_kernel", freqywm::sha256_internal::LaneKernelName());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return freqywm::RunPairEnumAcceptance();

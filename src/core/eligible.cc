@@ -32,71 +32,84 @@ struct PairScan {
   EligibilityRule rule;
   uint64_t min_modulus;
   uint64_t min_pair_cost;
-  /// Inner digests H(R || tk_j), filled for every candidate rank.
-  const std::vector<Sha256::Digest>& inner;
   /// Ascending ranks that survive per-token pruning (every rank for the
   /// strict rule). Both loop roles draw from this list: a pruned token can
   /// appear in no pair at all.
   const std::vector<uint32_t>& candidates;
+  /// Inner digests H(R || tk_j), indexed by position in `candidates`.
+  const PairModulus::InnerColumns& inner;
 
-  /// Appends row `i`'s eligible pairs to `out` in ascending-j order.
-  void ScanRow(uint32_t i, std::vector<EligiblePair>* out) const;
+  /// Appends the eligible pairs of the row at candidate position `r` to
+  /// `out` in ascending-j order.
+  void ScanRow(size_t r, std::vector<EligiblePair>* out) const;
 };
 
-void PairScan::ScanRow(uint32_t i, std::vector<EligiblePair>* out) const {
+void PairScan::ScanRow(size_t r, std::vector<EligiblePair>* out) const {
   const size_t n = entries.size();
+  const uint32_t i = candidates[r];
   const uint64_t fi = entries[i].count;
+  // kUnbounded is the max uint64, so min() picks the finite bound.
+  const uint64_t slack_i = std::min(bounds[i].upper, bounds[i].lower);
 
-  auto it = std::upper_bound(candidates.begin(), candidates.end(), i);
+  size_t begin = r + 1;
   if (min_pair_cost > 0) {
     // cost <= freq_diff always, and counts are non-increasing in rank, so
     // the leading run of j with `f_i - f_j < min_pair_cost` (ties first)
     // can never pass the cost filter: skip it without hashing.
     if (fi < min_pair_cost) return;
     const uint64_t max_fj = fi - min_pair_cost;
-    it = std::partition_point(it, candidates.end(), [&](uint32_t j) {
-      return entries[j].count > max_fj;
-    });
+    begin = static_cast<size_t>(
+        std::partition_point(candidates.begin() + begin, candidates.end(),
+                             [&](uint32_t j) {
+                               return entries[j].count > max_fj;
+                             }) -
+        candidates.begin());
   }
-  if (it == candidates.end()) return;
+  if (begin == candidates.size()) return;
 
-  // One prepared outer hash per row: every pair below copies its 32-byte
-  // inner digest into the pre-padded final block and compresses it.
+  // One prepared outer hash per row; each batch hashes up to 16 columns
+  // at once, and the filters below take its moduli in ascending-j order.
   const PairModulus::OuterState outer = modulus.OuterFor(entries[i].token);
+  constexpr size_t kBatch = PairModulus::InnerColumns::kBatch;
+  uint64_t moduli[kBatch];
+  for (size_t p = begin; p < candidates.size(); p += kBatch) {
+    const size_t count = std::min(kBatch, candidates.size() - p);
+    outer.ReduceBatch(inner, p, count, moduli);
+    for (size_t l = 0; l < count; ++l) {
+      const uint32_t j = candidates[p + l];
+      const uint64_t s = moduli[l];
+      if (s < min_modulus) continue;  // s < 2 undefined; below the floor
 
-  for (; it != candidates.end(); ++it) {
-    const uint32_t j = *it;
-    const uint64_t s = outer.Reduce(inner[j]);
-    if (s < min_modulus) continue;  // s < 2 undefined; below the floor
+      if (rule == EligibilityRule::kPaper) {
+        // All four boundaries must be at least ceil(s/2). Tested before the
+        // plan: fewer than 1 % of hashed pairs pass it.
+        const uint64_t slack =
+            std::min({slack_i, bounds[j].upper, bounds[j].lower});
+        if (slack < (s + 1) / 2) continue;
+      }
 
-    EligiblePair plan = MakePairPlan(i, j, fi - entries[j].count, s);
-    if (plan.cost < min_pair_cost) continue;  // carries no evidence
+      EligiblePair plan = MakePairPlan(i, j, fi - entries[j].count, s);
+      if (plan.cost < min_pair_cost) continue;  // carries no evidence
 
-    bool ok = false;
-    if (rule == EligibilityRule::kPaper) {
-      // All four boundaries must be at least ceil(s/2).
-      const uint64_t need = (s + 1) / 2;
-      auto fits = [need](uint64_t bound) {
-        return bound == TokenBoundary::kUnbounded || bound >= need;
-      };
-      ok = fits(bounds[i].upper) && fits(bounds[i].lower) &&
-           fits(bounds[j].upper) && fits(bounds[j].lower);
-    } else {
-      // Strict rule: the exact deltas must fit within HALF of each shared
-      // gap (full slack at the unshared extremes), which provably keeps
-      // the ranking for any token-disjoint set of pairs.
-      uint64_t up_i = (i == 0) ? TokenBoundary::kUnbounded
-                               : HalfGap(bounds[i].upper);
-      uint64_t down_i = (i + 1 == n) ? bounds[i].lower
-                                     : HalfGap(bounds[i].lower);
-      uint64_t up_j = (j == 0) ? TokenBoundary::kUnbounded
-                               : HalfGap(bounds[j].upper);
-      uint64_t down_j = (j + 1 == n) ? bounds[j].lower
-                                     : HalfGap(bounds[j].lower);
-      ok = DeltaFits(plan.delta_i, up_i, down_i) &&
-           DeltaFits(plan.delta_j, up_j, down_j);
+      if (rule == EligibilityRule::kStrictHalfGap) {
+        // Strict rule: the exact deltas must fit within HALF of each
+        // shared gap (full slack at the unshared extremes), which provably
+        // keeps the ranking for any token-disjoint set of pairs.
+        uint64_t up_i = (i == 0) ? TokenBoundary::kUnbounded
+                                 : HalfGap(bounds[i].upper);
+        uint64_t down_i = (i + 1 == n) ? bounds[i].lower
+                                       : HalfGap(bounds[i].lower);
+        uint64_t up_j = (j == 0) ? TokenBoundary::kUnbounded
+                                 : HalfGap(bounds[j].upper);
+        uint64_t down_j = (j + 1 == n) ? bounds[j].lower
+                                       : HalfGap(bounds[j].lower);
+        if (!DeltaFits(plan.delta_i, up_i, down_i) ||
+            !DeltaFits(plan.delta_j, up_j, down_j)) {
+          continue;
+        }
+      }
+      out->push_back(plan);
     }
-    if (ok) out->push_back(plan);
   }
 }
 
@@ -174,9 +187,9 @@ std::vector<EligiblePair> BuildEligiblePairs(const Histogram& hist,
 
   // Inner digests H(R || tk_j), one per candidate token (non-candidates
   // are never read). Indexed writes keep the parallel fill deterministic.
-  std::vector<Sha256::Digest> inner(entries.size());
+  PairModulus::InnerColumns inner(rows);
   auto fill_inner = [&](size_t r) {
-    inner[candidates[r]] = modulus.InnerDigest(entries[candidates[r]].token);
+    inner.Set(r, modulus.InnerDigest(entries[candidates[r]].token));
   };
   if (exec.parallel() && rows >= 2) {
     exec.pool->ParallelFor(rows, fill_inner);
@@ -184,8 +197,8 @@ std::vector<EligiblePair> BuildEligiblePairs(const Histogram& hist,
     for (size_t r = 0; r < rows; ++r) fill_inner(r);
   }
 
-  const PairScan scan{entries,    bounds, modulus, rule,
-                      min_modulus, min_pair_cost, inner, candidates};
+  const PairScan scan{entries,     bounds,        modulus,    rule,
+                      min_modulus, min_pair_cost, candidates, inner};
 
   // Shard the outer i-loop into contiguous candidate-row ranges of roughly
   // equal triangular work (row r scans ~rows - r candidates). Each shard
@@ -221,7 +234,7 @@ std::vector<EligiblePair> BuildEligiblePairs(const Histogram& hist,
     // spread across shards, and the merge below reserves exactly.
     out.reserve(std::min<size_t>(rows, 256));
     for (size_t r = shard_begin[shard]; r < shard_begin[shard + 1]; ++r) {
-      scan.ScanRow(candidates[r], &out);
+      scan.ScanRow(r, &out);
     }
   };
   if (num_shards > 1) {

@@ -63,9 +63,15 @@ EligiblePair MakePairPlan(size_t rank_i, size_t rank_j, uint64_t freq_diff,
 ///
 /// This is the Gen hot path (O(n^2) keyed-hash evaluations; Table II's
 /// generation cost), so the scan is engineered (DESIGN.md §8):
-///  * one inner digest `H(R || tk_j)` per token and one prepared outer
+///  * one inner digest `H(R || tk_j)` per candidate token, held
+///    column-major (`PairModulus::InnerColumns`), and one prepared outer
 ///    hash per row `i` — each pair costs one or two bare SHA-256
-///    compressions of a pre-padded final block (`PairModulus::OuterState`);
+///    compressions of a pre-padded final block, run for 16 consecutive
+///    columns at once (`PairModulus::OuterState::ReduceBatch`: one 16-lane
+///    AVX-512 compression where the CPU has it, DESIGN.md §16); the
+///    filters then take the 16 moduli in ascending-j order;
+///  * under the paper rule the boundary test `min(B_i, B_j) >= ceil(s/2)`
+///    runs before the pair's plan: fewer than 1 % of hashed pairs pass it;
 ///  * pairs that cannot pass the filters for ANY modulus value are pruned
 ///    before hashing: tokens whose boundary slack can never admit
 ///    `s >= min_modulus` or afford `cost >= min_pair_cost` (kPaper rule),

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "crypto/secret.h"
 #include "crypto/sha256.h"
@@ -41,38 +42,81 @@ class PairModulus {
   uint64_t ComputeWithInner(std::string_view token_i,
                             const Sha256::Digest& inner_j) const;
 
+  /// Inner digests `H(R || tk_j)` of a token list, stored column-major as
+  /// big-endian-decoded words: `word(k)[p]` is word k (0..7) of token p's
+  /// digest. `OuterState::ReduceBatch` reads 16 consecutive tokens of a
+  /// column as one message word of 16 lanes.
+  class InnerColumns {
+   public:
+    /// Tokens per `OuterState::ReduceBatch` call.
+    static constexpr size_t kBatch = 16;
+
+    /// Each column ends with `kBatch - 1` zero words, so a batch starting
+    /// at any token reads 16 words in bounds.
+    explicit InnerColumns(size_t tokens)
+        : tokens_(tokens),
+          stride_(tokens + kBatch - 1),
+          words_(8 * stride_) {}
+
+    /// Stores token `p`'s digest. Distinct `p` may be set concurrently.
+    void Set(size_t p, const Sha256::Digest& digest);
+
+    const uint32_t* word(size_t k) const {
+      return words_.data() + k * stride_;
+    }
+    size_t size() const { return tokens_; }
+
+   private:
+    size_t tokens_;
+    size_t stride_;
+    std::vector<uint32_t> words_;
+  };
+
   /// The outer hash `H(tk_i || ·)` prepared for one `tk_i`. The O(n^2)
   /// eligible-pair scan keeps one per outer token. Construction absorbs
   /// `tk_i`'s full 64-byte blocks into a midstate and pre-pads the final
-  /// block(s): `tk_i`'s tail bytes, a 32-byte hole for the inner digest,
-  /// 0x80, zeros and the message bit length. That is one block when
-  /// `len(tk_i) mod 64 <= 23`, otherwise two. Each pair then costs a copy
-  /// of the inner digest into the hole and one or two bare compressions.
+  /// block(s) as message words: `tk_i`'s tail bytes, a 32-byte hole for
+  /// the inner digest, 0x80, zeros and the message bit length. That is one
+  /// block when `len(tk_i) mod 64 <= 23`, otherwise two. Each pair then
+  /// costs ORing the inner digest's words into the hole (shifted when the
+  /// hole starts mid-word) and one or two bare compressions, which
+  /// `ReduceBatch` runs for 16 pairs at once.
   /// Copyable and immutable after construction; safe to share across
   /// threads.
   class OuterState {
    public:
     /// `s_ij` for this state's `tk_i` and a precomputed inner digest —
-    /// byte-identical to `ComputeWithInner(tk_i, inner_j)`.
+    /// byte-identical to `ComputeWithInner(tk_i, inner_j)`. One pair
+    /// through `sha256_internal::CompressWords`.
     uint64_t Reduce(const Sha256::Digest& inner_j) const;
+
+    /// `out[l]` = `Reduce` of token `first + l`'s inner digest in `inner`,
+    /// for `l < count` and 1 <= count <= `InnerColumns::kBatch`. One call
+    /// of `sha256_internal::CompressLanes` per block: 16 lanes of AVX-512
+    /// where the CPU has it, a loop of per-pair compressions elsewhere.
+    void ReduceBatch(const InnerColumns& inner, size_t first, size_t count,
+                     uint64_t out[InnerColumns::kBatch]) const;
 
    private:
     friend class PairModulus;
-    OuterState(std::string_view token_i, uint64_t z);
+    OuterState(std::string_view token_i, uint64_t z,
+               unsigned __int128 z_reciprocal);
 
     uint32_t midstate_[8];
-    /// The padded final block(s), the inner digest's bytes left as zeros.
-    uint8_t tail_[128];
-    /// Offset of the inner digest in `tail_`.
-    size_t hole_;
-    /// 64 or 128: the bytes of `tail_` to compress.
-    size_t tail_size_;
+    /// The final block(s) as big-endian words, zero where the inner digest
+    /// goes.
+    uint32_t tail_[32];
+    /// Byte offset of the inner digest in the final block(s).
+    uint32_t hole_;
+    /// 1 or 2: the blocks of `tail_` to compress.
+    uint32_t blocks_;
     uint64_t z_;
+    unsigned __int128 z_reciprocal_;
   };
 
   /// Builds the outer-hash midstate for `token_i`.
   OuterState OuterFor(std::string_view token_i) const {
-    return OuterState(token_i, z_);
+    return OuterState(token_i, z_, z_reciprocal_);
   }
 
   /// The modulus bound `z`.
@@ -81,6 +125,9 @@ class PairModulus {
  private:
   std::string r_bytes_;
   uint64_t z_;
+  /// ceil(2^128 / z): `OuterState::ReduceBatch` reduces mod z with it
+  /// instead of a division.
+  unsigned __int128 z_reciprocal_;
 };
 
 }  // namespace freqywm

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,18 +57,26 @@ TEST(PairModulusTest, InnerDigestCacheMatchesDirectComputation) {
 
 TEST(PairModulusTest, OuterStateReduceMatchesComputeWithInner) {
   // The pre-padded path of the O(n^2) scan: one OuterState per token_i,
-  // one or two bare compressions per pair. It must agree with both slower
+  // one or two bare compressions per pair, one pair at a time (`Reduce`)
+  // or 16 at a time (`ReduceBatch`). Both must agree with the slower
   // derivations at every token_i length from 0 to 200, which crosses the
-  // one/two-block tail edge (tail of 23 vs 24 bytes) and the full-block
-  // midstate edges (64, 128, 192 bytes), and for moduli up to 2^64 - 1.
+  // one/two-block tail edge (tail of 23 vs 24 bytes), every hole offset
+  // mod 4 and the full-block midstate edges (64, 128, 192 bytes), and for
+  // moduli up to 2^64 - 1. Batches start at unaligned columns and run
+  // 1 to 33 columns, so every masked final batch width occurs.
   WatermarkSecret s = GenerateSecret(256, 31);
-  const std::vector<std::string> inner_tokens = {
+  std::vector<std::string> inner_tokens = {
       "", "youtube.com", std::string(64, 'r'), std::string(200, 'm')};
+  for (int t = 0; inner_tokens.size() < 48; ++t) {
+    inner_tokens.push_back("tk" + std::to_string(t * 7919));
+  }
   for (uint64_t z : {2ull, 131ull, 1031ull, ~0ull}) {
     PairModulus pm(s, z);
     std::vector<Sha256::Digest> inners;
-    for (const std::string& tj : inner_tokens) {
-      inners.push_back(pm.InnerDigest(tj));
+    PairModulus::InnerColumns columns(inner_tokens.size());
+    for (size_t j = 0; j < inner_tokens.size(); ++j) {
+      inners.push_back(pm.InnerDigest(inner_tokens[j]));
+      columns.Set(j, inners.back());
     }
     for (size_t len = 0; len <= 200; ++len) {
       std::string ti(len, '\0');
@@ -75,11 +84,30 @@ TEST(PairModulusTest, OuterStateReduceMatchesComputeWithInner) {
         ti[k] = static_cast<char>(k * 37 + len);
       }
       PairModulus::OuterState outer = pm.OuterFor(ti);
+      std::vector<uint64_t> expected;
       for (size_t j = 0; j < inner_tokens.size(); ++j) {
-        EXPECT_EQ(outer.Reduce(inners[j]), pm.ComputeWithInner(ti, inners[j]))
-            << "z=" << z << " len=" << len;
-        EXPECT_EQ(outer.Reduce(inners[j]), pm.Compute(ti, inner_tokens[j]))
-            << "z=" << z << " len=" << len;
+        expected.push_back(outer.Reduce(inners[j]));
+        if (j < 4) {
+          EXPECT_EQ(expected[j], pm.ComputeWithInner(ti, inners[j]))
+              << "z=" << z << " len=" << len;
+          EXPECT_EQ(expected[j], pm.Compute(ti, inner_tokens[j]))
+              << "z=" << z << " len=" << len;
+        }
+      }
+      for (size_t start : {0, 1, 5, 13}) {
+        for (size_t run = 1; run <= 33; ++run) {
+          // The scan's loop shape: full batches, then a masked remainder.
+          for (size_t p = start; p < start + run; p += 16) {
+            const size_t count = std::min<size_t>(16, start + run - p);
+            uint64_t batch[16];
+            outer.ReduceBatch(columns, p, count, batch);
+            for (size_t l = 0; l < count; ++l) {
+              ASSERT_EQ(batch[l], expected[p + l])
+                  << "z=" << z << " len=" << len << " start=" << start
+                  << " run=" << run << " column=" << p + l;
+            }
+          }
+        }
       }
     }
   }

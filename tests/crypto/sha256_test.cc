@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -252,6 +253,150 @@ TEST(Sha256CompressTest, ShaNiMatchesPortableOnRandomBlocks) {
     sha256_internal::CompressShaNi(sha_ni, block);
     ASSERT_EQ(std::memcmp(portable, sha_ni, sizeof(portable)), 0)
         << "trial " << trial;
+  }
+}
+#endif
+
+// ---------------------------------------------------------------------------
+// The 16-lane compression: every active lane must equal CompressPortable
+// on that lane's (state, block), and lanes past `lanes` stay untouched.
+// ---------------------------------------------------------------------------
+
+using LanesFn = void (*)(uint32_t (*)[sha256_internal::kLanes],
+                         const uint32_t (*)[sha256_internal::kLanes],
+                         unsigned);
+
+void ExpectLanesMatchPortable(LanesFn compress, uint64_t seed, int trials) {
+  constexpr unsigned kLanes = sha256_internal::kLanes;
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const unsigned lanes = 1 + trial % kLanes;
+    // One random midstate broadcast to every lane, as the pair scan's
+    // first block has it, or a random state per lane, as its second.
+    const bool broadcast = trial % 2 == 0;
+    uint32_t state[8][kLanes];
+    uint32_t words[16][kLanes];
+    for (auto& row : state) {
+      const auto shared = static_cast<uint32_t>(rng.NextU64());
+      for (uint32_t& word : row) {
+        word = broadcast ? shared : static_cast<uint32_t>(rng.NextU64());
+      }
+    }
+    for (auto& row : words) {
+      for (uint32_t& word : row) word = static_cast<uint32_t>(rng.NextU64());
+    }
+    uint32_t expected[8][kLanes];
+    std::memcpy(expected, state, sizeof(state));
+    for (unsigned l = 0; l < lanes; ++l) {
+      uint32_t lane_state[8];
+      uint8_t block[64];
+      for (int k = 0; k < 8; ++k) lane_state[k] = state[k][l];
+      for (int i = 0; i < 16; ++i) {
+        for (int b = 0; b < 4; ++b) {
+          block[4 * i + b] = static_cast<uint8_t>(words[i][l] >> (24 - 8 * b));
+        }
+      }
+      sha256_internal::CompressPortable(lane_state, block);
+      for (int k = 0; k < 8; ++k) expected[k][l] = lane_state[k];
+    }
+    compress(state, words, lanes);
+    ASSERT_EQ(std::memcmp(expected, state, sizeof(state)), 0)
+        << "trial " << trial << ", " << lanes << " lanes";
+  }
+}
+
+TEST(Sha256CompressTest, DispatchedLanesMatchPortable) {
+  ExpectLanesMatchPortable(sha256_internal::CompressLanes, 181, 4000);
+}
+
+TEST(Sha256CompressTest, CompressWordsMatchesByteBlocks) {
+  Rng rng(182);
+  for (int trial = 0; trial < 1000; ++trial) {
+    uint32_t words[16];
+    uint8_t block[64];
+    for (int i = 0; i < 16; ++i) {
+      words[i] = static_cast<uint32_t>(rng.NextU64());
+      for (int b = 0; b < 4; ++b) {
+        block[4 * i + b] = static_cast<uint8_t>(words[i] >> (24 - 8 * b));
+      }
+    }
+    uint32_t from_words[8];
+    uint32_t from_bytes[8];
+    for (int k = 0; k < 8; ++k) {
+      from_words[k] = from_bytes[k] = static_cast<uint32_t>(rng.NextU64());
+    }
+    sha256_internal::CompressWords(from_words, words);
+    sha256_internal::CompressPortable(from_bytes, block);
+    ASSERT_EQ(std::memcmp(from_words, from_bytes, sizeof(from_words)), 0)
+        << "trial " << trial;
+  }
+}
+
+#ifdef FREQYWM_SHA256_HAVE_SHA_NI
+TEST(Sha256CompressTest, Avx512x16MatchesPortableOnRandomBlocks) {
+  if (!sha256_internal::CpuHasAvx512F()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F";
+  }
+  ExpectLanesMatchPortable(sha256_internal::CompressAvx512x16, 183, 20000);
+}
+
+TEST(Sha256CompressTest, Avx512x16ReproducesNistVectors) {
+  if (!sha256_internal::CpuHasAvx512F()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F";
+  }
+  // Every NIST message in its own lane, block by block; shorter messages'
+  // lanes keep their final state while the longer ones go on.
+  constexpr unsigned kLanes = sha256_internal::kLanes;
+  const std::vector<NistVector> vectors = NistVectors();
+  std::vector<std::vector<uint8_t>> padded;
+  size_t max_blocks = 0;
+  for (const NistVector& v : vectors) {
+    std::vector<uint8_t> p(v.message.begin(), v.message.end());
+    p.push_back(0x80);
+    while (p.size() % 64 != 56) p.push_back(0);
+    const uint64_t bits = static_cast<uint64_t>(v.message.size()) * 8;
+    for (int i = 7; i >= 0; --i) p.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+    max_blocks = std::max(max_blocks, p.size() / 64);
+    padded.push_back(std::move(p));
+  }
+  // Lanes are packed longest message first, so the active lanes of each
+  // block are a prefix.
+  std::vector<size_t> order(vectors.size());
+  for (size_t v = 0; v < order.size(); ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return padded[x].size() > padded[y].size();
+  });
+  uint32_t state[8][kLanes] = {};
+  for (size_t l = 0; l < order.size(); ++l) {
+    for (int k = 0; k < 8; ++k) {
+      state[k][l] = sha256_internal::kInitialState[k];
+    }
+  }
+  for (size_t block = 0; block < max_blocks; ++block) {
+    uint32_t words[16][kLanes] = {};
+    unsigned lanes = 0;
+    for (size_t l = 0; l < order.size(); ++l) {
+      const std::vector<uint8_t>& p = padded[order[l]];
+      if (p.size() / 64 <= block) break;
+      ++lanes;
+      for (int i = 0; i < 16; ++i) {
+        const uint8_t* at = p.data() + 64 * block + 4 * i;
+        words[i][l] = (static_cast<uint32_t>(at[0]) << 24) |
+                      (static_cast<uint32_t>(at[1]) << 16) |
+                      (static_cast<uint32_t>(at[2]) << 8) | at[3];
+      }
+    }
+    sha256_internal::CompressAvx512x16(state, words, lanes);
+  }
+  for (size_t l = 0; l < order.size(); ++l) {
+    uint8_t digest[32];
+    for (int k = 0; k < 8; ++k) {
+      for (int b = 0; b < 4; ++b) {
+        digest[4 * k + b] = static_cast<uint8_t>(state[k][l] >> (24 - 8 * b));
+      }
+    }
+    EXPECT_EQ(HexEncode(digest, sizeof(digest)), vectors[order[l]].hex)
+        << "message length " << vectors[order[l]].message.size();
   }
 }
 #endif

@@ -52,6 +52,26 @@ Histogram MakeTieHeavy() {
   return hist.value();
 }
 
+/// Token names of every length from 0 to 81 bytes (most lengths twice),
+/// so outer hashes take one block and two, and the inner digest's hole
+/// starts at every offset mod 4. Counts follow a power law.
+Histogram MakeLongTokens() {
+  const Histogram counts = MakePowerLaw(161, 60000, 13);
+  std::vector<HistogramEntry> entries;
+  for (size_t t = 0; t < counts.num_tokens(); ++t) {
+    // t = 81 would repeat t = 0's empty name.
+    std::string name(t == 81 ? 81 : t % 81, '\0');
+    for (size_t k = 0; k < name.size(); ++k) {
+      name[k] = static_cast<char>('a' + (t * 7 + k * 3) % 26);
+    }
+    if (!name.empty()) name[0] = t < 81 ? 'A' : 'B';
+    entries.push_back({name, counts.entry(t).count});
+  }
+  auto hist = Histogram::FromCounts(std::move(entries));
+  EXPECT_TRUE(hist.ok()) << hist.status();
+  return hist.value();
+}
+
 void ExpectIdenticalPairLists(const std::vector<EligiblePair>& expected,
                               const std::vector<EligiblePair>& actual,
                               const std::string& label) {
@@ -73,7 +93,8 @@ class EligibleIdentityTest : public ::testing::TestWithParam<RuleCase> {};
 TEST_P(EligibleIdentityTest, PrunedSerialScanMatchesReference) {
   const EligibilityRule rule = GetParam().rule;
   WatermarkSecret secret = GenerateSecret(256, 41);
-  std::vector<Histogram> hists{MakePowerLaw(300, 60000, 7), MakeTieHeavy()};
+  std::vector<Histogram> hists{MakePowerLaw(300, 60000, 7), MakeTieHeavy(),
+                               MakeLongTokens()};
   for (size_t h = 0; h < hists.size(); ++h) {
     for (uint64_t z : {131ull, 1031ull}) {
       PairModulus pm(secret, z);
@@ -98,7 +119,8 @@ TEST_P(EligibleIdentityTest, ShardedParallelScanMatchesReferenceAtAnyWidth) {
   const EligibilityRule rule = GetParam().rule;
   WatermarkSecret secret = GenerateSecret(256, 43);
   PairModulus pm(secret, 131);
-  std::vector<Histogram> hists{MakePowerLaw(250, 50000, 11), MakeTieHeavy()};
+  std::vector<Histogram> hists{MakePowerLaw(250, 50000, 11), MakeTieHeavy(),
+                               MakeLongTokens()};
   for (size_t h = 0; h < hists.size(); ++h) {
     auto reference = BuildEligiblePairsReference(hists[h], pm, rule, 2, 1);
     for (size_t threads : {1, 2, 4, 8}) {

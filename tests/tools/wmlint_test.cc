@@ -145,6 +145,25 @@ TEST(WmlintNumberParseTest, StringUtilAndMemberCallsPass) {
   EXPECT_TRUE(r.findings.empty()) << RenderText(r);
 }
 
+// --------------------------------------------------------------- isa
+
+TEST(WmlintIsaTest, FlagsIsaCodeOutsideTheDispatchFile) {
+  RunResult r = RunFixture("isa_bad", "isa");
+  std::vector<std::string> keys = Keys(r, "isa");
+  std::sort(keys.begin(), keys.end());
+  ASSERT_EQ(keys.size(), 4u) << RenderText(r);
+  EXPECT_EQ(keys[0], "src/core/fast_scan.cc:__builtin_cpu_supports");
+  EXPECT_EQ(keys[1], "src/core/fast_scan.cc:immintrin.h");
+  EXPECT_EQ(keys[2], "src/core/fast_scan.cc:target");
+  EXPECT_EQ(keys[3], "src/core/fast_scan.cc:target");
+  EXPECT_EQ(CountCheck(r, "config"), 0u) << RenderText(r);
+}
+
+TEST(WmlintIsaTest, AllowlistedDispatchAndLookalikesPass) {
+  RunResult r = RunFixture("isa_clean", "isa");
+  EXPECT_TRUE(r.findings.empty()) << RenderText(r);
+}
+
 // ----------------------------------------------------- config policy
 
 TEST(WmlintConfigTest, StaleEntriesAndMissingRationalesAreFindings) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 namespace wmlint {
 
@@ -653,6 +654,76 @@ void CheckNumberParse(const std::vector<LexedFile>& code,
            "'" + t.text + "' parses outside text by hand — use ParseU64 / "
            "ParseFiniteDouble (common/string_util.h), the one parser that "
            "rejects signs, partial tokens, overflow and non-finite values"});
+    }
+  }
+}
+
+// ------------------------------------------------------------------ isa
+
+namespace {
+
+/// An x86 intrinsics header (`immintrin.h`, `x86intrin.h`, the
+/// `*mmintrin.h` family, ...) or the CPUID header.
+bool IsIsaHeader(const std::string& path) {
+  return EndsWith(path, "intrin.h") || path == "cpuid.h";
+}
+
+/// CPUID probes: GCC/Clang's `__get_cpuid*` and `__cpuid*` helpers and
+/// the `__builtin_cpu_supports` builtin.
+bool IsCpuProbe(const std::string& ident) {
+  return StartsWith(ident, "__get_cpuid") || StartsWith(ident, "__cpuid") ||
+         ident == "__builtin_cpu_supports";
+}
+
+/// True when the parenthesized argument of `__attribute__` starting at
+/// `open` names the `target` or `target_clones` attribute.
+bool AttributeNamesTarget(const std::vector<Token>& toks, size_t open) {
+  int depth = 0;
+  for (size_t j = open; j < toks.size(); ++j) {
+    if (IsPunct(toks[j], "(")) ++depth;
+    if (IsPunct(toks[j], ")") && --depth == 0) return false;
+    if (depth == 0) return false;  // `__attribute__` without its parens
+    if ((IsIdent(toks[j], "target") || IsIdent(toks[j], "target_clones")) &&
+        j + 1 < toks.size() && IsPunct(toks[j + 1], "(")) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void CheckIsa(const std::vector<LexedFile>& code, Allowlist* allow,
+              std::vector<Finding>* findings) {
+  for (const LexedFile& file : code) {
+    std::vector<std::pair<int, std::string>> uses;  // (line, construct)
+    for (const IncludeDirective& inc : file.includes) {
+      if (IsIsaHeader(inc.path)) uses.emplace_back(inc.line, inc.path);
+    }
+    const std::vector<Token>& toks = file.tokens;
+    for (size_t i = 0; i < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (t.kind != TokKind::kIdentifier) continue;
+      if (IsCpuProbe(t.text)) {
+        uses.emplace_back(t.line, t.text);
+      } else if (t.text == "__attribute__" &&
+                 AttributeNamesTarget(toks, i + 1)) {
+        uses.emplace_back(t.line, "target");
+      } else if (t.text == "gnu" && i + 2 < toks.size() &&
+                 IsPunct(toks[i + 1], "::") &&
+                 (IsIdent(toks[i + 2], "target") ||
+                  IsIdent(toks[i + 2], "target_clones"))) {
+        uses.emplace_back(t.line, "target");
+      }
+    }
+    if (uses.empty() || allow->Claim(file.path)) continue;
+    for (const auto& [line, construct] : uses) {
+      findings->push_back(
+          {"isa", file.path, line, file.path + ":" + construct,
+           "'" + construct + "' is ISA-specific code in a file that holds "
+           "no CPUID dispatch (isa_allowlist.txt; DESIGN.md §16) — a "
+           "kernel reached without that check raises SIGILL on an older "
+           "CPU"});
     }
   }
 }

@@ -10,7 +10,7 @@
 
 namespace wmlint {
 
-/// The six project-invariant checks (DESIGN.md §12). Each takes the
+/// The seven project-invariant checks (DESIGN.md §12). Each takes the
 /// lexed tree, claims entries from its allowlist if it has one (the
 /// driver reports stale entries afterwards), and appends findings.
 
@@ -64,6 +64,14 @@ void CheckIdentityGate(const std::vector<LexedFile>& code, Allowlist* allow,
 /// calls (`x.stoi(`, `p->atol(`) are not that family. No allowlist.
 void CheckNumberParse(const std::vector<LexedFile>& code,
                       std::vector<Finding>* findings);
+
+/// isa: instruction-set-specific code — an x86 intrinsics or `cpuid.h`
+/// include, a `target`/`target_clones` function attribute, or a CPUID
+/// probe (`__get_cpuid*`, `__cpuid*`, `__builtin_cpu_supports`) — stays
+/// in the files that hold a CPUID dispatch, so no kernel runs on a CPU
+/// that lacks its instructions. Allowlist key: file path.
+void CheckIsa(const std::vector<LexedFile>& code, Allowlist* allow,
+              std::vector<Finding>* findings);
 
 }  // namespace wmlint
 

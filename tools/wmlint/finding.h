@@ -11,7 +11,7 @@ namespace wmlint {
 /// DESIGN.md §12.
 struct Finding {
   /// Which check produced it: "layers", "guarded_by", "determinism",
-  /// "oracle", "identity_gate", "number_parse" — or "config" for
+  /// "oracle", "identity_gate", "number_parse", "isa" — or "config" for
   /// malformed / stale config and allowlist files (config findings are
   /// never allowlistable).
   std::string check;

@@ -120,7 +120,7 @@ std::string JsonEscape(const std::string& s) {
 const std::vector<std::string>& AllCheckNames() {
   static const std::vector<std::string> kNames = {
       "layers", "guarded_by", "determinism", "oracle", "identity_gate",
-      "number_parse"};
+      "number_parse", "isa"};
   return kNames;
 }
 
@@ -191,6 +191,12 @@ RunResult Run(const RunOptions& options) {
   }
   if (CheckEnabled(options.checks, "number_parse")) {
     CheckNumberParse(code, &result.findings);
+  }
+  if (CheckEnabled(options.checks, "isa")) {
+    Allowlist allow = LoadAllowlist(root, config_dir, "isa_allowlist.txt",
+                                    &result.findings);
+    CheckIsa(code, &allow, &result.findings);
+    allow.ReportStale(&result.findings);
   }
 
   std::sort(result.findings.begin(), result.findings.end(), FindingLess);
