@@ -17,10 +17,12 @@ namespace {
 /// every dual update stays integral (delta3 divides a slack by two).
 ///
 /// Every buffer is sized once per run. A stage resets only the slots and
-/// edges the previous stage touched, labels the free vertices from a list,
-/// and walks blossom leaves in place, so a stage costs what its search
-/// does. Scan, queue and tie-break order are those of the reference
-/// formulation (DESIGN.md §16).
+/// edges the previous stage touched. A free vertex keeps its S label until
+/// it is matched, and the search reaches it from a descending free list
+/// once the queue runs dry. A vertex finds its top-level blossom through
+/// a group that each blossom takes over from its largest child, so a new
+/// blossom re-points only its smaller children's leaves. Scan, queue and
+/// tie-break order are those of the reference formulation (DESIGN.md §16).
 class BlossomMatcher {
  public:
   BlossomMatcher(int num_vertices, const std::vector<WeightedEdge>& input)
@@ -55,10 +57,18 @@ class BlossomMatcher {
     }
 
     mate_.assign(n_, -1);
+    // Every vertex starts free, so as an S-labelled root.
     label_.assign(2 * n_, 0);
+    for (int v = 0; v < n_; ++v) label_[v] = 1;
     label_end_.assign(2 * n_, -1);
-    in_blossom_.resize(n_);
-    for (int v = 0; v < n_; ++v) in_blossom_[v] = v;
+    group_.resize(n_);
+    group_top_.resize(n_);
+    heavy_leaf_.assign(2 * n_, -1);
+    leaf_count_.assign(2 * n_, 0);
+    for (int v = 0; v < n_; ++v) {
+      group_[v] = group_top_[v] = heavy_leaf_[v] = v;
+      leaf_count_[v] = 1;
+    }
     blossom_parent_.assign(2 * n_, -1);
     blossom_childs_.assign(2 * n_, {});
     blossom_base_.assign(2 * n_, -1);
@@ -74,8 +84,13 @@ class BlossomMatcher {
     dual_var_.assign(2 * n_, 0);
     for (int v = 0; v < n_; ++v) dual_var_[v] = max_weight_;
     allow_edge_.assign(m_, false);
-    free_.resize(n_);
-    for (int v = 0; v < n_; ++v) free_[v] = v;
+    free_prev_.resize(n_);
+    free_next_.resize(n_);
+    for (int v = 0; v < n_; ++v) {
+      free_prev_[v] = v - 1;
+      free_next_[v] = v + 1 < n_ ? v + 1 : -1;
+    }
+    free_last_ = n_ - 1;
   }
 
   std::vector<int> Run() {
@@ -93,43 +108,45 @@ class BlossomMatcher {
       dirty_.clear();
       for (int k : allowed_) allow_edge_[k] = false;
       allowed_.clear();
-      queue_.clear();
-
-      // Every free vertex roots an S-tree. Most are not in a blossom, so
-      // those are labelled here, as AssignLabel would label them.
-      for (int v : free_) {
-        const int b = in_blossom_[v];
-        if (label_[b] != 0) continue;
-        if (b != v) {
-          AssignLabel(v, 1, -1);
-          continue;
-        }
-        SetLabel(v, 1);
-        label_end_[v] = best_edge_[v] = -1;
-        queue_.push_back(v);
+      // Every free vertex roots an S-tree and keeps its S label from stage
+      // to stage. The roots the last stage reached were reset above; those
+      // still free are labelled again, as AssignLabel would label them.
+      for (int f : reached_roots_) {
+        if (mate_[f] == -1) LabelFreeRoot(f);
       }
+      reached_roots_.clear();
+      queue_.clear();
+      next_root_ = free_last_;
 
       bool augmented = false;
       while (true) {
-        while (!queue_.empty() && !augmented) {
+        while (!augmented) {
+          // The free roots sit below every push of the stage, highest
+          // last, as if pushed at its start: pop them once the queue is
+          // empty.
+          if (queue_.empty()) {
+            if (next_root_ == -1) break;
+            ReachNextRoot();
+          }
           int v = queue_.back();
           queue_.pop_back();
-          assert(label_[in_blossom_[v]] == 1);
+          assert(label_[TopOf(v)] == 1);
 
           for (int i = neighb_begin_[v]; i < neighb_begin_[v + 1]; ++i) {
             int p = neighb_end_[i];
             int k = p / 2;
             int w = endpoint_[p];
-            if (in_blossom_[v] == in_blossom_[w]) continue;
+            const int bw = TopOf(w);
+            if (TopOf(v) == bw) continue;
             int64_t kslack = 0;
             if (!allow_edge_[k]) {
               kslack = Slack(k);
               if (kslack <= 0) Allow(k);
             }
             if (allow_edge_[k]) {
-              if (label_[in_blossom_[w]] == 0) {
+              if (label_[bw] == 0) {
                 AssignLabel(w, 2, p ^ 1);
-              } else if (label_[in_blossom_[w]] == 1) {
+              } else if (label_[bw] == 1) {
                 int base = ScanBlossom(v, w);
                 if (base >= 0) {
                   AddBlossom(base, k);
@@ -139,12 +156,12 @@ class BlossomMatcher {
                   break;
                 }
               } else if (label_[w] == 0) {
-                assert(label_[in_blossom_[w]] == 2);
+                assert(label_[bw] == 2);
                 SetLabel(w, 2);
                 label_end_[w] = p ^ 1;
               }
-            } else if (label_[in_blossom_[w]] == 1) {
-              int b = in_blossom_[v];
+            } else if (label_[bw] == 1) {
+              int b = TopOf(v);
               if (best_edge_[b] == -1 || kslack < Slack(best_edge_[b])) {
                 best_edge_[b] = k;
               }
@@ -170,7 +187,7 @@ class BlossomMatcher {
         delta = std::max<int64_t>(delta, 0);
 
         for (int v = 0; v < n_; ++v) {
-          if (label_[in_blossom_[v]] == 0 && best_edge_[v] != -1) {
+          if (label_[TopOf(v)] == 0 && best_edge_[v] != -1) {
             int64_t d = Slack(best_edge_[v]);
             if (d < delta) {
               delta = d;
@@ -202,7 +219,7 @@ class BlossomMatcher {
         }
 
         for (int v = 0; v < n_; ++v) {
-          int lbl = label_[in_blossom_[v]];
+          int lbl = label_[TopOf(v)];
           if (lbl == 1) {
             dual_var_[v] -= delta;
           } else if (lbl == 2) {
@@ -224,13 +241,13 @@ class BlossomMatcher {
         } else if (delta_type == 2) {
           Allow(delta_edge);
           int i = edges_[delta_edge].u;
-          if (label_[in_blossom_[i]] == 0) i = edges_[delta_edge].v;
-          assert(label_[in_blossom_[i]] == 1);
+          if (label_[TopOf(i)] == 0) i = edges_[delta_edge].v;
+          assert(label_[TopOf(i)] == 1);
           queue_.push_back(i);
         } else if (delta_type == 3) {
           Allow(delta_edge);
           int i = edges_[delta_edge].u;
-          assert(label_[in_blossom_[i]] == 1);
+          assert(label_[TopOf(i)] == 1);
           queue_.push_back(i);
         } else {
           ExpandBlossom(delta_blossom, /*endstage=*/false);
@@ -240,7 +257,9 @@ class BlossomMatcher {
       if (!augmented) break;
 
       // End of stage: expand S-blossoms whose dual hit zero, in ascending
-      // slot order. Only a slot labelled this stage can be an S-blossom.
+      // slot order. Only a slot labelled this stage can be an S-blossom
+      // with a zero dual: a root the stage did not reach kept the non-zero
+      // dual it had when the last stage ended.
       expand_.clear();
       for (int x : dirty_) {
         if (x >= n_) expand_.push_back(x);
@@ -254,9 +273,9 @@ class BlossomMatcher {
           ExpandBlossom(b, /*endstage=*/true);
         }
       }
-      free_.erase(std::remove_if(free_.begin(), free_.end(),
-                                 [&](int v) { return mate_[v] != -1; }),
-                  free_.end());
+#ifndef NDEBUG
+      CheckStageEnd();
+#endif
     }
 
 #ifndef NDEBUG
@@ -275,6 +294,9 @@ class BlossomMatcher {
     return dual_var_[edges_[k].u] + dual_var_[edges_[k].v] -
            2 * edges_[k].weight;
   }
+
+  /// The top-level blossom (or the vertex itself) that holds vertex `v`.
+  int TopOf(int v) const { return group_top_[group_[v]]; }
 
   /// Sets a non-zero label and records the slot for the next stage's reset.
   void SetLabel(int x, int t) {
@@ -308,8 +330,35 @@ class BlossomMatcher {
     return -1;
   }
 
+  /// Labels free vertex `f` and its top-level blossom as an S-root, without
+  /// recording them: they stay labelled until a stage reaches them.
+  void LabelFreeRoot(int f) {
+    const int b = TopOf(f);
+    assert(blossom_base_[b] == f);
+    label_[f] = label_[b] = 1;
+    label_end_[f] = label_end_[b] = -1;
+    best_edge_[f] = best_edge_[b] = -1;
+    if (b >= n_) {
+      blossom_best_edges_[b].clear();
+      has_best_edges_[b] = false;
+    }
+  }
+
+  /// Pushes the leaves of the highest free root not yet reached, and
+  /// records it for the next stage's reset.
+  void ReachNextRoot() {
+    const int f = next_root_;
+    next_root_ = free_prev_[f];
+    const int b = TopOf(f);
+    assert(label_[f] == 1 && label_[b] == 1 && label_end_[b] == -1);
+    reached_roots_.push_back(f);
+    dirty_.push_back(f);
+    if (b != f) dirty_.push_back(b);
+    ForEachLeaf(b, [&](int leaf) { queue_.push_back(leaf); });
+  }
+
   void AssignLabel(int w, int t, int p) {
-    int b = in_blossom_[w];
+    int b = TopOf(w);
     assert(label_[w] == 0 && label_[b] == 0);
     SetLabel(w, t);
     if (b != w) SetLabel(b, t);
@@ -328,7 +377,7 @@ class BlossomMatcher {
     scan_path_.clear();
     int base = -1;
     while (v != -1 || w != -1) {
-      int b = in_blossom_[v];
+      int b = TopOf(v);
       if (label_[b] & 4) {
         base = blossom_base_[b];
         break;
@@ -341,7 +390,7 @@ class BlossomMatcher {
         v = -1;
       } else {
         v = endpoint_[label_end_[b]];
-        b = in_blossom_[v];
+        b = TopOf(v);
         assert(label_[b] == 2);
         assert(label_end_[b] >= 0);
         v = endpoint_[label_end_[b]];
@@ -355,9 +404,9 @@ class BlossomMatcher {
   void AddBlossom(int base, int k) {
     int v = edges_[k].u;
     int w = edges_[k].v;
-    int bb = in_blossom_[base];
-    int bv = in_blossom_[v];
-    int bw = in_blossom_[w];
+    int bb = TopOf(base);
+    int bv = TopOf(v);
+    int bw = TopOf(w);
 
     assert(!unused_blossoms_.empty());
     int b = unused_blossoms_.back();
@@ -380,7 +429,7 @@ class BlossomMatcher {
               label_end_[bv] == mate_[blossom_base_[bv]]));
       assert(label_end_[bv] >= 0);
       v = endpoint_[label_end_[bv]];
-      bv = in_blossom_[v];
+      bv = TopOf(v);
     }
     path.push_back(bb);
     std::reverse(path.begin(), path.end());
@@ -396,7 +445,7 @@ class BlossomMatcher {
               label_end_[bw] == mate_[blossom_base_[bw]]));
       assert(label_end_[bw] >= 0);
       w = endpoint_[label_end_[bw]];
-      bw = in_blossom_[w];
+      bw = TopOf(w);
     }
 
     assert(label_[bb] == 1);
@@ -404,10 +453,31 @@ class BlossomMatcher {
     label_end_[b] = label_end_[bb];
     dual_var_[b] = 0;
 
-    ForEachLeaf(b, [&](int leaf) {
-      if (label_[in_blossom_[leaf]] == 2) queue_.push_back(leaf);
-      in_blossom_[leaf] = b;
-    });
+    // The blossom takes over the group of its largest child (the first on
+    // ties), so only the other children's leaves are re-pointed. Leaves of
+    // T-labelled children become S-vertices and go on the queue, in
+    // depth-first child order.
+    int heavy = path[0];
+    int leaves = 0;
+    for (int child : path) {
+      leaves += leaf_count_[child];
+      if (leaf_count_[child] > leaf_count_[heavy]) heavy = child;
+    }
+    const int group = heavy_leaf_[heavy];
+    heavy_leaf_[b] = group;
+    leaf_count_[b] = leaves;
+    group_top_[group] = b;
+    for (int child : path) {
+      const bool push = label_[child] == 2;
+      if (child == heavy) {
+        if (push) ForEachLeaf(child, [&](int leaf) { queue_.push_back(leaf); });
+        continue;
+      }
+      ForEachLeaf(child, [&](int leaf) {
+        if (push) queue_.push_back(leaf);
+        group_[leaf] = group;
+      });
+    }
 
     // Compute the least-slack edges from the new blossom to every other
     // S-blossom (used by delta3), keyed by that blossom's slot.
@@ -451,8 +521,8 @@ class BlossomMatcher {
   /// far to the S-blossom at its other end.
   void OfferBestEdgeTo(int b, int ke) {
     int j = edges_[ke].v;
-    if (in_blossom_[j] == b) j = edges_[ke].u;
-    const int bj = in_blossom_[j];
+    if (TopOf(j) == b) j = edges_[ke].u;
+    const int bj = TopOf(j);
     if (bj == b || label_[bj] != 1) return;
     const int64_t slack = Slack(ke);
     if (best_edge_to_[bj] == -1) {
@@ -465,20 +535,21 @@ class BlossomMatcher {
   }
 
   void ExpandBlossom(int b, bool endstage) {
+    // The largest child gets the group back; the others' leaves are
+    // pointed at their own groups before a child is expanded in turn.
     for (int s : blossom_childs_[b]) {
       blossom_parent_[s] = -1;
-      if (s < n_) {
-        in_blossom_[s] = s;
-      } else if (endstage && dual_var_[s] == 0) {
-        ExpandBlossom(s, endstage);
-      } else {
-        ForEachLeaf(s, [&](int leaf) { in_blossom_[leaf] = s; });
+      const int group = heavy_leaf_[s];
+      if (group != heavy_leaf_[b]) {
+        ForEachLeaf(s, [&](int leaf) { group_[leaf] = group; });
       }
+      group_top_[group] = s;
+      if (s >= n_ && endstage && dual_var_[s] == 0) ExpandBlossom(s, endstage);
     }
 
     if (!endstage && label_[b] == 2) {
       assert(label_end_[b] >= 0);
-      int entry_child = in_blossom_[endpoint_[label_end_[b] ^ 1]];
+      int entry_child = TopOf(endpoint_[label_end_[b] ^ 1]);
       int j = 0;
       const int len = static_cast<int>(blossom_childs_[b].size());
       for (int idx = 0; idx < len; ++idx) {
@@ -529,7 +600,7 @@ class BlossomMatcher {
         int reached = FirstLabelledLeaf(bv);
         if (reached != -1) {
           assert(label_[reached] == 2);
-          assert(in_blossom_[reached] == bv);
+          assert(TopOf(reached) == bv);
           label_[reached] = 0;
           label_[endpoint_[mate_[blossom_base_[bv]]]] = 0;
           AssignLabel(reached, 2, label_end_[reached]);
@@ -603,14 +674,18 @@ class BlossomMatcher {
       int s = start[0];
       int p = start[1];
       while (true) {
-        int bs = in_blossom_[s];
+        int bs = TopOf(s);
         assert(label_[bs] == 1);
         assert(label_end_[bs] == mate_[blossom_base_[bs]]);
+        const int root = blossom_base_[bs];
         if (bs >= n_) AugmentBlossom(bs, s);
         mate_[s] = p;
-        if (label_end_[bs] == -1) break;
+        if (label_end_[bs] == -1) {
+          MatchRoot(root, bs);
+          break;
+        }
         int t = endpoint_[label_end_[bs]];
-        int bt = in_blossom_[t];
+        int bt = TopOf(t);
         assert(label_[bt] == 2);
         assert(label_end_[bt] >= 0);
         s = endpoint_[label_end_[bt]];
@@ -623,10 +698,56 @@ class BlossomMatcher {
     }
   }
 
+  /// Takes free vertex `f`, the root the augmenting path ended at in
+  /// blossom `b`, off the free list, and records both slots for the next
+  /// stage's reset: the stage may not have reached them.
+  void MatchRoot(int f, int b) {
+    dirty_.push_back(f);
+    dirty_.push_back(b);
+    const int prev = free_prev_[f];
+    const int next = free_next_[f];
+    if (prev != -1) free_next_[prev] = next;
+    if (next != -1) {
+      free_prev_[next] = prev;
+    } else {
+      free_last_ = prev;
+    }
+  }
+
 #ifndef NDEBUG
+  /// Checks that every vertex's group names the top-level blossom reached
+  /// by walking `blossom_parent_`.
+  void CheckMembership() const {
+    std::vector<int> top(2 * n_, -1);
+    for (int v = 0; v < n_; ++v) {
+      int x = v;
+      while (top[x] == -1 && blossom_parent_[x] != -1) x = blossom_parent_[x];
+      const int root = top[x] == -1 ? x : top[x];
+      for (int y = v; top[y] == -1; y = blossom_parent_[y]) {
+        top[y] = root;
+        if (y == x) break;
+      }
+      assert(TopOf(v) == root);
+    }
+  }
+
+  /// Checks membership, and that every free root is labelled S with a
+  /// top-level blossom whose dual is not zero: the end-of-stage expansion
+  /// looks only at slots the stage labelled, so it must miss no root.
+  void CheckStageEnd() const {
+    CheckMembership();
+    for (int f = free_last_; f != -1; f = free_prev_[f]) {
+      const int b = TopOf(f);
+      assert(mate_[f] == -1 && blossom_base_[b] == f);
+      assert(label_[f] == 1 && label_[b] == 1);
+      assert(b < n_ || dual_var_[b] > 0);
+    }
+  }
+
   /// Checks LP dual feasibility and complementary slackness — the standard
   /// certificate that the produced matching is optimal.
   void VerifyOptimum() const {
+    CheckMembership();
     for (int v = 0; v < n_; ++v) {
       assert(dual_var_[v] >= 0 || mate_[v] >= 0);
     }
@@ -674,7 +795,13 @@ class BlossomMatcher {
   std::vector<int> mate_;
   std::vector<int> label_;
   std::vector<int> label_end_;
-  std::vector<int> in_blossom_;
+  // Blossom membership: vertex v's top-level blossom is
+  // group_top_[group_[v]]. A group is named after a leaf, and a slot's
+  // group (`heavy_leaf_`) is that of its largest child, down to a vertex.
+  std::vector<int> group_;
+  std::vector<int> group_top_;
+  std::vector<int> heavy_leaf_;
+  std::vector<int> leaf_count_;
   std::vector<int> blossom_parent_;
   std::vector<std::vector<int>> blossom_childs_;
   std::vector<int> blossom_base_;
@@ -691,8 +818,14 @@ class BlossomMatcher {
   std::vector<int64_t> dual_var_;
   std::vector<char> allow_edge_;
   std::vector<int> queue_;
-  // Free vertices in ascending order; the stage's S-vertices to start from.
-  std::vector<int> free_;
+  // Free vertices as a list in ascending order, linked both ways, and the
+  // next one a stage reaches; -1 ends the list.
+  std::vector<int> free_prev_;
+  std::vector<int> free_next_;
+  int free_last_ = -1;
+  int next_root_ = -1;
+  // Free vertices reached this stage: what the next stage labels again.
+  std::vector<int> reached_roots_;
   // Slots given a label or best edge this stage, and edges allowed this
   // stage: what the next stage resets.
   std::vector<int> dirty_;

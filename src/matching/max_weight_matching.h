@@ -24,7 +24,10 @@ struct WeightedEdge {
 /// Returns `mate` with `mate[v]` = matched partner of `v`, or -1 if `v` is
 /// single. Self-loops are ignored; negative-weight edges are never matched.
 /// The blossom runs only over vertices that have an edge, so the cost is
-/// cubic in those, not in `num_vertices`.
+/// cubic in those, not in `num_vertices`. Within that bound a stage costs
+/// what its search touches, not the number of free vertices, and a new
+/// blossom re-points only the leaves of its smaller children (DESIGN.md
+/// §16).
 ///
 /// Correctness is established three ways in the test suite: against an
 /// exhaustive brute-force matcher on random graphs (property tests), by a

@@ -28,10 +28,13 @@
 namespace freqywm {
 namespace {
 
+// Unique per test and per process: suites run at once on one host (two
+// build trees, say) share the temp directory.
 std::string UniqueDir(const std::string& name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
   std::string dir = ::testing::TempDir() + "crash_" +
+                    std::to_string(::getpid()) + "_" +
                     std::string(info->name()) + "_" + name;
   ::mkdir(dir.c_str(), 0755);
   return dir;

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "analysis/registry.h"
 #include "exec/fault_injection.h"
 
@@ -31,11 +33,14 @@ FingerprintRegistry MakeRegistry() {
   return registry;
 }
 
+// Unique per test and per process: suites run at once on one host (two
+// build trees, say) share the temp directory.
 std::string UniquePath(const std::string& name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
   return ::testing::TempDir() + "registry_persist_" +
-         std::string(info->name()) + "_" + name;
+         std::to_string(::getpid()) + "_" + std::string(info->name()) + "_" +
+         name;
 }
 
 std::string ReadFileOrDie(const std::string& path) {

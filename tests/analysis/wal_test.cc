@@ -12,17 +12,21 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/wal.h"
 #include "exec/fault_injection.h"
 
 namespace freqywm {
 namespace {
 
+// Unique per test and per process: suites run at once on one host (two
+// build trees, say) share the temp directory.
 std::string UniquePath(const std::string& name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "wal_" + std::string(info->name()) + "_" +
-         name;
+  return ::testing::TempDir() + "wal_" + std::to_string(::getpid()) + "_" +
+         std::string(info->name()) + "_" + name;
 }
 
 std::string ReadFileOrDie(const std::string& path) {

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "api/wm_obt_scheme.h"
 #include "api/wm_rvs_scheme.h"
 
@@ -43,7 +45,8 @@ TEST(SchemeKeyTest, DeserializeRejectsGarbage) {
 
 TEST(SchemeKeyTest, SaveLoadFileRoundTrip) {
   SchemeKey key{"wm-rvs", "wm-rvs-key v1\nkey_seed 7\n"};
-  std::string path = ::testing::TempDir() + "/scheme_key_test.key";
+  std::string path = ::testing::TempDir() + "/scheme_key_test_" +
+                     std::to_string(::getpid()) + ".key";
   ASSERT_TRUE(key.SaveToFile(path).ok());
   auto loaded = SchemeKey::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();

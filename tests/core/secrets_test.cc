@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include <unistd.h>
+
 namespace freqywm {
 namespace {
 
@@ -120,7 +122,8 @@ TEST(SecretsTest, RejectsMalformedHexInPairs) {
 }
 
 TEST(SecretsTest, FileRoundTrip) {
-  std::string path = testing::TempDir() + "/freqywm_secrets_test.txt";
+  std::string path = testing::TempDir() + "/freqywm_secrets_test_" +
+                     std::to_string(::getpid()) + ".txt";
   WatermarkSecrets s = MakeSecrets();
   ASSERT_TRUE(s.SaveToFile(path).ok());
   auto loaded = WatermarkSecrets::LoadFromFile(path);

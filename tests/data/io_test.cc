@@ -17,7 +17,8 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/freqywm_io_" + name;
+    return testing::TempDir() + "/freqywm_io_" + std::to_string(::getpid()) +
+           "_" + name;
   }
 };
 

@@ -285,7 +285,8 @@ TEST_F(FaultSweepTest, AdmissionAndTenantPathUnderSweptFaults) {
 TEST_F(FaultSweepTest, RegistryPersistenceUnderSweptFaults) {
   const SweepFixture& fx = Fixture();
   const std::string path =
-      ::testing::TempDir() + "fault_sweep_registry_snapshot";
+      ::testing::TempDir() + "fault_sweep_registry_snapshot_" +
+      std::to_string(::getpid());
   // Publish a known-good snapshot first: the sweep then asserts the
   // kill-during-save guarantee — the path NEVER stops being loadable.
   ASSERT_TRUE(fx.registry.SaveToFile(path).ok());
@@ -332,6 +333,7 @@ TEST_F(FaultSweepTest, DurableRegistryUnderSweptFaults) {
   constexpr size_t kAttempts = 12;
   for (uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     const std::string dir = ::testing::TempDir() + "fault_sweep_durable_" +
+                            std::to_string(::getpid()) + "_" +
                             std::to_string(seed);
     ::mkdir(dir.c_str(), 0755);
     DurableRegistryOptions options;

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/detect.h"
 #include "core/secrets.h"
 #include "core/watermark.h"
@@ -64,8 +66,10 @@ TEST_P(PipelineTest, GenerateSerializeReloadDetect) {
             98.0);
 
   // Round-trip the secrets through the wire format. The file name is
-  // unique per case, so cases running in parallel never share it.
+  // unique per case and per process, so cases and suites running in
+  // parallel never share it.
   std::string path = testing::TempDir() + "/e2e_secrets_" +
+                     std::to_string(::getpid()) + "_" +
                      std::to_string(static_cast<int>(param.strategy)) + "_" +
                      std::to_string(static_cast<int>(param.rule)) + "_" +
                      std::to_string(static_cast<int>(param.metric)) + ".txt";
